@@ -6,7 +6,7 @@ Submodules:
     polyring  -- sparse multivariate polynomials, distinguished generators
     exterior  -- exterior algebra on n generators, Hodge star, signs
     fock      -- the relative cochain complex, differentials, named cochains
-    koszul    -- graded Koszul complexes, regular sequences, Hilbert series
+    koszul    -- regular sequences, ideal quotients, Hilbert series
     spectral  -- the polynomial-degree spectral sequence
     verify    -- bundled randomized verification suites
     cli       -- command line front end

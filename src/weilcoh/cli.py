@@ -26,7 +26,7 @@ import os
 import sys
 import time
 
-from .fock import direct_cohomology_dims, invariant_quotient_dims
+from .fock import direct_cohomology_dims
 from .koszul import (
     KoszulSpec,
     ci_hilbert,
@@ -34,7 +34,7 @@ from .koszul import (
     regular_sequence_check,
 )
 from .linalg import ResourceCapError
-from .polyring import FockRing, SkRing, q_gen
+from .polyring import FockRing, SkRing, q_gen, sk_c_sequence
 from .spectral import e1_dims, einf_and_converge, unregrade
 from .verify import SUITES, run_suite
 
@@ -57,24 +57,13 @@ def _parse_ell(text, n):
     return range(lo, hi + 1)
 
 
-def _sk_c_sequence(k):
-    S = SkRing(k)
-    seq = []
-    for j in range(1, k + 1):
-        f = S.zero()
-        for i in range(1, k + 1):
-            f = f + S.rhat_var(i, j) * S.what_var(i)
-        seq.append(f)
-    return S, seq
-
-
 def _koszul_model(args):
     """The named sequence for `koszul`: q in P_k, or c / w in S_k."""
     if args.model == "q":
         R = FockRing(args.n, args.k)
         return KoszulSpec(R, [q_gen(R, a) for a in range(1, args.n + 1)])
     if args.model == "c":
-        S, seq = _sk_c_sequence(args.k)
+        S, seq = sk_c_sequence(args.k)
         return KoszulSpec(S, seq)
     if args.model == "w":
         S = SkRing(args.k)
@@ -288,12 +277,11 @@ def main(argv=None):
         "verdicts": [],
     }
     start = time.monotonic()
+    # --max-entries reaches the eliminators through the environment; put
+    # the caller's value back so that the cap ends with this call
+    saved_cap = os.environ.get("WEILCOH_MAX_ENTRIES")
     try:
         _validate(args)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
         args.func(args, doc)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -304,6 +292,11 @@ def main(argv=None):
         })
         _emit(doc, args.format, time.monotonic() - start)
         return 3
+    finally:
+        if saved_cap is None:
+            os.environ.pop("WEILCOH_MAX_ENTRIES", None)
+        else:
+            os.environ["WEILCOH_MAX_ENTRIES"] = saved_cap
     _emit(doc, args.format, time.monotonic() - start)
     if any(not v["pass"] for v in doc["verdicts"]):
         return 1

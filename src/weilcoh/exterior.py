@@ -5,27 +5,16 @@ An index set I = {i_1 < ... < i_l} inside {1..n} is stored as a bitmask
 prefix and nothing is ever tabulated by hand.  The volume form is
 omega_1 ^ ... ^ omega_n and the Hodge star is normalized by
 omega_I ^ *(omega_I) = vol.
-
-The module also houses the insertion/removal signs (-1)^{J(i)} for index
-tuples inside {1..k}, where J(i) counts the elements of J less than i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
-    "ExtIndex",
-    "SignedExtIndex",
     "bits_of",
     "tuple_of",
     "wedge_bits",
     "star_bits",
     "contract_bits",
-    "wedge",
-    "hodge_star",
-    "contract",
-    "tuple_sign",
 ]
 
 
@@ -87,76 +76,3 @@ def contract_bits(alpha, bits):
         return 0, 0
     pos = (bits & (m - 1)).bit_count()  # elements below alpha
     return (-1) ** pos, bits & ~m
-
-
-@dataclass(frozen=True)
-class ExtIndex:
-    """A basis form omega_I, I strictly increasing in {1..n}."""
-
-    indices: tuple
-    n: int
-
-    def __post_init__(self):
-        bits = bits_of(self.indices)  # validates monotonicity
-        if bits >> self.n:
-            raise ValueError("index exceeds n")
-
-    @property
-    def bits(self):
-        return bits_of(self.indices)
-
-    @property
-    def ell(self):
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
-class SignedExtIndex:
-    """sign * omega_I; sign 0 encodes the zero result."""
-
-    sign: int
-    index: ExtIndex
-
-
-def _signed(sign, bits, n):
-    return SignedExtIndex(sign, ExtIndex(tuple_of(bits), n))
-
-
-def wedge(I, J):
-    if I.n != J.n:
-        raise ValueError("mismatched n")
-    s, b = wedge_bits(I.bits, J.bits)
-    return _signed(s, b if s else 0, I.n)
-
-
-def hodge_star(I):
-    s, b = star_bits(I.bits, I.n)
-    return _signed(s, b, I.n)
-
-
-def contract(alpha, I):
-    if not 1 <= alpha <= I.n:
-        raise ValueError("alpha out of range")
-    s, b = contract_bits(alpha, I.bits)
-    return _signed(s, b if s else 0, I.n)
-
-
-def tuple_sign(J, i, mode):
-    """Insertion/removal sign for index tuples inside {1..k}.
-
-    insert: (0, None) if i in J, else ((-1)^{J(i)}, sorted J + {i}).
-    remove: (0, None) if i not in J, else ((-1)^{J(i)}, J - {i}).
-    J(i) is the number of elements of J less than i.
-    """
-    J = tuple(J)
-    below = sum(1 for j in J if j < i)
-    sign = (-1) ** below
-    if mode == "insert":
-        if i in J:
-            return 0, None
-        return sign, tuple(sorted(J + (i,)))
-    if mode == "remove":
-        if i not in J:
-            return 0, None
-        return sign, tuple(j for j in J if j != i)
-    raise ValueError("mode must be insert or remove")

@@ -127,10 +127,6 @@ class Cochain:
         return Cochain(self.ring, self.ell,
                        {b: f * p for b, f in self.parts.items()})
 
-    def poly_degree(self):
-        """Max total polynomial degree over all parts; -1 if zero."""
-        return max((p.degree() for p in self.parts.values()), default=-1)
-
     def graded_part(self, d):
         return Cochain(self.ring, self.ell,
                        {b: p.graded_part(d) for b, p in self.parts.items()})
@@ -158,10 +154,6 @@ class Cochain:
             "[%s](%r)" % (",".join(map(str, tuple_of(b))), p)
             for b, p in sorted(self.parts.items())
         )
-
-
-def zero_cochain(ring, ell):
-    return Cochain(ring, ell)
 
 
 def diff(c, mode="full"):
@@ -435,7 +427,7 @@ _ZINV_ROWS = {}
 
 
 def _zform_invariant_rows(n, k, ell, dz):
-    """Basis rows {(bits, z-expo): Fraction} of the SO(n)-invariants of
+    """Basis rows {(bits, z-expo): int} of the SO(n)-invariants of
     Lambda^ell (x) Pol_z(dz)."""
     key = (n, k, ell, dz)
     if key in _ZINV_ROWS:
@@ -461,7 +453,7 @@ def _zform_invariant_rows(n, k, ell, dz):
         for ze in _z_monomials(n, k, dz)
     ]
     if n == 1:
-        rows = [{be: Fraction(1)} for be in basis]
+        rows = [{be: 1} for be in basis]
         _ZINV_ROWS[key] = rows
         return rows
 
@@ -472,9 +464,8 @@ def _zform_invariant_rows(n, k, ell, dz):
     for be in basis:
         blocks.setdefault(_torus_block_key(n, k, *be), []).append(be)
 
-    W = []  # list of {(bits, ze): Fraction}
+    W = []  # list of {(bits, ze): int}
     for members in blocks.values():
-        local = {be: t for t, be in enumerate(members)}
         rows_by_target = {}
         for t, (bits, ze) in enumerate(members):
             for g, (a, b) in enumerate(torus):
@@ -482,14 +473,14 @@ def _zform_invariant_rows(n, k, ell, dz):
                     rows_by_target.setdefault((g, tgt), {})[t] = v
         if not rows_by_target:
             for be in members:
-                W.append({be: Fraction(1)})
+                W.append({be: 1})
             continue
         m = SparseRationalMatrix(len(rows_by_target), len(members))
         for ri, row in enumerate(rows_by_target.values()):
             for t, v in row.items():
                 m.set(ri, t, v)
         for vec in kernel_basis(m):
-            W.append({be: v for be, v in zip(members, vec) if v})
+            W.append({members[t]: v for t, v in vec.items()})
 
     if not remaining or not W:
         _ZINV_ROWS[key] = W
@@ -501,7 +492,7 @@ def _zform_invariant_rows(n, k, ell, dz):
             img = {}
             for (bits, ze), coef in wvec.items():
                 for tgt, v in _gen_act_basis(n, k, a, b, bits, ze).items():
-                    nv = img.get(tgt, Fraction(0)) + coef * v
+                    nv = img.get(tgt, 0) + coef * v
                     if nv:
                         img[tgt] = nv
                     elif tgt in img:
@@ -515,11 +506,9 @@ def _zform_invariant_rows(n, k, ell, dz):
     out = []
     for vec in kernel_basis(m):
         combined = {}
-        for t, coef in enumerate(vec):
-            if not coef:
-                continue
+        for t, coef in vec.items():
             for be, v in W[t].items():
-                nv = combined.get(be, Fraction(0)) + coef * v
+                nv = combined.get(be, 0) + coef * v
                 if nv:
                     combined[be] = nv
                 elif be in combined:
@@ -572,7 +561,6 @@ def _zform_invariant_rows_part(n, k, ell, dz, part):
 
     rows = _zform_invariant_rows(n, k, ell, dz)
     out = span_intersect_window(rows, lambda c: sign_of(c) == want)
-    out = [{c: Fraction(v) for c, v in r.items()} for r in out]
     _ZINV_PART[key] = out
     return out
 

@@ -1,31 +1,21 @@
-"""Graded Koszul complexes, regular-sequence certificates, Hilbert series.
+"""Regular-sequence certificates, ideal quotients, Hilbert series.
 
-K(f_1, ..., f_m) over a graded ring R is Lambda(R^m) (x) R with
-d(e_S (x) g) = sum_alpha (e_alpha ^ e_S) (x) f_alpha g.  Everything here
-is windowed: cohomology, quotients and regularity are computed degree by
-degree up to a stated bound by exact linear algebra, and the certificates
-say so rather than claiming anything beyond the window.
-
-Grading convention: cochain spaces are sliced by the coefficient degree
-(the degree of g in e_S (x) g).  The differential is homogeneous for this
-slicing only when all sequence entries share one degree, so
-koszul_cohomology_dims insists on that; regular_sequence_check and the
-quotient operations take mixed degrees.
+For a graded ring R and an ordered sequence of homogeneous elements
+f_1, ..., f_m, everything here is windowed: quotient dimensions and
+regularity are computed degree by degree up to a stated bound by exact
+linear algebra, and the certificates say so rather than claiming anything
+beyond the window.  The sequence entries may have mixed degrees.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from math import comb
 
-from .exterior import wedge_bits
 from .linalg import Eliminator
 from .polyring import Polynomial, monomials_of_degree
 
 __all__ = [
     "KoszulSpec",
-    "koszul_cohomology_dims",
     "regular_sequence_check",
     "RegularityCertificate",
     "ci_hilbert",
@@ -76,61 +66,11 @@ def _ideal_rows(ring, gens, t):
     return rows
 
 
-def _ideal_rank(ring, gens, t, elim=None):
+def _ideal_rank(ring, gens, t):
     e = Eliminator()
     for r in _ideal_rows(ring, gens, t):
         e.add_row(r)
     return e.rank
-
-
-def koszul_cohomology_dims(spec, ell, window):
-    """{coefficient degree t <= window: dim H^ell(K)_t}.
-
-    Requires all sequence degrees equal (see module docstring).
-    """
-    degs = set(spec.degrees)
-    if len(degs) > 1:
-        raise ValueError(
-            "mixed sequence degrees %s: cohomology is not graded by "
-            "coefficient degree" % (spec.degrees,)
-        )
-    ring = spec.ring
-    m = len(spec.sequence)
-    df = spec.degrees[0] if spec.sequence else 0
-    if ell < 0 or ell > m:
-        return {t: 0 for t in range(window + 1)}
-
-    def diff_rank(l, t):
-        """rank of d : K^l_t -> K^{l+1}_{t+df}."""
-        if l < 0 or l > m:
-            return 0
-        e = Eliminator()
-        for S in itertools.combinations(range(m), l):
-            sbits = 0
-            for s in S:
-                sbits |= 1 << s
-            for expo in monomials_of_degree(ring, t):
-                g = Polynomial(ring, {expo: 1})
-                row = {}
-                for a, f in enumerate(spec.sequence):
-                    sgn, nb = wedge_bits(1 << a, sbits)
-                    if not sgn:
-                        continue
-                    for te, tc in (f * g).terms.items():
-                        key = (nb, te)
-                        nv = row.get(key, 0) + sgn * tc
-                        if nv:
-                            row[key] = nv
-                        elif key in row:
-                            del row[key]
-                e.add_row(row)
-        return e.rank
-
-    out = {}
-    for t in range(window + 1):
-        dim_cell = comb(m, ell) * _monomial_count(ring, t)
-        out[t] = dim_cell - diff_rank(ell, t) - diff_rank(ell - 1, t - df)
-    return out
 
 
 @dataclass

@@ -27,7 +27,6 @@ __all__ = [
     "rank",
     "kernel_basis",
     "rank_of_rows",
-    "windowed_span_dim",
     "span_intersect_window",
     "DEFAULT_MAX_ENTRIES",
 ]
@@ -158,29 +157,6 @@ class Eliminator:
         """Stored pivot rows in increasing pivot order."""
         return [self.pivots[c] for c in sorted(self.pivots)]
 
-    def rref(self):
-        """Fully reduced echelon rows over Fraction, pivot entries 1."""
-        cols = sorted(self.pivots)
-        rows = []
-        for c in cols:
-            r = self.pivots[c]
-            lead = Fraction(r[c])
-            rows.append({col: Fraction(v) / lead for col, v in r.items()})
-        # eliminate upward: clear each pivot column from the earlier rows
-        for i in range(len(cols) - 1, -1, -1):
-            c = cols[i]
-            for j in range(i):
-                rj = rows[j]
-                coef = rj.get(c)
-                if coef:
-                    for col, v in rows[i].items():
-                        nv = rj.get(col, Fraction(0)) - coef * v
-                        if nv:
-                            rj[col] = nv
-                        elif col in rj:
-                            del rj[col]
-        return cols, rows
-
 
 class SparseRationalMatrix:
     """Coordinate-sparse matrix over the rationals.
@@ -220,13 +196,6 @@ class SparseRationalMatrix:
             t.entries[(j, i)] = v
         return t
 
-    def mul_vector(self, vec):
-        """Matrix times a length-cols vector (list of Fractions)."""
-        out = [Fraction(0)] * self.rows
-        for (i, j), v in self.entries.items():
-            out[i] += v * vec[j]
-        return out
-
 
 def rank_of_rows(rows, max_entries=None):
     """Rank of a family of {col: value} rows."""
@@ -242,44 +211,18 @@ def rank(m, max_entries=None):
 
 
 def kernel_basis(m, max_entries=None):
-    """A basis of {v : m v = 0} as lists of Fractions, one per free column.
+    """A basis of {v : m v = 0} as sparse {col: int} rows.
 
-    The count always equals cols - rank(m); each vector has a 1 in its free
-    coordinate, which makes the family visibly independent.
+    Row j of [m^T | I] is (column j of m, e_j), so a combination with
+    coefficients v is (m v, v): the span meets the identity block exactly
+    in the kernel, and the basis has cols - rank(m) rows.  The identity
+    block holds columns 0..cols-1 and m^T is shifted past it.
     """
-    e = Eliminator(max_entries)
-    for r in m.row_dicts():
-        e.add_row(r)
-    pivot_cols, rows = e.rref()
-    pivot_set = set(pivot_cols)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for c, r in zip(pivot_cols, rows):
-            coef = r.get(f)
-            if coef:
-                v[c] = -coef
-        basis.append(v)
-    return basis
-
-
-def windowed_span_dim(vectors, in_window, max_entries=None):
-    """dim( span(vectors) ∩ {v supported inside the window} ).
-
-    vectors are {col: value} rows; in_window is a predicate on column
-    labels.  Equals rank(V) minus the rank of V with the in-window
-    coordinates deleted (the kernel dimension of projecting the span onto
-    the out-of-window coordinates).
-    """
-    full = Eliminator(max_entries)
-    outside = Eliminator(max_entries)
-    for v in vectors:
-        full.add_row(v)
-        outside.add_row({c: x for c, x in v.items() if not in_window(c)})
-    return full.rank - outside.rank
+    cols = m.cols
+    rows = [{j: 1} for j in range(cols)]
+    for (i, j), v in m.entries.items():
+        rows[j][cols + i] = v
+    return span_intersect_window(rows, lambda c: c < cols, max_entries)
 
 
 def span_intersect_window(vectors, in_window, max_entries=None):
@@ -287,7 +230,8 @@ def span_intersect_window(vectors, in_window, max_entries=None):
 
     Works by re-sorting columns so that out-of-window labels come first;
     echelon rows whose pivot is in-window then have no out-of-window
-    support at all, and there are exactly windowed_span_dim of them.
+    support at all.  Their number is rank(V) minus the rank of the
+    projection of V onto the out-of-window coordinates.
     """
     e = Eliminator(max_entries)
     for v in vectors:

@@ -26,6 +26,7 @@ __all__ = [
     "r_gen",
     "q_gen",
     "c_gen",
+    "sk_c_sequence",
     "minor",
     "laplacian",
     "sk_evaluate",
@@ -308,17 +309,6 @@ def monomials_of_degree(ring, d, varset=None):
     return out
 
 
-def fock_varset(ring, which):
-    """Variable index set of a FockRing: 'all', 'z-only' or 'w-only'."""
-    if which == "all":
-        return range(ring.nvars)
-    if which == "z-only":
-        return range(ring.n * ring.k)
-    if which == "w-only":
-        return range(ring.n * ring.k, ring.nvars)
-    raise ValueError("unknown varset %r" % which)
-
-
 def r_gen(ring, i, j):
     """r(i,j) = sum_alpha z(alpha,i) z(alpha,j), degree 2."""
     out = ring.zero()
@@ -341,6 +331,19 @@ def c_gen(ring, j):
     for i in range(1, ring.k + 1):
         out = out + r_gen(ring, i, j) * ring.w_var(i)
     return out
+
+
+def sk_c_sequence(k):
+    """(S_k, [c_1, ..., c_k]) with c_j = sum_i rhat(i,j) what(i), the
+    abstract cubics that sk_evaluate sends to c_gen."""
+    S = SkRing(k)
+    seq = []
+    for j in range(1, k + 1):
+        f = S.zero()
+        for i in range(1, k + 1):
+            f = f + S.rhat_var(i, j) * S.what_var(i)
+        seq.append(f)
+    return S, seq
 
 
 def minor(ring, I, J):

@@ -23,13 +23,11 @@ full cocycle space of the cell.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .fock import Cochain, diff, direct_cohomology_dims, invariant_family
+from .fock import diff, direct_cohomology_dims, invariant_family
 from .linalg import Eliminator, ResourceCapError, SparseRationalMatrix, \
-    kernel_basis, rank, resolve_max_entries, span_intersect_window
+    kernel_basis, resolve_max_entries, span_intersect_window
 
 __all__ = [
     "regrade",
@@ -37,7 +35,6 @@ __all__ = [
     "PageData",
     "SpectralComputer",
     "e1_dims",
-    "page_step",
     "einf_and_converge",
     "ConvergenceReport",
 ]
@@ -58,7 +55,6 @@ class PageData:
     r: int
     dims: dict = field(default_factory=dict)      # (p, q) -> dim
     window: tuple = (0, 0)                        # (n, max polydeg)
-    unknown: set = field(default_factory=set)     # cells we cannot assemble
 
 
 def _row_degree(key):
@@ -136,11 +132,9 @@ class SpectralComputer:
         out = []
         for c in kernel_basis(m):
             combined = {}
-            for j, coef in enumerate(c):
-                if not coef:
-                    continue
+            for j, coef in c.items():
                 for k, v in pairs[j][0].items():
-                    nv = combined.get(k, Fraction(0)) + coef * v
+                    nv = combined.get(k, 0) + coef * v
                     if nv:
                         combined[k] = nv
                     elif k in combined:
@@ -187,8 +181,8 @@ def e1_dims(ring, part, max_degree):
     """The E_1 page: cohomology of the graded differential d' per cell."""
     n = ring.n
     fam = {
-        ell: invariant_family(ring, part, ell, range(max_degree + 3))
-        for ell in range(-1, n + 1)
+        ell: invariant_family(ring, part, ell, range(max_degree + 1))
+        for ell in range(n + 1)
     }
     data = PageData(1, window=(n, max_degree))
 
@@ -218,33 +212,6 @@ def e1_dims(ring, part, max_degree):
             if dim:
                 data.dims[regrade(ell, t)] = dim
     return data
-
-
-def page_step(current, differentials):
-    """One abstract page turn: next dims from assembled d_r matrices.
-
-    differentials maps source cell (p, q) to a SparseRationalMatrix of
-    d_r out of that cell (rows = target basis, cols = source basis).
-    Cells whose incoming differential would originate outside the window
-    are flagged unknown instead of guessed.
-    """
-    r = current.r
-    nxt = PageData(r + 1, window=current.window)
-    n, D = current.window
-    ranks = {cell: rank(m) for cell, m in differentials.items()}
-    for (p, q), dim in current.dims.items():
-        out_rank = ranks.get((p, q), 0)
-        src = (p - r, q + r - 1)
-        in_rank = ranks.get(src, 0)
-        ell_s, t_s = unregrade(*src)
-        if 0 <= ell_s <= n and t_s > D and src not in differentials:
-            nxt.unknown.add((p, q))
-            continue
-        nd = dim - out_rank - in_rank
-        if nd:
-            nxt.dims[(p, q)] = nd
-    nxt.unknown |= current.unknown & current.dims.keys()
-    return nxt
 
 
 @dataclass

@@ -11,22 +11,19 @@ from __future__ import annotations
 import itertools
 import random
 
-from .exterior import bits_of, tuple_sign, wedge_bits
+from .exterior import bits_of, wedge_bits
 from .fock import (
     Cochain,
-    Phi_J,
     diff,
+    invariant_dim,
     invariant_family,
-    invariant_quotient_dims,
     involution,
     named_cochain,
     outer_product,
     phi1,
     pm_basis_vectors,
     son_act_cochain,
-    star_Phi_J,
 )
-from .fock import invariant_dim
 from .koszul import (
     KoszulSpec,
     ci_hilbert,
@@ -34,9 +31,8 @@ from .koszul import (
     regular_sequence_check,
 )
 from .linalg import Eliminator
-from .polyring import FockRing, SkRing, c_gen, laplacian, minor, q_gen, \
-    sk_evaluate
-from .spectral import e1_dims, einf_and_converge, regrade
+from .polyring import FockRing, laplacian, minor, q_gen, sk_c_sequence
+from .spectral import e1_dims, einf_and_converge
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -239,13 +235,7 @@ def suite_koszul(n, k, seed, max_degree=4):
                  detail)
 
     kk = min(k, 2)
-    S = SkRing(kk)
-    cs = []
-    for j in range(1, kk + 1):
-        f = S.zero()
-        for i in range(1, kk + 1):
-            f = f + S.rhat_var(i, j) * S.what_var(i)
-        cs.append(f)
+    S, cs = sk_c_sequence(kk)
     cert = regular_sequence_check(KoszulSpec(S, cs), max_degree + 2)
     _verdict(results, "c-sequence is regular through the window",
              cert.regular, "k=%d" % kk)

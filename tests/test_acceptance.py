@@ -35,7 +35,14 @@ from weilcoh.koszul import (
     regular_sequence_check,
 )
 from weilcoh.linalg import Eliminator
-from weilcoh.polyring import FockRing, SkRing, laplacian, minor, q_gen
+from weilcoh.polyring import (
+    FockRing,
+    SkRing,
+    laplacian,
+    minor,
+    q_gen,
+    sk_c_sequence,
+)
 from weilcoh.spectral import e1_dims, einf_and_converge
 
 
@@ -64,17 +71,6 @@ def random_invariant_cochain(ring, rng, ell, max_deg=3):
             if x:
                 c = c + v.scale(x)
     return c
-
-
-def sk_c_sequence(k):
-    S = SkRing(k)
-    seq = []
-    for j in range(1, k + 1):
-        f = S.zero()
-        for i in range(1, k + 1):
-            f = f + S.rhat_var(i, j) * S.what_var(i)
-        seq.append(f)
-    return S, seq
 
 
 def test_differential_identity_suite():

@@ -109,16 +109,26 @@ def test_invalid_arguments_exit_two(capsys):
 
 
 def test_resource_cap_exits_three(capsys):
-    try:
-        code, out = run_cli(capsys, "cohom", "--n", "3", "--k", "2",
-                            "--ell", "2", "--max-degree", "6",
-                            "--max-entries", "50")
-        assert code == 3
-        doc = json.loads(out)
-        (verdict,) = doc["verdicts"]
-        assert not verdict["pass"] and "cap" in verdict["detail"]
-    finally:
-        os.environ.pop("WEILCOH_MAX_ENTRIES", None)
+    code, out = run_cli(capsys, "cohom", "--n", "3", "--k", "2",
+                        "--ell", "2", "--max-degree", "6",
+                        "--max-entries", "50")
+    assert code == 3
+    doc = json.loads(out)
+    (verdict,) = doc["verdicts"]
+    assert not verdict["pass"] and "cap" in verdict["detail"]
+
+
+def test_cap_does_not_outlive_the_call(capsys, monkeypatch):
+    monkeypatch.delenv("WEILCOH_MAX_ENTRIES", raising=False)
+    argv = ("cohom", "--n", "2", "--k", "1", "--ell", "1",
+            "--max-degree", "3")
+    assert run_cli(capsys, *argv, "--max-entries", "5")[0] == 3
+    assert "WEILCOH_MAX_ENTRIES" not in os.environ
+    assert run_cli(capsys, *argv)[0] == 0
+    # a cap set by the caller is left as it was
+    monkeypatch.setenv("WEILCOH_MAX_ENTRIES", "1000000")
+    assert run_cli(capsys, *argv, "--max-entries", "5")[0] == 3
+    assert os.environ["WEILCOH_MAX_ENTRIES"] == "1000000"
 
 
 def test_determinism_modulo_timing(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from weilcoh.exterior import bits_of, tuple_sign
+from weilcoh.exterior import bits_of
 from weilcoh.fock import (
     Cochain,
     Phi_J,
@@ -27,6 +27,27 @@ from weilcoh.fock import (
 )
 from weilcoh.linalg import rank_of_rows
 from weilcoh.polyring import FockRing, c_gen, r_gen, monomials_of_degree
+
+
+def tuple_sign(J, i, mode):
+    """Insertion/removal sign for index tuples inside {1..k}.
+
+    insert: (0, None) if i in J, else ((-1)^{J(i)}, sorted J + {i}).
+    remove: (0, None) if i not in J, else ((-1)^{J(i)}, J - {i}).
+    J(i) is the number of elements of J less than i.
+    """
+    J = tuple(J)
+    below = sum(1 for j in J if j < i)
+    sign = (-1) ** below
+    if mode == "insert":
+        if i in J:
+            return 0, None
+        return sign, tuple(sorted(J + (i,)))
+    if mode == "remove":
+        if i not in J:
+            return 0, None
+        return sign, tuple(j for j in J if j != i)
+    raise ValueError("mode must be insert or remove")
 
 
 def random_cochain(ring, rng, ell, nterms=3, max_deg=3):

@@ -1,15 +1,29 @@
-"""Tests for Koszul complexes, regularity certificates and Hilbert series."""
+"""Tests for Koszul complexes, regularity certificates and Hilbert series.
+
+The Koszul complex K(f_1, ..., f_m) over a graded ring R is
+Lambda(R^m) (x) R with d(e_S (x) g) = sum_alpha (e_alpha ^ e_S) (x)
+f_alpha g.  Its cohomology, computed below as an oracle for the quotient
+and regularity routines of the package, is sliced by the coefficient
+degree (the degree of g in e_S (x) g).  The differential is homogeneous
+for this slicing only when all sequence entries share one degree, so
+koszul_cohomology_dims insists on that.
+"""
+
+import itertools
+from math import comb
 
 import pytest
 
+from weilcoh.exterior import wedge_bits
 from weilcoh.koszul import (
     KoszulSpec,
+    _monomial_count,
     ci_hilbert,
     ideal_quotient_dims,
-    koszul_cohomology_dims,
     quotient_class_independence,
     regular_sequence_check,
 )
+from weilcoh.linalg import Eliminator
 from weilcoh.polyring import (
     FockRing,
     Polynomial,
@@ -17,8 +31,9 @@ from weilcoh.polyring import (
     SkRing,
     c_gen,
     minor,
+    monomials_of_degree,
     q_gen,
-    r_gen,
+    sk_c_sequence,
 )
 
 
@@ -26,16 +41,54 @@ def qx():
     return Ring(("x",))
 
 
-def sk_c_sequence(k):
-    S = SkRing(k)
-    # c_j = sum_i rhat(i,j) what(i), degree 3, the abstract cubics
-    seq = []
-    for j in range(1, k + 1):
-        f = S.zero()
-        for i in range(1, k + 1):
-            f = f + S.rhat_var(i, j) * S.what_var(i)
-        seq.append(f)
-    return S, seq
+def koszul_cohomology_dims(spec, ell, window):
+    """{coefficient degree t <= window: dim H^ell(K)_t}.
+
+    Requires all sequence degrees equal (see the module docstring).
+    """
+    degs = set(spec.degrees)
+    if len(degs) > 1:
+        raise ValueError(
+            "mixed sequence degrees %s: cohomology is not graded by "
+            "coefficient degree" % (spec.degrees,)
+        )
+    ring = spec.ring
+    m = len(spec.sequence)
+    df = spec.degrees[0] if spec.sequence else 0
+    if ell < 0 or ell > m:
+        return {t: 0 for t in range(window + 1)}
+
+    def diff_rank(l, t):
+        """rank of d : K^l_t -> K^{l+1}_{t+df}."""
+        if l < 0 or l > m:
+            return 0
+        e = Eliminator()
+        for S in itertools.combinations(range(m), l):
+            sbits = 0
+            for s in S:
+                sbits |= 1 << s
+            for expo in monomials_of_degree(ring, t):
+                g = Polynomial(ring, {expo: 1})
+                row = {}
+                for a, f in enumerate(spec.sequence):
+                    sgn, nb = wedge_bits(1 << a, sbits)
+                    if not sgn:
+                        continue
+                    for te, tc in (f * g).terms.items():
+                        key = (nb, te)
+                        nv = row.get(key, 0) + sgn * tc
+                        if nv:
+                            row[key] = nv
+                        elif key in row:
+                            del row[key]
+                e.add_row(row)
+        return e.rank
+
+    out = {}
+    for t in range(window + 1):
+        dim_cell = comb(m, ell) * _monomial_count(ring, t)
+        out[t] = dim_cell - diff_rank(ell, t) - diff_rank(ell - 1, t - df)
+    return out
 
 
 def test_spec_validation():

@@ -12,8 +12,23 @@ from weilcoh.linalg import (
     kernel_basis,
     rank,
     span_intersect_window,
-    windowed_span_dim,
 )
+
+
+def windowed_span_dim(vectors, in_window, max_entries=None):
+    """dim( span(vectors) ∩ {v supported inside the window} ).
+
+    vectors are {col: value} rows; in_window is a predicate on column
+    labels.  Equals rank(V) minus the rank of V with the in-window
+    coordinates deleted (the kernel dimension of projecting the span onto
+    the out-of-window coordinates).
+    """
+    full = Eliminator(max_entries)
+    outside = Eliminator(max_entries)
+    for v in vectors:
+        full.add_row(v)
+        outside.add_row({c: x for c, x in v.items() if not in_window(c)})
+    return full.rank - outside.rank
 
 
 def dense_rank_oracle(rows, ncols):
@@ -42,6 +57,15 @@ def dense_rank_oracle(rows, ncols):
         rk += 1
         col += 1
     return rk
+
+
+def times(m, v):
+    """m v for a sparse {col: value} vector, as {row: value} without zeros."""
+    out = {}
+    for (i, j), x in m.entries.items():
+        if j in v:
+            out[i] = out.get(i, 0) + x * v[j]
+    return {i: x for i, x in out.items() if x}
 
 
 def from_dense(rows):
@@ -108,22 +132,25 @@ def test_kernel_multiply_back():
     vs = kernel_basis(m)
     assert len(vs) == 2
     for v in vs:
-        assert all(x == 0 for x in m.mul_vector(v))
+        assert v and all(type(x) is int and x for x in v.values())
+        assert all(0 <= j < m.cols for j in v)
+        assert times(m, v) == {}
 
 
 def test_kernel_random_rank_nullity():
     rng = random.Random(4)
-    for _ in range(15):
+    for trial in range(15):
         rows = [[rng.randint(-4, 4) for _ in range(7)] for _ in range(5)]
+        if trial % 3 == 0:  # force a rank drop
+            rows[4] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
         m = from_dense(rows)
         vs = kernel_basis(m)
         assert len(vs) == 7 - rank(m)
         for v in vs:
-            assert all(x == 0 for x in m.mul_vector(v))
+            assert all(0 <= j < 7 for j in v)
+            assert times(m, v) == {}
         # independence of the kernel vectors themselves
-        kr = from_dense([[x for x in v] for v in vs]) if vs else None
-        if kr is not None:
-            assert rank(kr) == len(vs)
+        assert dense_rank_oracle(vs, 7) == len(vs)
 
 
 def test_windowed_span_trivial():

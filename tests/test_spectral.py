@@ -1,16 +1,11 @@
 """Tests for the polynomial-degree spectral sequence."""
 
-from fractions import Fraction
-
 from weilcoh.fock import invariant_quotient_dims
-from weilcoh.linalg import SparseRationalMatrix
 from weilcoh.polyring import FockRing, q_gen
 from weilcoh.spectral import (
-    PageData,
     SpectralComputer,
     e1_dims,
     einf_and_converge,
-    page_step,
     regrade,
     unregrade,
 )
@@ -46,32 +41,6 @@ def test_e1_top_row_is_invariant_quotient():
     assert got.dims == expect
     # and nothing below the top row
     assert all(unregrade(p, q)[0] == 2 for (p, q) in got.dims)
-
-
-def test_page_step_full_rank_differential_kills_both_cells():
-    cur = PageData(2, dims={(0, 0): 1, (2, -1): 1}, window=(3, 6))
-    d = SparseRationalMatrix(1, 1)
-    d.set(0, 0, Fraction(5))
-    nxt = page_step(cur, {(0, 0): d})
-    assert nxt.r == 3
-    assert nxt.dims == {}
-
-
-def test_page_step_zero_differentials_copy_page():
-    cur = PageData(1, dims={(1, 1): 4, (3, 0): 2}, window=(3, 6))
-    nxt = page_step(cur, {})
-    assert nxt.dims == cur.dims and nxt.r == 2
-
-
-def test_page_step_flags_out_of_window_sources():
-    # the incoming arrow for (p, q) starts at (p - r, q + r - 1); when that
-    # cell is inside the complex but past the degree window and no matrix
-    # is supplied, the target must be reported unknown, not guessed
-    cur = PageData(2, dims={(0, 3): 1}, window=(3, 4))
-    src = (-2, 4)  # ell = 2, polydeg = 6 > 4
-    assert 0 <= unregrade(*src)[0] <= 3 and unregrade(*src)[1] > 4
-    nxt = page_step(cur, {})
-    assert (0, 3) in nxt.unknown and (0, 3) not in nxt.dims
 
 
 def test_pages_monotone_and_stable():

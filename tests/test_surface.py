@@ -1,0 +1,91 @@
+"""Static guard on the package surface: every module-level import is used
+and every ``__all__`` entry names something the module defines.
+
+Only the standard-library ``ast`` module is used, so the check needs no
+linter and does not import the package.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "weilcoh"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imported_names(tree):
+    """(bound name, line) for each module-level import, minus __future__."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out.append((alias.asname or alias.name.split(".")[0],
+                            node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out.append((alias.asname or alias.name, node.lineno))
+    return out
+
+
+def _all_entries(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _defined_names(tree):
+    """Names bound at module level by a def, class, assignment or import."""
+    out = {name for name, _ in _imported_names(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for t in targets:
+                out.update(n.id for n in ast.walk(t)
+                           if isinstance(n, ast.Name))
+    return out
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(_all_entries(tree))
+    return [(name, line) for name, line in _imported_names(tree)
+            if name not in used]
+
+
+def unresolved_all(source):
+    tree = ast.parse(source)
+    defined = _defined_names(tree)
+    return [name for name in _all_entries(tree) if name not in defined]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_entries_resolve(path):
+    assert unresolved_all(path.read_text()) == []
+
+
+def test_checks_flag_what_they_guard():
+    src = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "from math import gcd, comb\n"
+        "from .x import exported\n"
+        "__all__ = ['exported', 'f', 'gone']\n"
+        "def f():\n"
+        "    return gcd(1, 2) + osp.sep\n"
+    )
+    assert unused_imports(src) == [("os", 2), ("comb", 4)]
+    assert unresolved_all(src) == ["gone"]
