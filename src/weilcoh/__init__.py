@@ -2,7 +2,7 @@
 with polynomial Fock-model coefficients.
 
 Submodules:
-    linalg    -- sparse exact rational linear algebra (rank, kernels, spans)
+    linalg    -- sparse exact integer linear algebra (ranks, kernels, spans)
     polyring  -- sparse multivariate polynomials, distinguished generators
     exterior  -- exterior algebra on n generators, Hodge star, signs
     fock      -- the relative cochain complex, differentials, named cochains

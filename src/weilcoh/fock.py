@@ -117,7 +117,6 @@ class Cochain:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
         if not c:
             return Cochain(self.ring, self.ell)
         return Cochain(self.ring, self.ell,
@@ -126,10 +125,6 @@ class Cochain:
     def mul_poly(self, p):
         return Cochain(self.ring, self.ell,
                        {b: f * p for b, f in self.parts.items()})
-
-    def graded_part(self, d):
-        return Cochain(self.ring, self.ell,
-                       {b: p.graded_part(d) for b, p in self.parts.items()})
 
     def to_row(self):
         """Flatten to a sparse vector keyed by (bits, exponent tuple)."""
@@ -143,7 +138,7 @@ class Cochain:
     def from_row(ring, ell, row):
         parts = {}
         for (bits, e), c in row.items():
-            parts.setdefault(bits, {})[e] = Fraction(c)
+            parts.setdefault(bits, {})[e] = c
         return Cochain(ring, ell,
                        {b: Polynomial(ring, t) for b, t in parts.items()})
 
@@ -173,7 +168,7 @@ def diff(c, mode="full"):
             return
         tgt = acc.setdefault(bits, {})
         for e, v in poly.terms.items():
-            nv = tgt.get(e, Fraction(0)) + sign * v
+            nv = tgt.get(e, 0) + sign * v
             if nv:
                 tgt[e] = nv
             elif e in tgt:
@@ -347,30 +342,6 @@ def _z_index(n, alpha, i):
     return (i - 1) * n + (alpha - 1)
 
 
-def _z_monomials(n, k, dz):
-    """Exponent tuples of length n*k with total degree dz."""
-    nv = n * k
-    out = []
-    expo = [0] * nv
-
-    def rec(pos, remaining):
-        if pos == nv - 1:
-            expo[pos] = remaining
-            out.append(tuple(expo))
-            expo[pos] = 0
-            return
-        for e in range(remaining, -1, -1):
-            expo[pos] = e
-            rec(pos + 1, remaining - e)
-        expo[pos] = 0
-
-    if nv:
-        rec(0, dz)
-    elif dz == 0:
-        out.append(())
-    return out
-
-
 def _gen_act_basis(n, k, a, b, bits, ze):
     """X_ab applied to the basis element omega_I (x) z-monomial, as a
     {(bits, expo): int} row."""
@@ -447,10 +418,13 @@ def _zform_invariant_rows(n, k, ell, dz):
         _ZINV_ROWS[key] = mirrored
         return mirrored
 
+    nz = n * k
+    zmons = [e[:nz] for e in monomials_of_degree(FockRing(n, k), dz,
+                                                  range(nz))]
     basis = [
         (bits_of(I), ze)
         for I in itertools.combinations(range(1, n + 1), ell)
-        for ze in _z_monomials(n, k, dz)
+        for ze in zmons
     ]
     if n == 1:
         rows = [{be: 1} for be in basis]
@@ -605,7 +579,7 @@ def pm_basis_vectors(ring, part, ell, d):
     sk = SkRing(k)
     out = []
     for expo in monomials_of_degree(sk, base):
-        m = sk_evaluate(Polynomial(sk, {expo: Fraction(1)}), ring)
+        m = sk_evaluate(Polynomial(sk, {expo: 1}), ring)
         for J in itertools.combinations(range(1, k + 1), jsize):
             c = Phi_J(ring, J) if part == "plus" else star_Phi_J(ring, J)
             if c:
@@ -791,6 +765,6 @@ def invariant_quotient_dims(ring, gens, window):
             if df > t:
                 continue
             for e in monomials_of_degree(ring, t - df):
-                ideal.append(Polynomial(ring, {e: Fraction(1)}) * f)
+                ideal.append(Polynomial(ring, {e: 1}) * f)
         out[t] = invariant_dim(ring, 0, t) - inv_span_dim(ideal)
     return out

@@ -1,4 +1,4 @@
-"""Sparse exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the integers.
 
 Everything downstream (graded cohomology, Koszul homology, invariant
 dimensions) reduces to ranks and kernels of sparse matrices whose entries
@@ -7,7 +7,9 @@ workhorse is an insertion-based fraction-free elimination: rows are kept as
 integer dictionaries keyed by an arbitrary sortable column label, each new
 row is reduced against the stored pivot rows by integer cross-multiplication
 (with a gcd strip after every combination), and a row that survives becomes
-a new pivot row.  No floating point, no modular shortcuts.
+a new pivot row.  No floating point, no modular shortcuts.  Input rows
+hold ints; a row with Fraction entries is accepted too, and its
+denominators are cleared on entry.
 
 Column labels may be any mutually comparable hashable values -- integers for
 plain matrices, or structured keys such as (form-index, monomial) tuples
@@ -24,7 +26,6 @@ __all__ = [
     "ResourceCapError",
     "Eliminator",
     "SparseRationalMatrix",
-    "rank",
     "kernel_basis",
     "rank_of_rows",
     "span_intersect_window",
@@ -159,9 +160,10 @@ class Eliminator:
 
 
 class SparseRationalMatrix:
-    """Coordinate-sparse matrix over the rationals.
+    """Coordinate-sparse matrix, the input of kernel_basis.
 
-    entries maps (row, col) -> Fraction; zeros are never stored.
+    entries maps (row, col) -> nonzero value as given (an int in every
+    caller); zeros are never stored.
     """
 
     def __init__(self, rows, cols, entries=None):
@@ -175,26 +177,10 @@ class SparseRationalMatrix:
     def set(self, i, j, v):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError("entry (%d,%d) out of bounds" % (i, j))
-        v = Fraction(v)
         if v:
             self.entries[(i, j)] = v
         else:
             self.entries.pop((i, j), None)
-
-    def get(self, i, j):
-        return self.entries.get((i, j), Fraction(0))
-
-    def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
-    def transpose(self):
-        t = SparseRationalMatrix(self.cols, self.rows)
-        for (i, j), v in self.entries.items():
-            t.entries[(j, i)] = v
-        return t
 
 
 def rank_of_rows(rows, max_entries=None):
@@ -203,11 +189,6 @@ def rank_of_rows(rows, max_entries=None):
     for r in rows:
         e.add_row(r)
     return e.rank
-
-
-def rank(m, max_entries=None):
-    """Rank of a SparseRationalMatrix over the rationals."""
-    return rank_of_rows(m.row_dicts(), max_entries)
 
 
 def kernel_basis(m, max_entries=None):

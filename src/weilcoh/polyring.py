@@ -1,4 +1,10 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Sparse multivariate polynomials with exact coefficients.
+
+Coefficients are Python ints whenever every input is an integer, which
+covers every polynomial of the complex (generators, minors, S_k
+evaluations, the so(n) action).  A Fraction appears only where a rational
+scalar enters through scale or a rational input, and mixes freely with
+ints.
 
 Two concrete rings matter here.  The Fock ring has variables z(alpha,i)
 for 1 <= alpha <= n, 1 <= i <= k and w(i) for 1 <= i <= k, all of degree 1;
@@ -56,12 +62,12 @@ class Ring:
         return Polynomial(self, {})
 
     def one(self):
-        return Polynomial(self, {(0,) * self.nvars: Fraction(1)})
+        return Polynomial(self, {(0,) * self.nvars: 1})
 
     def var(self, idx):
         e = [0] * self.nvars
         e[idx] = 1
-        return Polynomial(self, {tuple(e): Fraction(1)})
+        return Polynomial(self, {tuple(e): 1})
 
     def monomial_degree(self, expo):
         return sum(e * w for e, w in zip(expo, self.weights))
@@ -135,7 +141,8 @@ class SkRing(Ring):
 
 
 class Polynomial:
-    """terms: exponent tuple -> nonzero Fraction."""
+    """terms: exponent tuple -> nonzero coefficient (an int, or a Fraction
+    once a rational has entered)."""
 
     __slots__ = ("ring", "terms")
 
@@ -147,7 +154,7 @@ class Polynomial:
     def _merge(ring, items):
         terms = {}
         for expo, coef in items:
-            c = terms.get(expo, Fraction(0)) + coef
+            c = terms.get(expo, 0) + coef
             if c:
                 terms[expo] = c
             elif expo in terms:
@@ -184,7 +191,10 @@ class Polynomial:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
+        """c times self; a scalar that is not an int is made an exact
+        Fraction first (so 0.5 becomes 1/2)."""
+        if not isinstance(c, int):
+            c = Fraction(c)
         if not c:
             return self.ring.zero()
         return Polynomial(self.ring, {e: c * v for e, v in self.terms.items()})
@@ -197,7 +207,7 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                c = terms.get(e, Fraction(0)) + c1 * c2
+                c = terms.get(e, 0) + c1 * c2
                 if c:
                     terms[e] = c
                 elif e in terms:
@@ -234,7 +244,7 @@ class Polynomial:
         )
 
     def coefficient(self, expo):
-        return self.terms.get(tuple(expo), Fraction(0))
+        return self.terms.get(tuple(expo), 0)
 
     def compose(self, images):
         """Ring map sending variable i to images[i] (a Polynomial).
@@ -288,25 +298,31 @@ def monomials_of_degree(ring, d, varset=None):
         return []
     if varset is None:
         varset = range(ring.nvars)
-    vs = sorted(varset)
     out = []
-    expo = [0] * ring.nvars
-
-    def rec(pos, remaining):
-        if remaining == 0:
-            out.append(tuple(expo))
-            return
-        if pos == len(vs):
-            return
-        v = vs[pos]
-        w = ring.weights[v]
-        for e in range(remaining // w, -1, -1):
-            expo[v] = e
-            rec(pos + 1, remaining - e * w)
-        expo[v] = 0
-
-    rec(0, d)
+    _extend_monomials(ring.weights, sorted(varset), 0, d, [0] * ring.nvars,
+                      out)
     return out
+
+
+def _extend_monomials(weights, vs, pos, remaining, expo, out):
+    """Append to out every completion of expo by weighted degree remaining
+    on the variables vs[pos:], largest exponent of vs[pos] first.
+
+    A module-level function, not a closure: a closure that calls itself
+    sits in a reference cycle that keeps out alive until the cyclic
+    collector runs.
+    """
+    if remaining == 0:
+        out.append(tuple(expo))
+        return
+    if pos == len(vs):
+        return
+    v = vs[pos]
+    w = weights[v]
+    for e in range(remaining // w, -1, -1):
+        expo[v] = e
+        _extend_monomials(weights, vs, pos + 1, remaining - e * w, expo, out)
+    expo[v] = 0
 
 
 def r_gen(ring, i, j):

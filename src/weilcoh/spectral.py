@@ -54,7 +54,6 @@ def unregrade(p, q):
 class PageData:
     r: int
     dims: dict = field(default_factory=dict)      # (p, q) -> dim
-    window: tuple = (0, 0)                        # (n, max polydeg)
 
 
 def _row_degree(key):
@@ -167,7 +166,7 @@ class SpectralComputer:
         return zdim - denom.rank
 
     def page(self, r):
-        data = PageData(r, window=(self.ring.n, self.D))
+        data = PageData(r)
         for ell in range(self.ring.n + 1):
             for t in range(self.D + 1):
                 p, q = regrade(ell, t)
@@ -184,7 +183,7 @@ def e1_dims(ring, part, max_degree):
         ell: invariant_family(ring, part, ell, range(max_degree + 1))
         for ell in range(n + 1)
     }
-    data = PageData(1, window=(n, max_degree))
+    data = PageData(1)
 
     def rank_and_img_rank(ell, t):
         if ell < 0 or ell > n or t < 0:

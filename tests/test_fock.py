@@ -26,7 +26,16 @@ from weilcoh.fock import (
     star_Phi_J,
 )
 from weilcoh.linalg import rank_of_rows
-from weilcoh.polyring import FockRing, c_gen, r_gen, monomials_of_degree
+from weilcoh.polyring import (
+    FockRing,
+    SkRing,
+    c_gen,
+    monomials_of_degree,
+    q_gen,
+    r_gen,
+    sk_evaluate,
+    son_act,
+)
 
 
 def tuple_sign(J, i, mode):
@@ -383,3 +392,27 @@ def test_named_cochain_errors():
         named_cochain("PhiJ", R, J=(1, 2, 3))
     with pytest.raises(ValueError):
         named_cochain("nope", R)
+
+
+def _all_int(polys):
+    return all(type(c) is int for p in polys for c in p.terms.values())
+
+
+def test_integer_inputs_give_int_coefficients():
+    # the complex has integer coefficients end to end; only a rational
+    # scalar (the 1/2 of split_pm) may bring in a Fraction
+    R = FockRing(3, 2)
+    dphi = diff(phi1(R), "full")
+    assert dphi and _all_int(dphi.parts.values())
+    for part in ("plus", "minus"):
+        fam = pm_basis_vectors(R, part, 1, 3)
+        assert fam and _all_int(p for c in fam for p in c.parts.values())
+    S = SkRing(2)
+    m = S.rhat_var(1, 2) * S.what_var(1) * S.what_var(2)
+    images = [sk_evaluate(m, R), son_act(1, 2, q_gen(R, 1))]
+    assert all(images) and _all_int(images)
+    Rk = FockRing(2, 2)  # k >= n: the joint-kernel route
+    fams = invariant_family(Rk, "full", 1, range(4))
+    assert any(fams.values())
+    assert _all_int(p for fam in fams.values() for c in fam
+                    for p in c.parts.values())

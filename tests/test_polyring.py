@@ -1,5 +1,6 @@
 """Tests for polynomial rings, generators and the so(n) action."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -260,3 +261,22 @@ def test_minor_index_validation():
         minor(R, (1,), (1, 2))
     with pytest.raises(ValueError):
         minor(R, (1, 3), (1, 2))
+
+
+def test_scale_by_float_is_exact():
+    R = FockRing(1, 1)
+    half = R.var(0).scale(0.5)
+    assert half.coefficient((1, 0)) == Fraction(1, 2)
+    assert type(half.coefficient((1, 0))) is Fraction
+    assert type(R.var(0).scale(3).coefficient((1, 0))) is int
+
+
+def test_monomials_of_degree_leaves_no_cycle():
+    # the enumeration must free its lists by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        monomials_of_degree(FockRing(2, 2), 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
