@@ -23,14 +23,32 @@ present.  The invariants are then the kernel of the remaining consecutive
 generators restricted to the torus kernel.  (A vector killed by a
 generating set of a Lie algebra is killed by the whole algebra, so this
 joint kernel is exactly the space of SO(n)-invariants.)
+
+Weight grading.  The differential commutes with the GL(k) of the Howe
+dual pair, z |-> z g and w |-> g^-1 w, and so does SO(n) and iota.  A
+monomial z^a w^b has torus weight mu in Z^k, mu_j = (z-degree in column
+j) - (degree in w_j); d2 multiplies by z_{alpha j} w_j and dm2
+differentiates by the same pair, so both preserve mu, and SO(n) and iota
+preserve every column degree.  The invariant complex is therefore the
+direct sum of its weight blocks, each a coordinate subspace of the
+monomial basis, and every rank it needs (cocycles, coboundaries inside a
+degree window) is the sum of the block ranks.  The permutations of the
+columns lie in GL(k): a permutation sigma maps the mu-block onto the
+(sigma mu)-block, respecting d, iota, SO(n) and polynomial degree, so
+the two blocks have equal ranks in every degree.  Hence only the
+dominant blocks (mu_1 >= ... >= mu_k) are built and eliminated, and each
+is counted orbit_size(mu) = |S_k mu| times.  The family builders know a
+vector's weight from the data that builds it, before any product, and
+refuse to emit a vector that is not a weight vector of that weight.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .exterior import bits_of, contract_bits, star_bits, tuple_of, wedge_bits
 from .linalg import (
@@ -65,6 +83,10 @@ __all__ = [
     "invariant_zform_dim",
     "pm_basis_vectors",
     "invariant_family",
+    "cochain_weight",
+    "is_dominant",
+    "orbit_size",
+    "weight_blocks",
     "direct_cohomology_dims",
     "CohomologyReport",
     "invariant_quotient_dims",
@@ -460,25 +482,39 @@ def _zform_invariant_rows(n, k, ell, dz):
         _ZINV_ROWS[key] = W
         return W
 
-    rows_by_target = {}
+    # X_{2,3}, X_{4,5}, ... keep every column degree, and the rows of W
+    # come from torus blocks, each of one column-degree vector, so the
+    # kernel is a direct sum over those vectors: one kernel per vector
+    groups = {}
     for t, wvec in enumerate(W):
-        for g, (a, b) in enumerate(remaining):
-            img = {}
-            for (bits, ze), coef in wvec.items():
-                for tgt, v in _gen_act_basis(n, k, a, b, bits, ze).items():
-                    nv = img.get(tgt, 0) + coef * v
-                    if nv:
-                        img[tgt] = nv
-                    elif tgt in img:
-                        del img[tgt]
-            for tgt, v in img.items():
-                rows_by_target.setdefault((g, tgt), {})[t] = v
-    m = SparseRationalMatrix(len(rows_by_target), len(W))
-    for ri, row in enumerate(rows_by_target.values()):
-        for t, v in row.items():
-            m.set(ri, t, v)
+        _, ze = next(iter(wvec))
+        groups.setdefault(_col_degrees(n, k, ze), []).append(t)
+    kernel = []  # {index into W: coefficient}
+    for ts in groups.values():
+        rows_by_target = {}
+        for local, t in enumerate(ts):
+            for g, (a, b) in enumerate(remaining):
+                img = {}
+                for (bits, ze), coef in W[t].items():
+                    for tgt, v in _gen_act_basis(n, k, a, b, bits,
+                                                 ze).items():
+                        nv = img.get(tgt, 0) + coef * v
+                        if nv:
+                            img[tgt] = nv
+                        elif tgt in img:
+                            del img[tgt]
+                for tgt, v in img.items():
+                    rows_by_target.setdefault((g, tgt), {})[local] = v
+        m = SparseRationalMatrix(len(rows_by_target), len(ts))
+        for ri, row in enumerate(rows_by_target.values()):
+            for local, v in row.items():
+                m.set(ri, local, v)
+        for vec in kernel_basis(m):
+            kernel.append({ts[local]: coef for local, coef in vec.items()})
+    # the order one kernel over all of W would give: by pivot
+    kernel.sort(key=min)
     out = []
-    for vec in kernel_basis(m):
+    for vec in kernel:
         combined = {}
         for t, coef in vec.items():
             for be, v in W[t].items():
@@ -517,31 +553,112 @@ _ZINV_PART = {}
 
 
 def _zform_invariant_rows_part(n, k, ell, dz, part):
-    """The iota (x) iota eigen-split of the z-form invariants.  The
-    involution is diagonal on the monomial basis, so each eigenspace is a
-    coordinate subspace and the split is a windowed span."""
-    if part == "full":
-        return _zform_invariant_rows(n, k, ell, dz)
+    """The iota (x) iota eigen-split of the z-form invariants, as
+    (column degrees, row) pairs.  The involution is diagonal on the
+    monomial basis, so each eigenspace is a coordinate subspace and the
+    split is a windowed span.  Every row has a single z-degree per column
+    (SO(n) and iota keep column degrees); that is checked here, once per
+    cached row, because the weights of the families rest on it."""
     key = (n, k, ell, dz, part)
     if key in _ZINV_PART:
         return _ZINV_PART[key]
-    want = 1 if part == "plus" else -1
-
-    def sign_of(bkey):
-        bits, ze = bkey
-        s = -1 if bits & 1 else 1
-        z1 = sum(ze[_z_index(n, 1, i)] for i in range(1, k + 1))
-        return -s if z1 % 2 else s
-
     rows = _zform_invariant_rows(n, k, ell, dz)
-    out = span_intersect_window(rows, lambda c: sign_of(c) == want)
+    if part != "full":
+        want = 1 if part == "plus" else -1
+
+        def sign_of(bkey):
+            bits, ze = bkey
+            s = -1 if bits & 1 else 1
+            z1 = sum(ze[_z_index(n, 1, i)] for i in range(1, k + 1))
+            return -s if z1 % 2 else s
+
+        rows = span_intersect_window(rows, lambda c: sign_of(c) == want)
+    out = []
+    for row in rows:
+        degs = {_col_degrees(n, k, ze) for _, ze in row}
+        if len(degs) != 1:
+            raise ValueError("z-form invariant row mixes column degrees")
+        out.append((degs.pop(), row))
     _ZINV_PART[key] = out
     return out
 
 
-def _joint_kernel_cochains(ring, part, ell, d):
+# ---------------------------------------------------------------------------
+# torus weights (see the module docstring)
+
+
+def _col_degrees(n, k, ze):
+    """z-degree in each column of a monomial (columns are contiguous)."""
+    return tuple(sum(ze[j * n:(j + 1) * n]) for j in range(k))
+
+
+def _weight(n, k, e):
+    """The torus weight of a Fock monomial."""
+    nz = n * k
+    return tuple(c - e[nz + j] for j, c in enumerate(_col_degrees(n, k, e)))
+
+
+def _check_weight(polys, mu):
+    """Raise unless every monomial of the polynomials has weight mu."""
+    for p in polys:
+        n, k = p.ring.n, p.ring.k
+        for e in p.terms:
+            if _weight(n, k, e) != mu:
+                raise ValueError("not a weight vector of weight %r" % (mu,))
+
+
+def _sk_monomial_weight(sk, expo):
+    """The weight of the image of an S_k monomial: rhat(i,j) gives
+    e_i + e_j and what(i) gives -e_i."""
+    mu = [0] * sk.k
+    for i in range(1, sk.k + 1):
+        mu[i - 1] -= expo[sk.what(i)]
+        for j in range(i, sk.k + 1):
+            x = expo[sk.rhat(i, j)]
+            mu[i - 1] += x
+            mu[j - 1] += x
+    return mu
+
+
+def cochain_weight(c):
+    """The weight of a nonzero weight vector, read off one monomial;
+    None for the zero cochain."""
+    for p in c.parts.values():
+        for e in p.terms:
+            return _weight(c.ring.n, c.ring.k, e)
+    return None
+
+
+def is_dominant(mu):
+    """mu_1 >= mu_2 >= ... >= mu_k: one weight in each S_k-orbit."""
+    return all(a >= b for a, b in zip(mu, mu[1:]))
+
+
+def orbit_size(mu):
+    """|S_k . mu|: the number of weight blocks isomorphic to the mu-block."""
+    out = factorial(len(mu))
+    for m in Counter(mu).values():
+        out //= factorial(m)
+    return out
+
+
+def weight_blocks(families):
+    """{degree: [weight vector]} -> {weight: {degree: [weight vector]}},
+    keeping the order within each degree."""
+    out = {}
+    for d, vecs in families.items():
+        for v in vecs:
+            mu = cochain_weight(v)
+            if mu is not None:
+                out.setdefault(mu, {}).setdefault(d, []).append(v)
+    return out
+
+
+def _joint_kernel_cochains(ring, part, ell, d, dominant=False):
     """Explicit invariant cochains of bidegree (ell, d) via the joint
-    kernel route, one per basis vector."""
+    kernel route, one per basis vector; only those of dominant weight
+    if dominant is set.  A z-form row has one z-degree per column, so
+    row (x) w^b has weight (column degrees) - b."""
     n, k = ring.n, ring.k
     out = []
     for dz in range(d + 1):
@@ -551,7 +668,10 @@ def _joint_kernel_cochains(ring, part, ell, d):
         for wexpo in monomials_of_degree(ring, d - dz,
                                          range(n * k, ring.nvars)):
             wpart = wexpo[n * k:]
-            for zr in zrows:
+            for cols, zr in zrows:
+                if dominant and not is_dominant(
+                        [c - b for c, b in zip(cols, wpart)]):
+                    continue
                 row = {}
                 for (bits, ze), v in zr.items():
                     row[(bits, ze + wpart)] = v
@@ -559,10 +679,12 @@ def _joint_kernel_cochains(ring, part, ell, d):
     return out
 
 
-def pm_basis_vectors(ring, part, ell, d):
+def pm_basis_vectors(ring, part, ell, d, dominant=False):
     """The spanning family of C_+ (m . Phi_J) or C_- (m . *Phi_J) at
     bidegree (ell, d), with m running over S_k-monomials of the
-    complementary degree."""
+    complementary degree; only the vectors of dominant weight if
+    dominant is set.  m . Phi_J and m . *Phi_J have weight
+    weight(m) + e_J, so a pair (m, J) of other weight costs nothing."""
     n, k = ring.n, ring.k
     if ell < 0 or ell > n or d < 0:
         return []
@@ -576,22 +698,37 @@ def pm_basis_vectors(ring, part, ell, d):
         raise ValueError("part must be plus or minus")
     if jsize < 0 or jsize > k or base < 0:
         return []
+    build = Phi_J if part == "plus" else star_Phi_J
+    gens = []
+    for J in itertools.combinations(range(1, k + 1), jsize):
+        c = build(ring, J)
+        if c:
+            eJ = tuple(int(j in J) for j in range(1, k + 1))
+            _check_weight(c.parts.values(), eJ)
+            gens.append((eJ, c))
     sk = SkRing(k)
     out = []
     for expo in monomials_of_degree(sk, base):
-        m = sk_evaluate(Polynomial(sk, {expo: 1}), ring)
-        for J in itertools.combinations(range(1, k + 1), jsize):
-            c = Phi_J(ring, J) if part == "plus" else star_Phi_J(ring, J)
-            if c:
-                out.append(c.mul_poly(m))
+        mw = _sk_monomial_weight(sk, expo)
+        m = None
+        for eJ, c in gens:
+            if dominant and not is_dominant([a + b for a, b in zip(mw, eJ)]):
+                continue
+            if m is None:
+                m = sk_evaluate(Polynomial(sk, {expo: 1}), ring)
+                _check_weight((m,), tuple(mw))
+            out.append(c.mul_poly(m))
     return out
 
 
-def invariant_family(ring, part, ell, degrees):
+def invariant_family(ring, part, ell, degrees, dominant=False):
     """Per-degree spanning families of the invariant cochains.
 
     For k < n the explicit Phi / *Phi families span C_+ / C_- and their
     union spans the invariants; otherwise the joint-kernel route is used.
+    Every vector is a weight vector.  With dominant set, only the vectors
+    of dominant weight are built: they span the dominant weight blocks,
+    which is all the cohomology routes need (see the module docstring).
     Returns {degree: list of Cochain}.
     """
     out = {}
@@ -600,12 +737,12 @@ def invariant_family(ring, part, ell, degrees):
             out[d] = []
         elif ring.k < ring.n:
             if part == "full":
-                out[d] = pm_basis_vectors(ring, "plus", ell, d) + \
-                    pm_basis_vectors(ring, "minus", ell, d)
+                out[d] = pm_basis_vectors(ring, "plus", ell, d, dominant) + \
+                    pm_basis_vectors(ring, "minus", ell, d, dominant)
             else:
-                out[d] = pm_basis_vectors(ring, part, ell, d)
+                out[d] = pm_basis_vectors(ring, part, ell, d, dominant)
         else:
-            out[d] = _joint_kernel_cochains(ring, part, ell, d)
+            out[d] = _joint_kernel_cochains(ring, part, ell, d, dominant)
     return out
 
 
@@ -624,14 +761,54 @@ class CohomologyReport:
     stabilized: dict = field(default_factory=dict)   # degree -> bool
 
 
-def _bidegree(c):
-    """(z-degree, w-degree) of a bihomogeneous cochain; None if zero."""
-    ring = c.ring
-    nz = ring.n * ring.k
-    for p in c.parts.values():
-        for e in p.terms:
-            return sum(e[:nz]), sum(e[nz:])
-    return None
+def _block_filtration(coc, dom, D, snapshots):
+    """The filtration counts of one weight block.
+
+    coc and dom are {degree: [Cochain]} for the cocycle level and the
+    level below.  Returns {snapshot b: [F_t for t <= D]} with
+    F_t = rank(family, deg <= t) - rank(d of it) - dim(d(domain, deg <=
+    D + b) inside deg <= t).
+    """
+    rank_v = [0] * (D + 1)
+    rank_dv = [0] * (D + 1)
+    ev = Eliminator()
+    edv = Eliminator()
+    for t in range(D + 1):
+        for v in coc.get(t, []):
+            ev.add_row(v.to_row())
+            dv = diff(v, "full")
+            if dv:
+                edv.add_row(dv.to_row())
+        rank_v[t] = ev.rank
+        rank_dv[t] = edv.rank
+    # coboundary windows: one elimination, pivot order by degree
+    # descending so that the pivot rows with small pivot degree count
+    # the span inside every window at once
+    eb = Eliminator()
+    out = {}
+    prev = 0
+    for b in snapshots:
+        for t in range(prev, D + b + 1):
+            for u in dom.get(t, []):
+                du = diff(u, "full")
+                if du:
+                    eb.add_row({
+                        (-(sum(e)), bits, e): c
+                        for (bits, e), c in du.to_row().items()
+                    })
+        prev = D + b + 1
+        counts = [0] * (D + 1)
+        for pivot in eb.pivots:
+            deg = -pivot[0]
+            if deg <= D:
+                counts[deg] += 1
+        run = 0
+        F = [0] * (D + 1)
+        for t in range(D + 1):
+            run += counts[t]
+            F[t] = rank_v[t] - rank_dv[t] - run
+        out[b] = F
+    return out
 
 
 def direct_cohomology_dims(ring, part, ell, max_degree, buffer=4):
@@ -644,84 +821,29 @@ def direct_cohomology_dims(ring, part, ell, max_degree, buffer=4):
     domain truncated at max_degree + buffer and certified stable by
     recomputation at buffer + 2 and buffer + 4.
 
-    The differential changes (z-degree, w-degree) by (+1,+1) or (-1,-1),
-    so everything splits over s = z-degree - w-degree and each slice is
-    eliminated separately.
+    Every F_t is a sum over the weight blocks, so only the dominant
+    blocks are eliminated, each counted with its orbit size.
     """
     if buffer < 2 or buffer % 2:
         raise ValueError("buffer must be even and >= 2")
     D = max_degree
     maxdom = D + buffer + 4
 
-    coc = invariant_family(ring, part, ell, range(D + 1))
-    dom = invariant_family(ring, part, ell - 1, range(maxdom + 1)) \
-        if ell >= 1 else {d: [] for d in range(maxdom + 1)}
-
-    def skey(c):
-        bd = _bidegree(c)
-        return None if bd is None else bd[0] - bd[1]
-
-    # slice families by s = z-degree - w-degree (preserved by d)
-    coc_s = {}
-    for d in range(D + 1):
-        for v in coc[d]:
-            s = skey(v)
-            if s is not None:
-                coc_s.setdefault(s, {}).setdefault(d, []).append(v)
-    dom_s = {}
-    for d in range(maxdom + 1):
-        for v in dom[d]:
-            s = skey(v)
-            if s is not None:
-                dom_s.setdefault(s, {}).setdefault(d, []).append(v)
+    coc = weight_blocks(
+        invariant_family(ring, part, ell, range(D + 1), dominant=True))
+    dom = weight_blocks(
+        invariant_family(ring, part, ell - 1, range(maxdom + 1),
+                         dominant=True)) if ell >= 1 else {}
 
     snapshots = [buffer, buffer + 2, buffer + 4]
-    # F[snap][t] accumulated over slices
     F = {b: [0] * (D + 1) for b in snapshots}
-
-    for s in set(coc_s) | set(dom_s):
-        rank_v = [0] * (D + 1)
-        rank_dv = [0] * (D + 1)
-        ev = Eliminator()
-        edv = Eliminator()
-        for t in range(D + 1):
-            for v in coc_s.get(s, {}).get(t, []):
-                ev.add_row(v.to_row())
-                dv = diff(v, "full")
-                if dv:
-                    edv.add_row(dv.to_row())
-            rank_v[t] = ev.rank
-            rank_dv[t] = edv.rank
-        # coboundary windows: one elimination, pivot order by degree
-        # descending so that the pivot rows with small pivot degree count
-        # the span inside every window at once
-        eb = Eliminator()
-        win = {}
-        prev = 0
-        for b in snapshots:
-            for t in range(prev, D + b + 1):
-                for u in dom_s.get(s, {}).get(t, []):
-                    du = diff(u, "full")
-                    if du:
-                        eb.add_row({
-                            (-(sum(e)), bits, e): c
-                            for (bits, e), c in du.to_row().items()
-                        })
-            prev = D + b + 1
-            counts = [0] * (D + 1)
-            for pivot in eb.pivots:
-                deg = -pivot[0]
-                if deg <= D:
-                    counts[deg] += 1
-            run = 0
-            wt = [0] * (D + 1)
-            for t in range(D + 1):
-                run += counts[t]
-                wt[t] = run
-            win[b] = wt
+    for mu in set(coc) | set(dom):
+        mult = orbit_size(mu)
+        block = _block_filtration(coc.get(mu, {}), dom.get(mu, {}), D,
+                                  snapshots)
         for b in snapshots:
             for t in range(D + 1):
-                F[b][t] += rank_v[t] - rank_dv[t] - win[b][t]
+                F[b][t] += mult * block[b][t]
 
     rep = CohomologyReport(part, ell, D, buffer)
     for t in range(D + 1):

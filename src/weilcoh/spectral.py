@@ -19,13 +19,23 @@ why E_infinity is certified by recomputation at larger r.
 
 The stabilization bound is r(p) = 2n - p + 1: beyond it Z_r^{p,q} is the
 full cocycle space of the cell.
+
+Every space above is the direct sum of its parts in the torus weight
+blocks of the complex (see fock), because d, the filtration and the
+degree windows preserve the weight and the Z/B formulas are built from
+spans and kernels of block-diagonal maps.  So each page dimension is a
+sum over the weight blocks; column permutations make blocks in one
+S_k-orbit isomorphic as filtered complexes, so only the dominant blocks
+are computed, each counted orbit_size(mu) times.  The same holds for
+E_1 and the graded differential d'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fock import diff, direct_cohomology_dims, invariant_family
+from .fock import cochain_weight, diff, direct_cohomology_dims, \
+    invariant_family, orbit_size, weight_blocks
 from .linalg import Eliminator, ResourceCapError, SparseRationalMatrix, \
     kernel_basis, resolve_max_entries, span_intersect_window
 
@@ -62,8 +72,8 @@ def _row_degree(key):
 
 
 class SpectralComputer:
-    """Precomputes the invariant families and their d-images once, then
-    serves page dimensions for any r."""
+    """Precomputes the invariant families of dominant weight and their
+    d-images once, then serves page dimensions for any r."""
 
     def __init__(self, ring, part, max_degree):
         self.ring = ring
@@ -71,41 +81,39 @@ class SpectralComputer:
         self.D = max_degree
         n = ring.n
         self.maxdom = 2 * max_degree + 2 * n + 2
-        self.fam = {}     # ell -> {deg: [rows]}
-        self.img = {}     # ell -> {deg: [image rows]}
+        # ell -> weight -> {deg: [(row, image row)]}
+        self.blocks = {ell: {} for ell in range(n + 1)}
         # the stored representatives alone can exhaust memory long before
         # any single elimination does, so they share the entry cap
         cap = resolve_max_entries()
         stored = 0
         for ell in range(n + 1):
-            self.fam[ell] = {}
-            self.img[ell] = {}
             for d in range(self.maxdom + 1):
-                fam = invariant_family(ring, part, ell, (d,))
-                rows, imgs = [], []
+                fam = invariant_family(ring, part, ell, (d,), dominant=True)
                 for v in fam[d]:
                     row = v.to_row()
                     img = diff(v, "full").to_row()
                     stored += len(row) + len(img)
                     if stored > cap:
                         raise ResourceCapError(stored, cap)
-                    rows.append(row)
-                    imgs.append(img)
-                self.fam[ell][d] = rows
-                self.img[ell][d] = imgs
+                    self.blocks[ell].setdefault(cochain_weight(v), {}) \
+                        .setdefault(d, []).append((row, img))
 
-    def _pairs_upto(self, ell, t):
-        """(row, image-row) pairs of the family at level ell, degree <= t."""
+    def _pairs_upto(self, ell, mu, t):
+        """(row, image-row) pairs of the weight-mu family at level ell,
+        degree <= t."""
         if ell < 0 or ell > self.ring.n:
             return []
+        block = self.blocks[ell].get(mu, {})
         out = []
         for d in range(0, min(t, self.maxdom) + 1):
-            out.extend(zip(self.fam[ell][d], self.img[ell][d]))
+            out.extend(block.get(d, ()))
         return out
 
-    def z_dim(self, ell, t, dx_bound):
-        """dim { x in span(family at ell, deg <= t) : deg(dx) <= dx_bound }."""
-        pairs = self._pairs_upto(ell, t)
+    def z_dim(self, ell, mu, t, dx_bound):
+        """dim { x in span(weight-mu family at ell, deg <= t) :
+        deg(dx) <= dx_bound }."""
+        pairs = self._pairs_upto(ell, mu, t)
         ev, eout = Eliminator(), Eliminator()
         for row, img in pairs:
             ev.add_row(row)
@@ -113,9 +121,9 @@ class SpectralComputer:
                           if _row_degree(k) > dx_bound})
         return ev.rank - eout.rank
 
-    def z_rows(self, ell, t, dx_bound):
+    def z_rows(self, ell, mu, t, dx_bound):
         """Explicit spanning rows of the same space."""
-        pairs = self._pairs_upto(ell, t)
+        pairs = self._pairs_upto(ell, mu, t)
         if not pairs:
             return []
         # coefficient-space kernel of the out-of-bound projection of d
@@ -142,28 +150,34 @@ class SpectralComputer:
                 out.append(combined)
         return out
 
-    def b_rows(self, ell, t, dom_bound):
-        """Basis rows of d(family at ell-1, deg <= dom_bound) cap {deg <= t}."""
+    def b_rows(self, ell, mu, t, dom_bound):
+        """Basis rows of d(weight-mu family at ell-1, deg <= dom_bound)
+        cap {deg <= t}."""
         if ell < 1:
             return []
-        imgs = [img for _, img in self._pairs_upto(ell - 1, dom_bound) if img]
+        imgs = [img for _, img in self._pairs_upto(ell - 1, mu, dom_bound)
+                if img]
         return span_intersect_window(imgs, lambda k: _row_degree(k) <= t)
 
     def cell_dim(self, p, q, r):
-        """dim E_r^{p,q} by the Z/B formula."""
+        """dim E_r^{p,q} by the Z/B formula, summed over the dominant
+        weight blocks with their orbit sizes."""
         ell, t = unregrade(p, q)
         if ell < 0 or ell > self.ring.n or t < 0:
             return 0
-        zdim = self.z_dim(ell, t, t + 2 - r)
-        if zdim == 0:
-            return 0
-        denom = Eliminator()
-        for row in self.b_rows(ell, t, t - 3 + r):
-            denom.add_row(row)
-        # Z_{r-1} of the cell (p+1, q-1): degree <= t-1, same dx bound
-        for row in self.z_rows(ell, t - 1, t + 2 - r):
-            denom.add_row(row)
-        return zdim - denom.rank
+        total = 0
+        for mu in self.blocks[ell]:
+            zdim = self.z_dim(ell, mu, t, t + 2 - r)
+            if zdim == 0:
+                continue
+            denom = Eliminator()
+            for row in self.b_rows(ell, mu, t, t - 3 + r):
+                denom.add_row(row)
+            # Z_{r-1} of the cell (p+1, q-1): degree <= t-1, same dx bound
+            for row in self.z_rows(ell, mu, t - 1, t + 2 - r):
+                denom.add_row(row)
+            total += orbit_size(mu) * (zdim - denom.rank)
+        return total
 
     def page(self, r):
         data = PageData(r)
@@ -177,24 +191,36 @@ class SpectralComputer:
 
 
 def e1_dims(ring, part, max_degree):
-    """The E_1 page: cohomology of the graded differential d' per cell."""
+    """The E_1 page: cohomology of the graded differential d' per cell,
+    from the dominant weight blocks counted with their orbit sizes."""
     n = ring.n
-    fam = {
-        ell: invariant_family(ring, part, ell, range(max_degree + 1))
+    blocks = {
+        ell: weight_blocks(invariant_family(ring, part, ell,
+                                            range(max_degree + 1),
+                                            dominant=True))
         for ell in range(n + 1)
     }
     data = PageData(1)
 
     def rank_and_img_rank(ell, t):
+        """Orbit-weighted ranks of the family at (ell, t) and of its
+        d'-image."""
         if ell < 0 or ell > n or t < 0:
             return 0, 0
-        ev, ei = Eliminator(), Eliminator()
-        for v in fam[ell].get(t, []):
-            ev.add_row(v.to_row())
-            dv = diff(v, "graded")
-            if dv:
-                ei.add_row(dv.to_row())
-        return ev.rank, ei.rank
+        rv = ri = 0
+        for mu, block in blocks[ell].items():
+            if t not in block:
+                continue
+            ev, ei = Eliminator(), Eliminator()
+            for v in block[t]:
+                ev.add_row(v.to_row())
+                dv = diff(v, "graded")
+                if dv:
+                    ei.add_row(dv.to_row())
+            mult = orbit_size(mu)
+            rv += mult * ev.rank
+            ri += mult * ei.rank
+        return rv, ri
 
     cache = {}
 

@@ -8,15 +8,21 @@ from fractions import Fraction
 import pytest
 
 from weilcoh.exterior import bits_of
+import weilcoh.fock as fock
 from weilcoh.fock import (
     Cochain,
+    CohomologyReport,
     Phi_J,
+    _block_filtration,
+    cochain_weight,
     diff,
     direct_cohomology_dims,
     invariant_dim,
     invariant_family,
     involution,
+    is_dominant,
     named_cochain,
+    orbit_size,
     outer_product,
     phi1,
     phik,
@@ -24,8 +30,9 @@ from weilcoh.fock import (
     son_act_cochain,
     split_pm,
     star_Phi_J,
+    weight_blocks,
 )
-from weilcoh.linalg import rank_of_rows
+from weilcoh.linalg import Eliminator, rank_of_rows
 from weilcoh.polyring import (
     FockRing,
     SkRing,
@@ -299,7 +306,7 @@ def test_invariant_dim_trivial():
 
 
 def test_invariant_dim_vs_bruteforce():
-    for n, k in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]:
+    for n, k in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (3, 3)]:
         R = FockRing(n, k)
         for ell in range(0, n + 1):
             for d in range(0, 4):
@@ -416,3 +423,237 @@ def test_integer_inputs_give_int_coefficients():
     assert any(fams.values())
     assert _all_int(p for fam in fams.values() for c in fam
                     for p in c.parts.values())
+
+
+# ---------------------------------------------------------------------------
+# the weight grading: only dominant blocks are eliminated
+
+
+# The route before the weight split: one elimination per slice
+# s = z-degree - w-degree over the whole family.  Kept as the oracle.
+def _bidegree(c):
+    """(z-degree, w-degree) of a bihomogeneous cochain; None if zero."""
+    ring = c.ring
+    nz = ring.n * ring.k
+    for p in c.parts.values():
+        for e in p.terms:
+            return sum(e[:nz]), sum(e[nz:])
+    return None
+
+
+def slice_direct_cohomology_dims(ring, part, ell, max_degree, buffer=4):
+    """Graded dimensions of H^ell of the invariant complex.
+
+    The cohomology is filtered (not graded) by polynomial degree; the
+    reported cell at degree t is gr_t = F_t - F_{t-1} where
+    F_t = dim{cocycles of degree <= t} - dim(coboundaries inside degree
+    <= t).  Cocycles are exact; the coboundary span is computed from the
+    domain truncated at max_degree + buffer and certified stable by
+    recomputation at buffer + 2 and buffer + 4.
+
+    The differential changes (z-degree, w-degree) by (+1,+1) or (-1,-1),
+    so everything splits over s = z-degree - w-degree and each slice is
+    eliminated separately.
+    """
+    if buffer < 2 or buffer % 2:
+        raise ValueError("buffer must be even and >= 2")
+    D = max_degree
+    maxdom = D + buffer + 4
+
+    coc = invariant_family(ring, part, ell, range(D + 1))
+    dom = invariant_family(ring, part, ell - 1, range(maxdom + 1)) \
+        if ell >= 1 else {d: [] for d in range(maxdom + 1)}
+
+    def skey(c):
+        bd = _bidegree(c)
+        return None if bd is None else bd[0] - bd[1]
+
+    # slice families by s = z-degree - w-degree (preserved by d)
+    coc_s = {}
+    for d in range(D + 1):
+        for v in coc[d]:
+            s = skey(v)
+            if s is not None:
+                coc_s.setdefault(s, {}).setdefault(d, []).append(v)
+    dom_s = {}
+    for d in range(maxdom + 1):
+        for v in dom[d]:
+            s = skey(v)
+            if s is not None:
+                dom_s.setdefault(s, {}).setdefault(d, []).append(v)
+
+    snapshots = [buffer, buffer + 2, buffer + 4]
+    # F[snap][t] accumulated over slices
+    F = {b: [0] * (D + 1) for b in snapshots}
+
+    for s in set(coc_s) | set(dom_s):
+        rank_v = [0] * (D + 1)
+        rank_dv = [0] * (D + 1)
+        ev = Eliminator()
+        edv = Eliminator()
+        for t in range(D + 1):
+            for v in coc_s.get(s, {}).get(t, []):
+                ev.add_row(v.to_row())
+                dv = diff(v, "full")
+                if dv:
+                    edv.add_row(dv.to_row())
+            rank_v[t] = ev.rank
+            rank_dv[t] = edv.rank
+        # coboundary windows: one elimination, pivot order by degree
+        # descending so that the pivot rows with small pivot degree count
+        # the span inside every window at once
+        eb = Eliminator()
+        win = {}
+        prev = 0
+        for b in snapshots:
+            for t in range(prev, D + b + 1):
+                for u in dom_s.get(s, {}).get(t, []):
+                    du = diff(u, "full")
+                    if du:
+                        eb.add_row({
+                            (-(sum(e)), bits, e): c
+                            for (bits, e), c in du.to_row().items()
+                        })
+            prev = D + b + 1
+            counts = [0] * (D + 1)
+            for pivot in eb.pivots:
+                deg = -pivot[0]
+                if deg <= D:
+                    counts[deg] += 1
+            run = 0
+            wt = [0] * (D + 1)
+            for t in range(D + 1):
+                run += counts[t]
+                wt[t] = run
+            win[b] = wt
+        for b in snapshots:
+            for t in range(D + 1):
+                F[b][t] += rank_v[t] - rank_dv[t] - win[b][t]
+
+    rep = CohomologyReport(part, ell, D, buffer)
+    for t in range(D + 1):
+        grs = [F[b][t] - (F[b][t - 1] if t else 0) for b in snapshots]
+        rep.dims[t] = grs[0]
+        rep.filtration[t] = F[buffer][t]
+        rep.stabilized[t] = grs[0] == grs[1] == grs[2]
+    return rep
+
+
+def monomial_weight(ring, e):
+    """z-degree in column j minus the degree in w_j."""
+    return tuple(
+        sum(e[ring.z(a, j)] for a in range(1, ring.n + 1)) - e[ring.w(j)]
+        for j in range(1, ring.k + 1)
+    )
+
+
+def weights_of(c):
+    return {monomial_weight(c.ring, e)
+            for p in c.parts.values() for e in p.terms}
+
+
+WEIGHT_CASES = [(n, k, part) for n, k in [(2, 2), (3, 2), (2, 3)]
+                for part in ("plus", "minus", "full")]
+
+
+@pytest.mark.parametrize("n,k,part", WEIGHT_CASES)
+def test_weight_blocks_symmetric_and_sum_to_slices(n, k, part):
+    # every block, dominant or not: the block at sigma mu equals the block
+    # at mu, the orbit-weighted dominant sum is the sum over all blocks,
+    # and both are the filtration of the slice route
+    R = FockRing(n, k)
+    D, buffer = (2, 2) if k < 3 else (1, 2)
+    snapshots = [buffer, buffer + 2, buffer + 4]
+    maxdom = D + buffer + 4
+    for ell in range(n + 1):
+        coc_all = invariant_family(R, part, ell, range(D + 1))
+        dom_all = invariant_family(R, part, ell - 1, range(maxdom + 1))
+        for lvl, fam_all in ((ell, coc_all), (ell - 1, dom_all)):
+            fam_dom = invariant_family(R, part, lvl, list(fam_all),
+                                       dominant=True)
+            for d, vecs in fam_all.items():
+                assert fam_dom[d] == [v for v in vecs
+                                      if is_dominant(cochain_weight(v))]
+        coc, dom = weight_blocks(coc_all), weight_blocks(dom_all)
+        blocks = {mu: _block_filtration(coc.get(mu, {}), dom.get(mu, {}),
+                                        D, snapshots)
+                  for mu in set(coc) | set(dom)}
+        total = {b: [0] * (D + 1) for b in snapshots}
+        weighted = {b: [0] * (D + 1) for b in snapshots}
+        for mu, block in blocks.items():
+            for sigma in itertools.permutations(range(k)):
+                assert blocks[tuple(mu[i] for i in sigma)] == block, mu
+            for b in snapshots:
+                for t in range(D + 1):
+                    total[b][t] += block[b][t]
+                    if is_dominant(mu):
+                        weighted[b][t] += orbit_size(mu) * block[b][t]
+        assert weighted == total
+        oracle = slice_direct_cohomology_dims(R, part, ell, D, buffer)
+        assert [oracle.filtration[t] for t in range(D + 1)] == total[buffer]
+        assert direct_cohomology_dims(R, part, ell, D, buffer) == oracle
+
+
+def test_orbit_size():
+    assert orbit_size((0,)) == 1
+    assert orbit_size((2, 1, 0)) == 6
+    assert orbit_size((1, 1, 0)) == 3
+    assert orbit_size((-1, -1, -1, 4)) == 4
+    assert is_dominant((3, 1, 1, -2)) and not is_dominant((0, 1))
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (4, 3), (2, 2)])
+def test_family_weights_from_construction(n, k):
+    # pm_basis_vectors emits m . Phi_J (or m . *Phi_J) for the S_k
+    # monomials m in lex order and the J in combination order; each has
+    # weight(m) + e_J, read here off the S_k variables' images
+    R = FockRing(n, k)
+    sk = SkRing(k)
+    images = {}
+    for i in range(1, k + 1):
+        images[sk.what(i)] = [-(j == i) for j in range(1, k + 1)]
+        for j in range(i, k + 1):
+            images[sk.rhat(i, j)] = [(a == i) + (a == j)
+                                     for a in range(1, k + 1)]
+    for part, jsize in (("plus", lambda ell: ell),
+                        ("minus", lambda ell: n - ell)):
+        for ell in range(n + 1):
+            for d in range(5):
+                base = d - jsize(ell)
+                fam = pm_basis_vectors(R, part, ell, d)
+                if jsize(ell) > k or base < 0:
+                    assert fam == []
+                    continue
+                predicted = []
+                for expo in monomials_of_degree(sk, base):
+                    mw = [sum(x * images[v][a] for v, x in enumerate(expo))
+                          for a in range(k)]
+                    for J in itertools.combinations(range(1, k + 1),
+                                                    jsize(ell)):
+                        predicted.append(tuple(
+                            mw[a] + (a + 1 in J) for a in range(k)))
+                assert [weights_of(c) for c in fam] == \
+                    [{mu} for mu in predicted], (part, ell, d)
+
+
+def test_joint_kernel_families_are_weight_vectors():
+    for n, k in [(2, 2), (2, 3), (3, 3)]:
+        R = FockRing(n, k)
+        for part in ("plus", "minus", "full"):
+            for ell in range(n + 1):
+                fams = invariant_family(R, part, ell, range(3))
+                for fam in fams.values():
+                    assert all(len(weights_of(c)) == 1 for c in fam)
+
+
+@pytest.mark.parametrize("patch", ["Phi_J", "sk_evaluate"])
+def test_builder_refuses_a_vector_of_the_wrong_weight(patch, monkeypatch):
+    R = FockRing(3, 2)
+    if patch == "Phi_J":
+        monkeypatch.setattr(fock, "Phi_J", lambda ring, J: Phi_J(ring, J)
+                            .mul_poly(ring.w_var(1)))
+    else:
+        monkeypatch.setattr(fock, "sk_evaluate", lambda p, ring:
+                            sk_evaluate(p, ring) * ring.z_var(1, 2))
+    with pytest.raises(ValueError, match="weight"):
+        pm_basis_vectors(R, "plus", 1, 3)

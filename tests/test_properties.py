@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weilcoh.exterior import wedge_bits
+from weilcoh.fock import Cochain, diff
 from weilcoh.polyring import FockRing, Polynomial
+
+from test_fock import monomial_weight
 
 RING = FockRing(2, 2)
 
@@ -71,3 +74,24 @@ def test_wedge_associative_and_graded_commutative(a, b, c):
         assert left == right
     else:
         assert left[0] == right[0] == 0
+
+
+@st.composite
+def monomial_cochains(draw):
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ring = FockRing(n, k)
+    bits = draw(st.integers(0, (1 << n) - 1))
+    expo = tuple(draw(st.integers(0, 2)) for _ in range(ring.nvars))
+    coeff = draw(st.integers(1, 3))
+    return Cochain(ring, bits.bit_count(),
+                   {bits: Polynomial(ring, {expo: coeff})})
+
+
+@settings(deadline=None, max_examples=150)
+@given(monomial_cochains(), st.sampled_from(["full", "d2", "dm2", "graded"]))
+def test_diff_preserves_torus_weight(c, mode):
+    ring = c.ring
+    (p,) = c.parts.values()
+    (mu,) = {monomial_weight(ring, e) for e in p.terms}
+    for q in diff(c, mode).parts.values():
+        assert {monomial_weight(ring, e) for e in q.terms} == {mu}
