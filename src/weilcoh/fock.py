@@ -13,16 +13,27 @@ filtration, the negative of the degree-raising piece) is
 
     d' = sum_alpha omega_alpha ^ . (x) q_alpha,   q_alpha = sum_i z_{alpha i} w_i.
 
-Invariant dimensions are joint kernels of the so(n) generators X_{i,i+1}.
-Since the w variables are untouched by so(n) the computation factors
-through the z-part, and the z-part is further cut into small blocks
-preserved by the "torus" generators X_{12}, X_{34}, ...: such a rotation
-preserves, for every column, the total degree in its two rows, the exact
-exponents of all other rows, and the number of its two form indices
-present.  The invariants are then the kernel of the remaining consecutive
-generators restricted to the torus kernel.  (A vector killed by a
-generating set of a Lie algebra is killed by the whole algebra, so this
-joint kernel is exactly the space of SO(n)-invariants.)
+Invariant families.  By Weyl's first fundamental theorem for SO(n), the
+invariants of vectors are generated by inner products and n x n
+determinants.  Read with the form indices as extra vectors, every
+invariant cochain is therefore an S_k-combination of the Phi_J and the
+*Phi_J (r(i,j) for rhat(i,j), w(i) for what(i)): the families of
+pm_basis_vectors span the invariants for every k.  They are a basis for
+k < n, as the paper proves, and the tests find them free at k = n too;
+for k > n the relations among inner products and determinants make them
+dependent, which the consumers, all rank-based, do not mind.
+
+Invariant dimensions come from an independent route, the joint kernel
+of the so(n) generators X_{i,i+1}, and serve as the oracle of the
+families.  Since the w variables are untouched by so(n) the computation
+factors through the z-part, and the z-part is further cut into small
+blocks preserved by the "torus" generators X_{12}, X_{34}, ...: such a
+rotation preserves, for every column, the total degree in its two rows,
+the exact exponents of all other rows, and the number of its two form
+indices present.  The invariants are then the kernel of the remaining
+consecutive generators restricted to the torus kernel.  (A vector killed
+by a generating set of a Lie algebra is killed by the whole algebra, so
+this joint kernel is exactly the space of SO(n)-invariants.)
 
 Weight grading.  The differential commutes with the GL(k) of the Howe
 dual pair, z |-> z g and w |-> g^-1 w, and so does SO(n) and iota.  A
@@ -37,9 +48,9 @@ columns lie in GL(k): a permutation sigma maps the mu-block onto the
 (sigma mu)-block, respecting d, iota, SO(n) and polynomial degree, so
 the two blocks have equal ranks in every degree.  Hence only the
 dominant blocks (mu_1 >= ... >= mu_k) are built and eliminated, and each
-is counted orbit_size(mu) = |S_k mu| times.  The family builders know a
+is counted orbit_size(mu) = |S_k mu| times.  The family builder knows a
 vector's weight from the data that builds it, before any product, and
-refuse to emit a vector that is not a weight vector of that weight.
+refuses to emit a vector that is not a weight vector of that weight.
 """
 
 from __future__ import annotations
@@ -155,14 +166,6 @@ class Cochain:
             for e, c in p.terms.items():
                 row[(bits, e)] = c
         return row
-
-    @staticmethod
-    def from_row(ring, ell, row):
-        parts = {}
-        for (bits, e), c in row.items():
-            parts.setdefault(bits, {})[e] = c
-        return Cochain(ring, ell,
-                       {b: Polynomial(ring, t) for b, t in parts.items()})
 
     def __repr__(self):
         if not self.parts:
@@ -416,30 +419,11 @@ def _torus_block_key(n, k, bits, ze):
     return tuple(parts)
 
 
-_ZINV_ROWS = {}
-
-
 def _zform_invariant_rows(n, k, ell, dz):
     """Basis rows {(bits, z-expo): int} of the SO(n)-invariants of
     Lambda^ell (x) Pol_z(dz)."""
-    key = (n, k, ell, dz)
-    if key in _ZINV_ROWS:
-        return _ZINV_ROWS[key]
     if ell < 0 or ell > n or dz < 0:
-        _ZINV_ROWS[key] = []
         return []
-    if 2 * ell > n:
-        # Hodge duality: * is SO(n)-equivariant, so mirror the small side
-        mirrored = []
-        for row in _zform_invariant_rows(n, k, n - ell, dz):
-            nr = {}
-            for (bits, ze), v in row.items():
-                s, comp = star_bits(bits, n)
-                nr[(comp, ze)] = s * v
-            mirrored.append(nr)
-        _ZINV_ROWS[key] = mirrored
-        return mirrored
-
     nz = n * k
     zmons = [e[:nz] for e in monomials_of_degree(FockRing(n, k), dz,
                                                   range(nz))]
@@ -449,9 +433,7 @@ def _zform_invariant_rows(n, k, ell, dz):
         for ze in zmons
     ]
     if n == 1:
-        rows = [{be: 1} for be in basis]
-        _ZINV_ROWS[key] = rows
-        return rows
+        return [{be: 1} for be in basis]
 
     torus = [(2 * j + 1, 2 * j + 2) for j in range(n // 2)]
     remaining = [(i, i + 1) for i in range(2, n) if i % 2 == 0]
@@ -479,56 +461,40 @@ def _zform_invariant_rows(n, k, ell, dz):
             W.append({members[t]: v for t, v in vec.items()})
 
     if not remaining or not W:
-        _ZINV_ROWS[key] = W
         return W
 
     # X_{2,3}, X_{4,5}, ... keep every column degree, and the rows of W
     # come from torus blocks, each of one column-degree vector, so the
-    # kernel is a direct sum over those vectors: one kernel per vector
+    # invariants are a direct sum over those vectors.  Per vector, the
+    # rows (v | X_g v), v in W, span the graph of the generators on
+    # span(W); the part of that span with no image is the invariants,
+    # read off in the (bits, ze) labels
     groups = {}
-    for t, wvec in enumerate(W):
+    for wvec in W:
         _, ze = next(iter(wvec))
-        groups.setdefault(_col_degrees(n, k, ze), []).append(t)
-    kernel = []  # {index into W: coefficient}
-    for ts in groups.values():
-        rows_by_target = {}
-        for local, t in enumerate(ts):
+        groups.setdefault(_col_degrees(n, k, ze), []).append(wvec)
+    out = []
+    for rows in groups.values():
+        graph = []
+        for wvec in rows:
+            row = dict(wvec)
             for g, (a, b) in enumerate(remaining):
-                img = {}
-                for (bits, ze), coef in W[t].items():
+                for (bits, ze), coef in wvec.items():
                     for tgt, v in _gen_act_basis(n, k, a, b, bits,
                                                  ze).items():
-                        nv = img.get(tgt, 0) + coef * v
+                        key = (g, *tgt)
+                        nv = row.get(key, 0) + coef * v
                         if nv:
-                            img[tgt] = nv
-                        elif tgt in img:
-                            del img[tgt]
-                for tgt, v in img.items():
-                    rows_by_target.setdefault((g, tgt), {})[local] = v
-        m = SparseRationalMatrix(len(rows_by_target), len(ts))
-        for ri, row in enumerate(rows_by_target.values()):
-            for local, v in row.items():
-                m.set(ri, local, v)
-        for vec in kernel_basis(m):
-            kernel.append({ts[local]: coef for local, coef in vec.items()})
-    # the order one kernel over all of W would give: by pivot
-    kernel.sort(key=min)
-    out = []
-    for vec in kernel:
-        combined = {}
-        for t, coef in vec.items():
-            for be, v in W[t].items():
-                nv = combined.get(be, 0) + coef * v
-                if nv:
-                    combined[be] = nv
-                elif be in combined:
-                    del combined[be]
-        out.append(combined)
-    _ZINV_ROWS[key] = out
+                            row[key] = nv
+                        elif key in row:
+                            del row[key]
+            graph.append(row)
+        out.extend(span_intersect_window(graph, lambda c: len(c) == 2))
     return out
 
 
 def invariant_zform_dim(n, k, ell, dz):
+    # Hodge duality: * is SO(n)-equivariant, so count on the small side
     return len(_zform_invariant_rows(n, k, ell, dz))
 
 
@@ -547,40 +513,6 @@ def invariant_dim(ring, ell, d):
         if zi:
             total += zi * comb(d - dz + k - 1, k - 1)
     return total
-
-
-_ZINV_PART = {}
-
-
-def _zform_invariant_rows_part(n, k, ell, dz, part):
-    """The iota (x) iota eigen-split of the z-form invariants, as
-    (column degrees, row) pairs.  The involution is diagonal on the
-    monomial basis, so each eigenspace is a coordinate subspace and the
-    split is a windowed span.  Every row has a single z-degree per column
-    (SO(n) and iota keep column degrees); that is checked here, once per
-    cached row, because the weights of the families rest on it."""
-    key = (n, k, ell, dz, part)
-    if key in _ZINV_PART:
-        return _ZINV_PART[key]
-    rows = _zform_invariant_rows(n, k, ell, dz)
-    if part != "full":
-        want = 1 if part == "plus" else -1
-
-        def sign_of(bkey):
-            bits, ze = bkey
-            s = -1 if bits & 1 else 1
-            z1 = sum(ze[_z_index(n, 1, i)] for i in range(1, k + 1))
-            return -s if z1 % 2 else s
-
-        rows = span_intersect_window(rows, lambda c: sign_of(c) == want)
-    out = []
-    for row in rows:
-        degs = {_col_degrees(n, k, ze) for _, ze in row}
-        if len(degs) != 1:
-            raise ValueError("z-form invariant row mixes column degrees")
-        out.append((degs.pop(), row))
-    _ZINV_PART[key] = out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -654,37 +586,15 @@ def weight_blocks(families):
     return out
 
 
-def _joint_kernel_cochains(ring, part, ell, d, dominant=False):
-    """Explicit invariant cochains of bidegree (ell, d) via the joint
-    kernel route, one per basis vector; only those of dominant weight
-    if dominant is set.  A z-form row has one z-degree per column, so
-    row (x) w^b has weight (column degrees) - b."""
-    n, k = ring.n, ring.k
-    out = []
-    for dz in range(d + 1):
-        zrows = _zform_invariant_rows_part(n, k, ell, dz, part)
-        if not zrows:
-            continue
-        for wexpo in monomials_of_degree(ring, d - dz,
-                                         range(n * k, ring.nvars)):
-            wpart = wexpo[n * k:]
-            for cols, zr in zrows:
-                if dominant and not is_dominant(
-                        [c - b for c, b in zip(cols, wpart)]):
-                    continue
-                row = {}
-                for (bits, ze), v in zr.items():
-                    row[(bits, ze + wpart)] = v
-                out.append(Cochain.from_row(ring, ell, row))
-    return out
-
-
 def pm_basis_vectors(ring, part, ell, d, dominant=False):
     """The spanning family of C_+ (m . Phi_J) or C_- (m . *Phi_J) at
     bidegree (ell, d), with m running over S_k-monomials of the
     complementary degree; only the vectors of dominant weight if
-    dominant is set.  m . Phi_J and m . *Phi_J have weight
-    weight(m) + e_J, so a pair (m, J) of other weight costs nothing."""
+    dominant is set.  The family spans for every k and is dependent for
+    k > n (see the module docstring).  Each Phi_J / *Phi_J is built once
+    per call and each m is evaluated once.  m . Phi_J and m . *Phi_J have
+    weight weight(m) + e_J, so a pair (m, J) of other weight costs
+    nothing."""
     n, k = ring.n, ring.k
     if ell < 0 or ell > n or d < 0:
         return []
@@ -722,28 +632,19 @@ def pm_basis_vectors(ring, part, ell, d, dominant=False):
 
 
 def invariant_family(ring, part, ell, degrees, dominant=False):
-    """Per-degree spanning families of the invariant cochains.
+    """Per-degree spanning families of the invariant cochains: the
+    pm_basis_vectors of the part, and of both parts for full.
 
-    For k < n the explicit Phi / *Phi families span C_+ / C_- and their
-    union spans the invariants; otherwise the joint-kernel route is used.
-    Every vector is a weight vector.  With dominant set, only the vectors
-    of dominant weight are built: they span the dominant weight blocks,
-    which is all the cohomology routes need (see the module docstring).
-    Returns {degree: list of Cochain}.
+    They span for every k (see the module docstring), so they serve every
+    consumer that needs ranks only.  Every vector is a weight vector.
+    With dominant set, only the vectors of dominant weight are built:
+    they span the dominant weight blocks, which is all the cohomology
+    routes need.  Returns {degree: list of Cochain}.
     """
-    out = {}
-    for d in degrees:
-        if ell < 0 or ell > ring.n or d < 0:
-            out[d] = []
-        elif ring.k < ring.n:
-            if part == "full":
-                out[d] = pm_basis_vectors(ring, "plus", ell, d, dominant) + \
-                    pm_basis_vectors(ring, "minus", ell, d, dominant)
-            else:
-                out[d] = pm_basis_vectors(ring, part, ell, d, dominant)
-        else:
-            out[d] = _joint_kernel_cochains(ring, part, ell, d, dominant)
-    return out
+    parts = ("plus", "minus") if part == "full" else (part,)
+    return {d: [v for p in parts
+                for v in pm_basis_vectors(ring, p, ell, d, dominant)]
+            for d in degrees}
 
 
 # ---------------------------------------------------------------------------

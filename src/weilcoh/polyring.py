@@ -88,6 +88,9 @@ class FockRing(Ring):
         names = ["z(%d,%d)" % (a, i) for i in range(1, k + 1) for a in range(1, n + 1)]
         names += ["w(%d)" % i for i in range(1, k + 1)]
         super().__init__(names)
+        # rhat-exponent -> terms of its sk_evaluate image, filled on demand;
+        # plain dicts, so the ring stays out of reference cycles
+        self._rhat_images = {}
 
     def z(self, alpha, i):
         if not (1 <= alpha <= self.n and 1 <= i <= self.k):
@@ -114,7 +117,9 @@ class SkRing(Ring):
         if k < 1:
             raise ValueError("need k >= 1")
         self.k = k
-        pairs = [(i, j) for i in range(1, k + 1) for j in range(i, k + 1)]
+        # (i, j) of each rhat variable, in variable order
+        self.pairs = pairs = [(i, j) for i in range(1, k + 1)
+                              for j in range(i, k + 1)]
         self._pair_index = {p: t for t, p in enumerate(pairs)}
         names = ["rhat(%d,%d)" % p for p in pairs]
         names += ["what(%d)" % i for i in range(1, k + 1)]
@@ -245,28 +250,6 @@ class Polynomial:
 
     def coefficient(self, expo):
         return self.terms.get(tuple(expo), 0)
-
-    def compose(self, images):
-        """Ring map sending variable i to images[i] (a Polynomial).
-
-        All images must share a common ring; returns the image of self.
-        """
-        target = images[0].ring
-        out = target.zero()
-        # cache powers per variable
-        powers = [{0: target.one()} for _ in images]
-        for e, c in self.terms.items():
-            term = target.one().scale(c)
-            for i, exp in enumerate(e):
-                if exp:
-                    cache = powers[i]
-                    top = max(cache)
-                    while top < exp:
-                        cache[top + 1] = cache[top] * images[i]
-                        top += 1
-                    term = term * cache[exp]
-            out = out + term
-        return out
 
     def sign_flip(self, vidxs):
         """Substitute x |-> -x for each variable index in vidxs (cheap)."""
@@ -408,17 +391,41 @@ def laplacian(p, i, j):
 
 
 def sk_evaluate(p, ring):
-    """Evaluate an S_k polynomial in a FockRing with matching k."""
+    """Evaluate an S_k polynomial in a FockRing with matching k:
+    rhat(i,j) |-> r(i,j), what(i) |-> w(i).
+
+    The image of each rhat-monomial is built once per ring, by one product
+    of a smaller one's image with an r(i,j), and kept on the ring.  The
+    rhat-images carry no w, so the what-part of a monomial is applied as a
+    shift of the w-exponents.
+    """
     sk = p.ring
     if not isinstance(sk, SkRing) or sk.k != ring.k:
         raise ValueError("k mismatch between S_k polynomial and target ring")
-    images = []
-    for i in range(1, sk.k + 1):
-        for j in range(i, sk.k + 1):
-            images.append(r_gen(ring, i, j))
-    for i in range(1, sk.k + 1):
-        images.append(ring.w_var(i))
-    return p.compose(images)
+    npairs = len(sk.pairs)
+    nz = ring.n * ring.k
+    items = []
+    for expo, c in p.terms.items():
+        wpart = expo[npairs:]
+        for e, v in _rhat_image(ring, sk, expo[:npairs]).items():
+            items.append((e[:nz] + wpart, c * v))
+    return Polynomial._merge(ring, items)
+
+
+def _rhat_image(ring, sk, rexpo):
+    """Terms of the image of the rhat-monomial with exponent rexpo,
+    memoized on the ring."""
+    memo = ring._rhat_images
+    if rexpo not in memo:
+        t = next((t for t, x in enumerate(rexpo) if x), None)
+        if t is None:
+            memo[rexpo] = {(0,) * ring.nvars: 1}
+        else:
+            smaller = list(rexpo)
+            smaller[t] -= 1
+            prev = Polynomial(ring, _rhat_image(ring, sk, tuple(smaller)))
+            memo[rexpo] = (prev * r_gen(ring, *sk.pairs[t])).terms
+    return memo[rexpo]
 
 
 def son_act(a, b, p):

@@ -3,6 +3,7 @@ and determinism."""
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -139,3 +140,26 @@ def test_determinism_modulo_timing(capsys):
     assert code1 == code2 == 0
     assert out1 != out2  # the timing field moved
     assert strip_timing(out1) == strip_timing(out2)
+
+
+def _module_state():
+    """Length of every module-level dict, list and set in weilcoh.*."""
+    return {
+        (mod_name, name): len(value)
+        for mod_name, mod in sys.modules.items()
+        if mod_name == "weilcoh" or mod_name.startswith("weilcoh.")
+        for name, value in vars(mod).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+
+def test_calls_leave_no_module_state(capsys):
+    # a CLI call inside a process must leave no cache or other global
+    # state behind for the next call
+    before = _module_state()
+    assert before
+    for argv in (["pages", "--n", "2", "--k", "2", "--max-degree", "1"],
+                 ["verify", "--suite", "bases", "--n", "3", "--k", "2"]):
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert _module_state() == before, argv

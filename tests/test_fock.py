@@ -35,6 +35,7 @@ from weilcoh.fock import (
 from weilcoh.linalg import Eliminator, rank_of_rows
 from weilcoh.polyring import (
     FockRing,
+    Polynomial,
     SkRing,
     c_gen,
     monomials_of_degree,
@@ -348,24 +349,54 @@ def test_pm_families_independent_and_complete():
                 )
 
 
-def test_invariant_family_joint_kernel_route():
-    # k >= n goes through the joint kernel; sizes must match invariant_dim
-    R = FockRing(2, 2)
-    for ell in range(0, 3):
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
+def test_families_span_the_invariants(n, k):
+    # the Phi / *Phi families span the invariants for every k (free for
+    # k <= n); invariant_dim is the independent joint-kernel count
+    R = FockRing(n, k)
+    for ell in range(n + 1):
         fam = invariant_family(R, "full", ell, range(4))
         for d in range(4):
             rows = [c.to_row() for c in fam[d]]
-            assert rank_of_rows(rows) == len(rows)
-            assert len(rows) == invariant_dim(R, ell, d)
+            dim = invariant_dim(R, ell, d)
+            assert rank_of_rows(rows) == dim, (ell, d)
+            if k <= n:
+                assert len(rows) == dim, (ell, d)
             plus = invariant_family(R, "plus", ell, [d])[d]
             minus = invariant_family(R, "minus", ell, [d])[d]
-            assert len(plus) + len(minus) == len(rows)
+            assert rank_of_rows([c.to_row() for c in plus]) + \
+                rank_of_rows([c.to_row() for c in minus]) == dim, (ell, d)
             for c in plus:
                 p, m = split_pm(c)
                 assert p == c and not m
             for c in minus:
                 p, m = split_pm(c)
                 assert m == c and not p
+
+
+def _zrow_cochain(R, ell, row):
+    """A z-form row {(bits, z-expo): int} as a cochain of R."""
+    parts = {}
+    for (bits, ze), v in row.items():
+        parts.setdefault(bits, {})[ze + (0,) * R.k] = v
+    return Cochain(R, ell, {b: Polynomial(R, t) for b, t in parts.items()})
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2)])
+def test_zform_rows_are_invariant(n, k):
+    # every row of the joint-kernel route is killed by every X_{a,a+1},
+    # applied here through the cochain action, not the basis action the
+    # route uses
+    R = FockRing(n, k)
+    for ell in range(n + 1):
+        for dz in range(4):
+            rows = fock._zform_invariant_rows(n, k, ell, dz)
+            assert rank_of_rows(rows) == len(rows)
+            for row in rows:
+                c = _zrow_cochain(R, ell, row)
+                assert c
+                for a in range(1, n):
+                    assert not son_act_cochain(a, a + 1, c), (ell, dz, a)
 
 
 def test_direct_cohomology_31():
@@ -418,7 +449,7 @@ def test_integer_inputs_give_int_coefficients():
     m = S.rhat_var(1, 2) * S.what_var(1) * S.what_var(2)
     images = [sk_evaluate(m, R), son_act(1, 2, q_gen(R, 1))]
     assert all(images) and _all_int(images)
-    Rk = FockRing(2, 2)  # k >= n: the joint-kernel route
+    Rk = FockRing(2, 2)  # k >= n
     fams = invariant_family(Rk, "full", 1, range(4))
     assert any(fams.values())
     assert _all_int(p for fam in fams.values() for c in fam
@@ -602,7 +633,8 @@ def test_orbit_size():
     assert is_dominant((3, 1, 1, -2)) and not is_dominant((0, 1))
 
 
-@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (4, 3), (2, 2)])
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (4, 3), (2, 2), (2, 3),
+                                 (1, 2)])
 def test_family_weights_from_construction(n, k):
     # pm_basis_vectors emits m . Phi_J (or m . *Phi_J) for the S_k
     # monomials m in lex order and the J in combination order; each has
@@ -634,16 +666,6 @@ def test_family_weights_from_construction(n, k):
                             mw[a] + (a + 1 in J) for a in range(k)))
                 assert [weights_of(c) for c in fam] == \
                     [{mu} for mu in predicted], (part, ell, d)
-
-
-def test_joint_kernel_families_are_weight_vectors():
-    for n, k in [(2, 2), (2, 3), (3, 3)]:
-        R = FockRing(n, k)
-        for part in ("plus", "minus", "full"):
-            for ell in range(n + 1):
-                fams = invariant_family(R, part, ell, range(3))
-                for fam in fams.values():
-                    assert all(len(weights_of(c)) == 1 for c in fam)
 
 
 @pytest.mark.parametrize("patch", ["Phi_J", "sk_evaluate"])

@@ -5,7 +5,7 @@ directory runs on request:
 
     PYTHONPATH=src python -m pytest tests_slow
 
-The two checks take about ten seconds and a few minutes.
+The three checks take about a minute and a half together.
 """
 
 import json
@@ -27,10 +27,19 @@ def test_n2k3_top_level_is_the_invariant_quadric_quotient():
         assert rep.dims == (quo if ell == 2 else dict.fromkeys(range(4), 0))
 
 
+def test_n3k3_top_level_is_the_invariant_quadric_quotient():
+    # k = n: the top level at window 4, every cell stabilized
+    R = FockRing(3, 3)
+    quo = invariant_quotient_dims(R, [q_gen(R, a) for a in (1, 2, 3)], 4)
+    assert [quo[t] for t in range(5)] == [1, 3, 12, 26, 63]
+    rep = direct_cohomology_dims(R, "full", 3, 4)
+    assert all(rep.stabilized.values())
+    assert rep.dims == quo
+
+
 def test_n3k3_plus_part_within_the_default_cap(capsys):
     # the +1 part at k = n is one class, Phi_(1,2,3) on level 3 in degree
-    # 3; the remaining-generator kernel at level 2 used to exceed the
-    # default entry cap as one matrix
+    # 3, and the whole run stays under the default entry cap
     code = cli.main(["cohom", "--n", "3", "--k", "3", "--part", "plus",
                      "--ell", "0..3", "--max-degree", "3"])
     doc = json.loads(capsys.readouterr().out)
