@@ -58,7 +58,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, factorial
 
 from .exterior import bits_of, contract_bits, star_bits, tuple_of, wedge_bits
@@ -88,10 +87,8 @@ __all__ = [
     "Phi_J",
     "star_Phi_J",
     "involution",
-    "split_pm",
     "son_act_cochain",
-    "invariant_dim",
-    "invariant_zform_dim",
+    "invariant_dims",
     "pm_basis_vectors",
     "invariant_family",
     "cochain_weight",
@@ -331,13 +328,6 @@ def involution(c, which):
     raise ValueError("unknown involution %r" % which)
 
 
-def split_pm(c):
-    """c = plus + minus with iota (x) iota eigenvalues +1 and -1."""
-    ic = involution(c, "iota")
-    half = Fraction(1, 2)
-    return (c + ic).scale(half), (c - ic).scale(half)
-
-
 def son_act_cochain(a, b, c):
     """The generator X_ab acting as a derivation: the rotation of the form
     indices (X.omega_a = omega_b, X.omega_b = -omega_a) plus the polyring
@@ -493,26 +483,19 @@ def _zform_invariant_rows(n, k, ell, dz):
     return out
 
 
-def invariant_zform_dim(n, k, ell, dz):
-    # Hodge duality: * is SO(n)-equivariant, so count on the small side
-    return len(_zform_invariant_rows(n, k, ell, dz))
+def invariant_dims(ring, ell, window):
+    """[dim of the SO(n)-invariants of Lambda^ell (x) P_k(d) for d <= window].
 
-
-def invariant_dim(ring, ell, d):
-    """dim of the SO(n)-invariants of Lambda^ell (x) P_k(d).
-
-    The w variables are inert, so this is a sum over the z-degree of the
-    z-form invariant dimension times the count of w-monomials.
+    The w variables are inert, so each entry is a sum over the z-degree dz
+    of the z-form invariant dimension, computed once per dz, times the
+    count of w-monomials of degree d - dz.
     """
-    if ell < 0 or ell > ring.n or d < 0:
-        return 0
     n, k = ring.n, ring.k
-    total = 0
-    for dz in range(d + 1):
-        zi = invariant_zform_dim(n, k, ell, dz)
-        if zi:
-            total += zi * comb(d - dz + k - 1, k - 1)
-    return total
+    zdims = [len(_zform_invariant_rows(n, k, ell, dz))
+             for dz in range(window + 1)]
+    return [sum(zi * comb(d - dz + k - 1, k - 1)
+                for dz, zi in enumerate(zdims[:d + 1]))
+            for d in range(window + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +763,7 @@ def invariant_quotient_dims(ring, gens, window):
             ei.add_row(row)
         return ev.rank - ei.rank
 
+    inv = invariant_dims(ring, 0, window)
     out = {}
     for t in range(window + 1):
         ideal = []
@@ -789,5 +773,5 @@ def invariant_quotient_dims(ring, gens, window):
                 continue
             for e in monomials_of_degree(ring, t - df):
                 ideal.append(Polynomial(ring, {e: 1}) * f)
-        out[t] = invariant_dim(ring, 0, t) - inv_span_dim(ideal)
+        out[t] = inv[t] - inv_span_dim(ideal)
     return out

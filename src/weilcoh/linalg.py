@@ -150,10 +150,6 @@ class Eliminator:
         self._entries += len(r)
         return True
 
-    def contains(self, row):
-        """True iff the row lies in the span of the inserted rows."""
-        return not self.reduce(row)
-
     def echelon_rows(self):
         """Stored pivot rows in increasing pivot order."""
         return [self.pivots[c] for c in sorted(self.pivots)]

@@ -15,7 +15,7 @@ from .exterior import bits_of, wedge_bits
 from .fock import (
     Cochain,
     diff,
-    invariant_dim,
+    invariant_dims,
     invariant_family,
     involution,
     named_cochain,
@@ -192,6 +192,7 @@ def suite_bases(n, k, seed, max_degree=4):
     if k < n:
         bad = []
         for ell in range(n + 1):
+            dims = invariant_dims(R, ell, max_degree)
             for d in range(max_degree + 1):
                 plus = pm_basis_vectors(R, "plus", ell, d)
                 minus = pm_basis_vectors(R, "minus", ell, d)
@@ -204,7 +205,7 @@ def suite_bases(n, k, seed, max_degree=4):
                     eb.add_row(v.to_row())
                 indep = (ep.rank == len(plus) and em.rank == len(minus)
                          and eb.rank == len(plus) + len(minus))
-                if not indep or eb.rank != invariant_dim(R, ell, d):
+                if not indep or eb.rank != dims[d]:
                     bad.append((ell, d))
         _verdict(results, "determinantal families are a basis", not bad,
                  "failing cells: %s" % bad if bad else

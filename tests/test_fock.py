@@ -17,7 +17,7 @@ from weilcoh.fock import (
     cochain_weight,
     diff,
     direct_cohomology_dims,
-    invariant_dim,
+    invariant_dims,
     invariant_family,
     involution,
     is_dominant,
@@ -28,7 +28,6 @@ from weilcoh.fock import (
     phik,
     pm_basis_vectors,
     son_act_cochain,
-    split_pm,
     star_Phi_J,
     weight_blocks,
 )
@@ -233,6 +232,13 @@ def test_involutions_commute_with_diff():
             assert involution(diff(c), which) == diff(involution(c, which))
 
 
+def split_pm(c):
+    """c = plus + minus with iota (x) iota eigenvalues +1 and -1."""
+    ic = involution(c, "iota")
+    half = Fraction(1, 2)
+    return (c + ic).scale(half), (c - ic).scale(half)
+
+
 def test_split_pm():
     R = FockRing(3, 2)
     for J in [(1,), (1, 2)]:
@@ -301,26 +307,26 @@ def brute_invariant_dim(ring, ell, d):
 
 def test_invariant_dim_trivial():
     R = FockRing(3, 2)
-    assert invariant_dim(R, 0, 0) == 1
-    assert invariant_dim(FockRing(3, 1), 1, 1) == 1  # spanned by phi_1
-    assert invariant_dim(FockRing(2, 1), 0, 2) == 2  # r_11 and w_1^2
+    assert invariant_dims(R, 0, 0) == [1]
+    assert invariant_dims(FockRing(3, 1), 1, 1)[1] == 1  # spanned by phi_1
+    assert invariant_dims(FockRing(2, 1), 0, 2)[2] == 2  # r_11 and w_1^2
 
 
 def test_invariant_dim_vs_bruteforce():
     for n, k in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (3, 3)]:
         R = FockRing(n, k)
         for ell in range(0, n + 1):
+            dims = invariant_dims(R, ell, 3)
             for d in range(0, 4):
-                assert invariant_dim(R, ell, d) == brute_invariant_dim(
-                    R, ell, d
-                ), (n, k, ell, d)
+                assert dims[d] == brute_invariant_dim(R, ell, d), (
+                    n, k, ell, d)
 
 
 def test_invariant_dim_degenerate():
     R = FockRing(2, 1)
-    assert invariant_dim(R, 3, 2) == 0
-    assert invariant_dim(R, -1, 2) == 0
-    assert invariant_dim(R, 1, -1) == 0
+    assert invariant_dims(R, 3, 2) == [0, 0, 0]
+    assert invariant_dims(R, -1, 2) == [0, 0, 0]
+    assert invariant_dims(R, 1, -1) == []
 
 
 def test_pm_basis_vectors_edges():
@@ -339,12 +345,13 @@ def test_pm_families_independent_and_complete():
     for n, k in [(3, 1), (3, 2)]:
         R = FockRing(n, k)
         for ell in range(0, n + 1):
+            dims = invariant_dims(R, ell, 4)
             for d in range(0, 5):
                 plus = [c.to_row() for c in pm_basis_vectors(R, "plus", ell, d)]
                 minus = [c.to_row() for c in pm_basis_vectors(R, "minus", ell, d)]
                 assert rank_of_rows(plus) == len(plus)
                 assert rank_of_rows(minus) == len(minus)
-                assert len(plus) + len(minus) == invariant_dim(R, ell, d), (
+                assert len(plus) + len(minus) == dims[d], (
                     n, k, ell, d,
                 )
 
@@ -352,13 +359,14 @@ def test_pm_families_independent_and_complete():
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
 def test_families_span_the_invariants(n, k):
     # the Phi / *Phi families span the invariants for every k (free for
-    # k <= n); invariant_dim is the independent joint-kernel count
+    # k <= n); invariant_dims is the independent joint-kernel count
     R = FockRing(n, k)
     for ell in range(n + 1):
         fam = invariant_family(R, "full", ell, range(4))
+        dims = invariant_dims(R, ell, 3)
         for d in range(4):
             rows = [c.to_row() for c in fam[d]]
-            dim = invariant_dim(R, ell, d)
+            dim = dims[d]
             assert rank_of_rows(rows) == dim, (ell, d)
             if k <= n:
                 assert len(rows) == dim, (ell, d)

@@ -17,6 +17,8 @@ import pytest
 from weilcoh.exterior import wedge_bits
 from weilcoh.koszul import (
     KoszulSpec,
+    RegularityCertificate,
+    _ideal_rows,
     _monomial_count,
     ci_hilbert,
     ideal_quotient_dims,
@@ -33,6 +35,7 @@ from weilcoh.polyring import (
     minor,
     monomials_of_degree,
     q_gen,
+    r_gen,
     sk_c_sequence,
 )
 
@@ -89,6 +92,47 @@ def koszul_cohomology_dims(spec, ell, window):
         dim_cell = comb(m, ell) * _monomial_count(ring, t)
         out[t] = dim_cell - diff_rank(ell, t) - diff_rank(ell - 1, t - df)
     return out
+
+
+def _ideal_rank(ring, gens, t):
+    e = Eliminator()
+    for r in _ideal_rows(ring, gens, t):
+        e.add_row(r)
+    return e.rank
+
+
+def stepwise_regular_sequence_check(spec, window):
+    """Certify, degree by degree through the window, that each f_alpha is
+    injective by multiplication on R/(f_1, ..., f_{alpha-1}).
+
+    A failure is reported with the degree of the offending target
+    (deg g + deg f_alpha), not raised.
+    """
+    ring = spec.ring
+    cert = RegularityCertificate(window)
+    for a, f in enumerate(spec.sequence):
+        prefix = spec.sequence[:a]
+        df = f.degree()
+        fail = None
+        for t in range(0, window - df + 1):
+            # {g in R_t : f g in I_{t+df}} modulo I_t must vanish
+            dim_rt = _monomial_count(ring, t)
+            ideal_hi = _ideal_rows(ring, prefix, t + df)
+            e = Eliminator()
+            for r in ideal_hi:
+                e.add_row(r)
+            rank_ideal_hi = e.rank
+            for expo in monomials_of_degree(ring, t):
+                prod = Polynomial(ring, {expo: 1}) * f
+                e.add_row(dict(prod.terms))
+            rank_total = e.rank
+            ker = dim_rt - (rank_total - rank_ideal_hi)
+            if ker - _ideal_rank(ring, prefix, t):
+                fail = t + df
+                break
+        cert.ok.append(fail is None)
+        cert.failure_degree.append(fail)
+    return cert
 
 
 def test_spec_validation():
@@ -258,3 +302,92 @@ def test_sk_evaluated_c_matches_abstract():
         S, cs = sk_c_sequence(k)
         for j, cabs in enumerate(cs, start=1):
             assert sk_evaluate(cabs, R) == c_gen(R, j)
+
+
+def _q_seq(n, k):
+    R = FockRing(n, k)
+    return [q_gen(R, a) for a in range(1, n + 1)]
+
+
+def _c_seq(k):
+    return list(sk_c_sequence(k)[1])
+
+
+def _offdiag_then_q():
+    R = FockRing(2, 2)
+    return [R.z_var(1, 2), R.z_var(2, 1), q_gen(R, 1), q_gen(R, 2)]
+
+
+def _q_offdiag_interleaved():
+    R = FockRing(2, 2)
+    return [q_gen(R, 1), R.z_var(2, 1), R.z_var(1, 2), q_gen(R, 2)]
+
+
+def _r_rw_q():
+    R = FockRing(2, 1)
+    r11 = r_gen(R, 1, 1)
+    return [r11, r11 * R.w_var(1), q_gen(R, 1)]
+
+
+def _what_seq(k):
+    S = SkRing(k)
+    return [S.what_var(i) for i in range(1, k + 1)]
+
+
+def _w1_twice():
+    S = SkRing(1)
+    return [S.what_var(1), S.what_var(1)]
+
+
+def _c_rhat_c_c():
+    S, (c1, c2) = sk_c_sequence(2)
+    return [c1, S.rhat_var(1, 2), c2, c1]
+
+
+def _rhat_then_c():
+    S, cs = sk_c_sequence(2)
+    return [S.rhat_var(1, 2), *cs]
+
+
+# (name, sequence builder, window, regular through the window)
+ORACLE_SEQUENCES = [
+    ("q11", lambda: _q_seq(1, 1), 5, True),
+    ("q12", lambda: _q_seq(1, 2), 5, True),
+    ("q21", lambda: _q_seq(2, 1), 5, False),
+    ("q22", lambda: _q_seq(2, 2), 5, True),
+    ("q23", lambda: _q_seq(2, 3), 4, True),
+    ("q31", lambda: _q_seq(3, 1), 5, False),
+    ("q32", lambda: _q_seq(3, 2), 5, False),
+    ("q33", lambda: _q_seq(3, 3), 4, True),
+    ("offdiag-q", _offdiag_then_q, 4, True),
+    ("q-offdiag-q", _q_offdiag_interleaved, 4, True),
+    ("r11-r11w1-q1", _r_rw_q, 5, False),
+    ("c1", lambda: _c_seq(1), 5, True),
+    ("c2", lambda: _c_seq(2), 5, True),
+    ("c3", lambda: _c_seq(3), 5, True),
+    ("w3", lambda: _what_seq(3), 5, True),
+    ("w1-w1", _w1_twice, 5, False),
+    ("c1-r12-c2-c1", _c_rhat_c_c, 5, False),
+    ("r12-c", _rhat_then_c, 5, True),
+]
+
+
+@pytest.mark.parametrize("build,window,regular",
+                         [case[1:] for case in ORACLE_SEQUENCES],
+                         ids=[case[0] for case in ORACLE_SEQUENCES])
+def test_certificate_matches_stepwise_oracle(build, window, regular):
+    # the prefix-Hilbert-function certificate against the per-(a, t)
+    # eliminations it replaced, and the quotient dims against a fresh
+    # elimination of the whole ideal in each degree
+    seq = build()
+    spec = KoszulSpec(seq[0].ring, seq)
+    cert = regular_sequence_check(spec, window)
+    oracle = stepwise_regular_sequence_check(spec, window)
+    assert cert.regular == regular
+    assert cert.ok == oracle.ok
+    assert cert.failure_degree == oracle.failure_degree
+    ring = spec.ring
+    assert ideal_quotient_dims(spec, window) == {
+        t: _monomial_count(ring, t) - _ideal_rank(ring, spec.sequence, t)
+        for t in range(window + 1)
+    }
