@@ -60,10 +60,6 @@ class KoszulSpec:
         return tuple(f.degree() for f in self.sequence)
 
 
-def _monomial_count(ring, t):
-    return len(monomials_of_degree(ring, t))
-
-
 def _ideal_rows(ring, gens, t):
     """Spanning rows (over exponent keys) of the degree-t piece of the
     ideal generated by gens."""
@@ -82,10 +78,10 @@ def _prefix_quotient_dims(spec, window):
     """hilb[a][t] = dim (R / (f_1, ..., f_a))_t for a <= m and t <= window,
     from one elimination per degree (see the module docstring)."""
     ring = spec.ring
-    hilb = [[] for _ in range(len(spec.sequence) + 1)]
-    for t in range(window + 1):
-        dim_rt = _monomial_count(ring, t)
-        hilb[0].append(dim_rt)
+    # hilb[0][t] = dim R_t, the coefficients of 1 / prod(1 - t^w_v)
+    hilb = [ci_hilbert(ring.weights, (), window)]
+    hilb += [[] for _ in spec.sequence]
+    for t, dim_rt in enumerate(hilb[0]):
         e = Eliminator()
         for a, f in enumerate(spec.sequence, start=1):
             for r in _ideal_rows(ring, (f,), t):
@@ -134,8 +130,7 @@ def ci_hilbert(var_degrees, seq_degrees, window):
     coefficient means the input could not have been a regular sequence
     and is reported as an error.
     """
-    coeffs = [0] * (window + 1)
-    coeffs[0] = 1
+    coeffs = [int(t == 0) for t in range(window + 1)]
     for df in seq_degrees:
         nxt = list(coeffs)
         for t in range(df, window + 1):

@@ -8,8 +8,7 @@ integer dictionaries keyed by an arbitrary sortable column label, each new
 row is reduced against the stored pivot rows by integer cross-multiplication
 (with a gcd strip after every combination), and a row that survives becomes
 a new pivot row.  No floating point, no modular shortcuts.  Input rows
-hold ints; a row with Fraction entries is accepted too, and its
-denominators are cleared on entry.
+hold ints only; a row with any other entry type is a TypeError.
 
 Column labels may be any mutually comparable hashable values -- integers for
 plain matrices, or structured keys such as (form-index, monomial) tuples
@@ -19,7 +18,6 @@ when a matrix is assembled directly over an ambient basis.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from math import gcd
 
 __all__ = [
@@ -58,25 +56,13 @@ def resolve_max_entries(max_entries=None):
     return DEFAULT_MAX_ENTRIES
 
 
-def _integerize(row):
-    """Clear denominators and strip the content of a {col: Fraction|int} row.
+def _primitive(row):
+    """The nonzero entries of a {col: int} row divided by their gcd.
 
-    Returns a {col: int} dictionary with gcd 1 (empty for the zero row).
+    math.gcd rejects any entry that is not an int with TypeError.
     """
-    items = [(c, v) for c, v in row.items() if v]
-    if not items:
-        return {}
-    lcm = 1
-    for _, v in items:
-        if isinstance(v, Fraction):
-            d = v.denominator
-            lcm = lcm // gcd(lcm, d) * d
-    out = {}
-    for c, v in items:
-        out[c] = int(v * lcm)
-    g = 0
-    for v in out.values():
-        g = gcd(g, v)
+    out = {c: v for c, v in row.items() if v}
+    g = gcd(*out.values())
     if g > 1:
         for c in out:
             out[c] //= g
@@ -107,11 +93,12 @@ class Eliminator:
             raise ResourceCapError(self._entries + extra, self._cap)
 
     def reduce(self, row):
-        """Reduce a {col: Fraction|int} row against the stored pivots.
+        """Reduce a {col: int} row against the stored pivots.
 
-        Returns the residual integer row (possibly empty) without storing it.
+        Returns the residual row, primitive and possibly empty, without
+        storing it.
         """
-        r = _integerize(row)
+        r = _primitive(row)
         while r:
             c = min(r)
             if c not in self.pivots:
@@ -131,9 +118,7 @@ class Eliminator:
                 elif col in new:
                     del new[col]
             self._check_cap(len(new))
-            g2 = 0
-            for v in new.values():
-                g2 = gcd(g2, v)
+            g2 = gcd(*new.values())
             if g2 > 1:
                 for col in new:
                     new[col] //= g2

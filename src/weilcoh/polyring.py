@@ -1,10 +1,8 @@
-"""Sparse multivariate polynomials with exact coefficients.
+"""Sparse multivariate polynomials with integer coefficients.
 
-Coefficients are Python ints whenever every input is an integer, which
-covers every polynomial of the complex (generators, minors, S_k
-evaluations, the so(n) action).  A Fraction appears only where a rational
-scalar enters through scale or a rational input, and mixes freely with
-ints.
+Every polynomial of the complex (generators, minors, S_k evaluations, the
+so(n) action) has integer coefficients, and ints are the only scalars
+accepted: scale raises TypeError for any other.
 
 Two concrete rings matter here.  The Fock ring has variables z(alpha,i)
 for 1 <= alpha <= n, 1 <= i <= k and w(i) for 1 <= i <= k, all of degree 1;
@@ -21,7 +19,6 @@ lexicographic with z(1,1) < z(2,1) < ... < z(n,k) < w(1) < ... < w(k).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 __all__ = [
     "Ring",
@@ -146,8 +143,7 @@ class SkRing(Ring):
 
 
 class Polynomial:
-    """terms: exponent tuple -> nonzero coefficient (an int, or a Fraction
-    once a rational has entered)."""
+    """terms: exponent tuple -> nonzero int coefficient."""
 
     __slots__ = ("ring", "terms")
 
@@ -196,16 +192,15 @@ class Polynomial:
         return self + (-other)
 
     def scale(self, c):
-        """c times self; a scalar that is not an int is made an exact
-        Fraction first (so 0.5 becomes 1/2)."""
+        """c times self, for an int c; any other scalar is a TypeError."""
         if not isinstance(c, int):
-            c = Fraction(c)
+            raise TypeError("scalar must be an int, not %s" % type(c).__name__)
         if not c:
             return self.ring.zero()
         return Polynomial(self.ring, {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
         terms = {}

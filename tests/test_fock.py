@@ -3,7 +3,6 @@ involutions, the so(n) action, invariants and direct cohomology."""
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -161,7 +160,7 @@ def test_dprime_on_starPhiJ():
 
 
 def random_invariant_cochain(ring, rng, ell, max_deg=3):
-    """Random rational combination of the invariant spanning family."""
+    """Random integer combination of the invariant spanning family."""
     c = Cochain(ring, ell)
     fam = invariant_family(ring, "full", ell, range(max_deg + 1))
     for d in range(max_deg + 1):
@@ -233,23 +232,23 @@ def test_involutions_commute_with_diff():
 
 
 def split_pm(c):
-    """c = plus + minus with iota (x) iota eigenvalues +1 and -1."""
+    """(2 plus, 2 minus) = (c + iota c, c - iota c), where c = plus + minus
+    with iota (x) iota eigenvalues +1 and -1; doubled to stay integral."""
     ic = involution(c, "iota")
-    half = Fraction(1, 2)
-    return (c + ic).scale(half), (c - ic).scale(half)
+    return c + ic, c - ic
 
 
 def test_split_pm():
     R = FockRing(3, 2)
     for J in [(1,), (1, 2)]:
         p, m = split_pm(Phi_J(R, J))
-        assert p == Phi_J(R, J) and not m
+        assert p == Phi_J(R, J).scale(2) and not m
         p, m = split_pm(star_Phi_J(R, J))
-        assert not p and m == star_Phi_J(R, J)
+        assert not p and m == star_Phi_J(R, J).scale(2)
     rng = random.Random(11)
     c = random_cochain(R, rng, 2)
     p, m = split_pm(c)
-    assert p + m == c
+    assert p + m == c.scale(2)
     assert involution(p, "iota") == p
     assert involution(m, "iota") == -m
 
@@ -296,7 +295,7 @@ def brute_invariant_dim(ring, ell, d):
     for t, (bits, e) in enumerate(basis):
         from weilcoh.polyring import Polynomial
 
-        c = Cochain(ring, ell, {bits: Polynomial(ring, {e: Fraction(1)})})
+        c = Cochain(ring, ell, {bits: Polynomial(ring, {e: 1})})
         for a in range(1, ring.n + 1):
             for b in range(a + 1, ring.n + 1):
                 img = son_act_cochain(a, b, c)
@@ -376,10 +375,10 @@ def test_families_span_the_invariants(n, k):
                 rank_of_rows([c.to_row() for c in minus]) == dim, (ell, d)
             for c in plus:
                 p, m = split_pm(c)
-                assert p == c and not m
+                assert p == c.scale(2) and not m
             for c in minus:
                 p, m = split_pm(c)
-                assert m == c and not p
+                assert m == c.scale(2) and not p
 
 
 def _zrow_cochain(R, ell, row):
@@ -445,8 +444,7 @@ def _all_int(polys):
 
 
 def test_integer_inputs_give_int_coefficients():
-    # the complex has integer coefficients end to end; only a rational
-    # scalar (the 1/2 of split_pm) may bring in a Fraction
+    # the complex has integer coefficients end to end
     R = FockRing(3, 2)
     dphi = diff(phi1(R), "full")
     assert dphi and _all_int(dphi.parts.values())

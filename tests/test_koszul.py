@@ -19,7 +19,6 @@ from weilcoh.koszul import (
     KoszulSpec,
     RegularityCertificate,
     _ideal_rows,
-    _monomial_count,
     ci_hilbert,
     ideal_quotient_dims,
     quotient_class_independence,
@@ -42,6 +41,22 @@ from weilcoh.polyring import (
 
 def qx():
     return Ring(("x",))
+
+
+def _monomial_count(ring, t):
+    """dim R_t by enumerating the degree-t monomials."""
+    return len(monomials_of_degree(ring, t))
+
+
+@pytest.mark.parametrize("ring", [
+    FockRing(3, 3), FockRing(1, 1), SkRing(1), SkRing(3),
+    Ring(["x", "y"], [2, 3]),
+], ids=["fock33", "fock11", "sk1", "sk3", "x2y3"])
+def test_hilbert_series_counts_monomials(ring):
+    # the prefix table reads dim R_t off 1 / prod(1 - t^w_v), which must
+    # count the degree-t monomials
+    assert ci_hilbert(ring.weights, (), 9) == [
+        _monomial_count(ring, t) for t in range(10)]
 
 
 def koszul_cohomology_dims(spec, ell, window):
@@ -229,8 +244,16 @@ def test_ci_hilbert():
     assert ci_hilbert((2, 1), (3,), 6) == [1, 1, 2, 1, 2, 1, 2]
     assert ci_hilbert((1, 1), (2,), 6) == [1, 2, 2, 2, 2, 2, 2]
     assert ci_hilbert((1, 1, 1), (), 4) == [1, 3, 6, 10, 15]
+    assert ci_hilbert((1,), (), -1) == []
     with pytest.raises(ValueError):
         ci_hilbert((1,), (1, 1), 3)
+
+
+def test_empty_window():
+    # a negative window holds no degree: nothing to count or certify
+    spec = KoszulSpec(qx(), [qx().var(0)])
+    assert ideal_quotient_dims(spec, -1) == {}
+    assert regular_sequence_check(spec, -1).ok == [True]
 
 
 def test_ideal_quotient_dims():

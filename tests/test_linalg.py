@@ -113,9 +113,9 @@ def test_rank_transpose_and_scaling_invariance():
         rk = rank_of_rows(sparse_rows(rows))
         transposed = [[r[j] for r in rows] for j in range(5)]
         assert rank_of_rows(sparse_rows(transposed)) == rk
-        # scale a row by a nonzero rational, permute rows
+        # scale a row by a nonzero int, permute rows
         scaled = [list(r) for r in rows]
-        scaled[2] = [Fraction(7, 3) * v for v in scaled[2]]
+        scaled[2] = [-7 * v for v in scaled[2]]
         scaled.reverse()
         assert rank_of_rows(sparse_rows(scaled)) == rk
 
@@ -219,6 +219,18 @@ def test_structured_column_labels():
     for v in vecs:
         e.add_row(v)
     assert e.rank == 1
+
+
+@pytest.mark.parametrize("row", [{0: 2, 1: Fraction(1, 2)}, {0: 2, 1: 0.5},
+                                 {0: Fraction(4)}, {0: 2.0}],
+                         ids=["fraction", "float", "whole-fraction",
+                              "whole-float"])
+def test_add_row_rejects_non_int_entries(row):
+    # ints are the only entry type; nothing is converted on entry
+    e = Eliminator()
+    with pytest.raises(TypeError):
+        e.add_row(row)
+    assert e.rank == 0
 
 
 def test_resource_cap():

@@ -259,35 +259,37 @@ def test_son_act_kills_all_r():
 
 def test_equivariance_rational_rotation():
     # g = [[3/5,-4/5],[4/5,3/5]] acting on the rows of the z-matrix;
-    # f |-> f(g^{-1} Z).  r is fixed (g orthogonal), the 1x1 minors mix
-    # by the matrix of g^{-1}, and the top minor is fixed (det g = 1).
+    # f |-> f(g^{-1} Z), taken through the integer matrix 5 g^{-1} so that
+    # a z-homogeneous f of degree d maps to 5^d f(g^{-1} Z).  r is fixed
+    # (g orthogonal), the 1x1 minors mix by the matrix of g^{-1}, and the
+    # top minor is fixed (det g = 1).
     R = FockRing(2, 2)
-    g = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
-    ginv = [[g[0][0], g[1][0]], [g[0][1], g[1][1]]]  # inverse = transpose
+    g5 = [[3, -4], [4, 3]]  # 5 g
+    ginv5 = [[g5[0][0], g5[1][0]], [g5[0][1], g5[1][1]]]  # inverse = transpose
     images = []
     for i in range(1, 3):
         for a in range(1, 3):
             img = R.zero()
             for b in range(1, 3):
-                img = img + R.z_var(b, i).scale(ginv[a - 1][b - 1])
+                img = img + R.z_var(b, i).scale(ginv5[a - 1][b - 1])
             images.append(img)
     images += [R.w_var(1), R.w_var(2)]
 
     for i in range(1, 3):
         for j in range(i, 3):
             r = r_gen(R, i, j)
-            assert compose(r, images) == r
+            assert compose(r, images) == r.scale(5 ** 2)
 
     for j in range(1, 3):
         for a in range(1, 3):
             got = compose(minor(R, (a,), (j,)), images)
             expect = R.zero()
             for b in range(1, 3):
-                expect = expect + minor(R, (b,), (j,)).scale(ginv[a - 1][b - 1])
+                expect = expect + minor(R, (b,), (j,)).scale(ginv5[a - 1][b - 1])
             assert got == expect
 
     top = minor(R, (1, 2), (1, 2))
-    assert compose(top, images) == top
+    assert compose(top, images) == top.scale(5 ** 2)
 
 
 def test_minor_index_validation():
@@ -300,12 +302,18 @@ def test_minor_index_validation():
         minor(R, (1, 3), (1, 2))
 
 
-def test_scale_by_float_is_exact():
+def test_scale_rejects_non_int_scalars():
     R = FockRing(1, 1)
-    half = R.var(0).scale(0.5)
-    assert half.coefficient((1, 0)) == Fraction(1, 2)
-    assert type(half.coefficient((1, 0))) is Fraction
-    assert type(R.var(0).scale(3).coefficient((1, 0))) is int
+    x = R.var(0)
+    for c in (0.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            x.scale(c)
+    with pytest.raises(TypeError):
+        x * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * x
+    assert type(x.scale(3).coefficient((1, 0))) is int
+    assert (3 * x) == (x * 3) == x.scale(3)
 
 
 def test_monomials_of_degree_leaves_no_cycle():

@@ -1,7 +1,5 @@
 """Property-based checks of the algebraic substrate."""
 
-from fractions import Fraction
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +18,7 @@ def polynomials(draw, max_terms=4, max_exp=2):
     for _ in range(draw(st.integers(0, max_terms))):
         expo = tuple(draw(st.integers(0, max_exp))
                      for _ in range(RING.nvars))
-        coeff = Fraction(draw(st.integers(-3, 3)))
+        coeff = draw(st.integers(-3, 3))
         if coeff:
             terms[expo] = coeff
     return Polynomial(RING, terms)

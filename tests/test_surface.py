@@ -1,5 +1,6 @@
-"""Static guard on the package surface: every module-level import is used
-and every ``__all__`` entry names something the module defines.
+"""Static guard on the package surface: every module-level import is used,
+every ``__all__`` entry names something the module defines, and no module
+imports ``fractions`` (coefficients are ints end to end).
 
 Only the standard-library ``ast`` module is used, so the check needs no
 linter and does not import the package.
@@ -52,6 +53,18 @@ def _defined_names(tree):
     return out
 
 
+def imported_modules(source):
+    """Top-level names of the modules imported anywhere in source,
+    including imports inside functions; relative imports are skipped."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
 def unused_imports(source):
     tree = ast.parse(source)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
@@ -76,6 +89,11 @@ def test_all_entries_resolve(path):
     assert unresolved_all(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_fractions_import(path):
+    assert "fractions" not in imported_modules(path.read_text())
+
+
 def test_checks_flag_what_they_guard():
     src = (
         "from __future__ import annotations\n"
@@ -89,3 +107,7 @@ def test_checks_flag_what_they_guard():
     )
     assert unused_imports(src) == [("os", 2), ("comb", 4)]
     assert unresolved_all(src) == ["gone"]
+    assert imported_modules(src) == {"__future__", "os", "math"}
+    assert "fractions" in imported_modules(
+        "def f():\n    from fractions import Fraction\n")
+    assert "fractions" in imported_modules("import fractions as fr\n")
