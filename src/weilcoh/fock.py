@@ -9,7 +9,7 @@ A cochain of degree l is a map from l-element index sets (bitmasks over
 split as d = d2 + dm2 with d2 the multiplication term (polynomial degree
 +2) and dm2 the second-derivative term (-2).  The graded differential d'
 (the one induced on the associated graded of the polynomial-degree
-filtration, the negative of the degree-raising piece) is
+filtration) is the negative of the degree-raising piece, d' = -d2:
 
     d' = sum_alpha omega_alpha ^ . (x) q_alpha,   q_alpha = sum_i z_{alpha i} w_i.
 
@@ -65,6 +65,7 @@ from .linalg import (
     Eliminator,
     SparseRationalMatrix,
     kernel_basis,
+    rank_of_rows,
     span_intersect_window,
 )
 from .polyring import (
@@ -177,9 +178,11 @@ def diff(c, mode="full"):
     """The differential (or one of its pieces) applied to a cochain.
 
     mode: full = d2 + dm2; d2 = the -z_{alpha j} w_j term; dm2 = the
-    second-derivative term; graded = d' = + sum omega_alpha (x) q_alpha.
+    second-derivative term.  The graded differential d' is -d2, and its
+    consumers take ranks only, which ignore the sign, so it has no mode
+    of its own.
     """
-    if mode not in ("full", "d2", "dm2", "graded"):
+    if mode not in ("full", "d2", "dm2"):
         raise ValueError("unknown mode %r" % mode)
     ring = c.ring
     n, k = ring.n, ring.k
@@ -206,8 +209,6 @@ def diff(c, mode="full"):
                     bump(nb, f.partial(ring.z(alpha, j)).partial(ring.w(j)), s)
                 if mode in ("full", "d2"):
                     bump(nb, ring.z_var(alpha, j) * ring.w_var(j) * f, -s)
-                if mode == "graded":
-                    bump(nb, ring.z_var(alpha, j) * ring.w_var(j) * f, s)
 
     parts = {b: Polynomial(ring, t) for b, t in acc.items() if t}
     return Cochain(ring, c.ell + 1, parts)
@@ -753,15 +754,10 @@ def invariant_quotient_dims(ring, gens, window):
     pairs = [(a, a + 1) for a in range(1, n)]
 
     def inv_span_dim(polys):
-        ev, ei = Eliminator(), Eliminator()
-        for p in polys:
-            ev.add_row(dict(p.terms))
-            row = {}
-            for gi, (a, b) in enumerate(pairs):
-                for e, c in son_act(a, b, p).terms.items():
-                    row[(gi, e)] = c
-            ei.add_row(row)
-        return ev.rank - ei.rank
+        return rank_of_rows(dict(p.terms) for p in polys) - rank_of_rows(
+            {(gi, e): c for gi, (a, b) in enumerate(pairs)
+             for e, c in son_act(a, b, p).terms.items()}
+            for p in polys)
 
     inv = invariant_dims(ring, 0, window)
     out = {}

@@ -12,10 +12,15 @@ Pages are computed from the subspace formulas
     B_r^{p,q} = d( F^{p-r+1} C^{p+q-1} ) cap F^p
     E_r^{p,q} ~ Z_r / (B_r + Z_{r-1}^{p+1,q-1})
 
-with explicit representative bases over the ambient coordinates, so every
-dimension is a rank of an assembled sparse matrix.  Z_r is exactly
-computable; the only growing ingredient is the domain of B_r, which is
-why E_infinity is certified by recomputation at larger r.
+with explicit spanning rows over the ambient coordinates: B_r and
+Z_{r-1}^{p+1,q-1} both lie in Z_r, so dim E_r is the rank Z_r adds over
+B_r + Z_{r-1}, rank(Z_r rows) - rank(B_r rows + Z_{r-1} rows).  Z_r is
+exactly computable; the only growing ingredient is the domain of B_r,
+which is why E_infinity is certified by recomputation at larger r.
+
+e1_dims reads E_1 off the graded differential d' instead, independently
+of the Z/B formulas: d' = -d2 (d2 the degree-raising piece of d), so
+its ranks are those of d2.
 
 The stabilization bound is r(p) = 2n - p + 1: beyond it Z_r^{p,q} is the
 full cocycle space of the cell.
@@ -27,7 +32,7 @@ spans and kernels of block-diagonal maps.  So each page dimension is a
 sum over the weight blocks; column permutations make blocks in one
 S_k-orbit isomorphic as filtered complexes, so only the dominant blocks
 are computed, each counted orbit_size(mu) times.  The same holds for
-E_1 and the graded differential d'.
+E_1 and d2.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from dataclasses import dataclass, field
 
 from .fock import cochain_weight, diff, direct_cohomology_dims, \
     invariant_family, orbit_size, weight_blocks
-from .linalg import Eliminator, ResourceCapError, SparseRationalMatrix, \
-    kernel_basis, resolve_max_entries, span_intersect_window
+from .linalg import ResourceCapError, SparseRationalMatrix, kernel_basis, \
+    rank_of_rows, resolve_max_entries, span_intersect_window
 
 __all__ = [
     "regrade",
@@ -110,19 +115,11 @@ class SpectralComputer:
             out.extend(block.get(d, ()))
         return out
 
-    def z_dim(self, ell, mu, t, dx_bound):
-        """dim { x in span(weight-mu family at ell, deg <= t) :
-        deg(dx) <= dx_bound }."""
-        pairs = self._pairs_upto(ell, mu, t)
-        ev, eout = Eliminator(), Eliminator()
-        for row, img in pairs:
-            ev.add_row(row)
-            eout.add_row({k: v for k, v in img.items()
-                          if _row_degree(k) > dx_bound})
-        return ev.rank - eout.rank
-
     def z_rows(self, ell, mu, t, dx_bound):
-        """Explicit spanning rows of the same space."""
+        """Spanning rows of { x in span(weight-mu family at ell, deg <= t) :
+        deg(dx) <= dx_bound }, the combinations of the family by a kernel
+        basis of the out-of-bound part of d; they span the space also
+        when the family is dependent (k > n)."""
         pairs = self._pairs_upto(ell, mu, t)
         if not pairs:
             return []
@@ -167,16 +164,14 @@ class SpectralComputer:
             return 0
         total = 0
         for mu in self.blocks[ell]:
-            zdim = self.z_dim(ell, mu, t, t + 2 - r)
-            if zdim == 0:
+            z = self.z_rows(ell, mu, t, t + 2 - r)
+            if not z:
                 continue
-            denom = Eliminator()
-            for row in self.b_rows(ell, mu, t, t - 3 + r):
-                denom.add_row(row)
-            # Z_{r-1} of the cell (p+1, q-1): degree <= t-1, same dx bound
-            for row in self.z_rows(ell, mu, t - 1, t + 2 - r):
-                denom.add_row(row)
-            total += orbit_size(mu) * (zdim - denom.rank)
+            # B_r and Z_{r-1} of the cell (p+1, q-1) (degree <= t-1, same
+            # dx bound) both lie in Z_r
+            denom = self.b_rows(ell, mu, t, t - 3 + r) \
+                + self.z_rows(ell, mu, t - 1, t + 2 - r)
+            total += orbit_size(mu) * (rank_of_rows(z) - rank_of_rows(denom))
         return total
 
     def page(self, r):
@@ -191,49 +186,28 @@ class SpectralComputer:
 
 
 def e1_dims(ring, part, max_degree):
-    """The E_1 page: cohomology of the graded differential d' per cell,
-    from the dominant weight blocks counted with their orbit sizes."""
-    n = ring.n
-    blocks = {
-        ell: weight_blocks(invariant_family(ring, part, ell,
-                                            range(max_degree + 1),
-                                            dominant=True))
-        for ell in range(n + 1)
-    }
+    """The E_1 page: cohomology of the graded differential d' = -d2 per
+    cell, from the dominant weight blocks counted with their orbit sizes.
+
+    One level is built at a time; the cell (ell, t) needs the image rank
+    of the cell (ell - 1, t - 2) below it, which is kept.
+    """
+    img_rank = {}  # (ell, t) -> orbit-weighted rank of the d2-image
     data = PageData(1)
-
-    def rank_and_img_rank(ell, t):
-        """Orbit-weighted ranks of the family at (ell, t) and of its
-        d'-image."""
-        if ell < 0 or ell > n or t < 0:
-            return 0, 0
-        rv = ri = 0
-        for mu, block in blocks[ell].items():
-            if t not in block:
-                continue
-            ev, ei = Eliminator(), Eliminator()
-            for v in block[t]:
-                ev.add_row(v.to_row())
-                dv = diff(v, "graded")
-                if dv:
-                    ei.add_row(dv.to_row())
-            mult = orbit_size(mu)
-            rv += mult * ev.rank
-            ri += mult * ei.rank
-        return rv, ri
-
-    cache = {}
-
-    def get(ell, t):
-        if (ell, t) not in cache:
-            cache[(ell, t)] = rank_and_img_rank(ell, t)
-        return cache[(ell, t)]
-
-    for ell in range(n + 1):
+    for ell in range(ring.n + 1):
+        blocks = weight_blocks(invariant_family(ring, part, ell,
+                                                range(max_degree + 1),
+                                                dominant=True))
         for t in range(max_degree + 1):
-            rv, ri = get(ell, t)
-            _, ri_below = get(ell - 1, t - 2)
-            dim = rv - ri - ri_below
+            rv = ri = 0
+            for mu, block in blocks.items():
+                vecs = block.get(t, ())
+                mult = orbit_size(mu)
+                rv += mult * rank_of_rows(v.to_row() for v in vecs)
+                ri += mult * rank_of_rows(diff(v, "d2").to_row()
+                                          for v in vecs)
+            img_rank[ell, t] = ri
+            dim = rv - ri - img_rank.get((ell - 1, t - 2), 0)
             if dim:
                 data.dims[regrade(ell, t)] = dim
     return data

@@ -129,11 +129,11 @@ def test_product_rule():
 
 
 def test_dprime_on_PhiJ():
-    # d'(Phi_J) = sum_i w_i (-1)^{J(i)} Phi_{J union i}
+    # d'(Phi_J) = sum_i w_i (-1)^{J(i)} Phi_{J union i}, with d' = -d2
     R = FockRing(3, 2)
     for jsize in range(0, 3):
         for J in itertools.combinations(range(1, 3), jsize):
-            lhs = diff(Phi_J(R, J), "graded")
+            lhs = -diff(Phi_J(R, J), "d2")
             rhs = Cochain(R, jsize + 1)
             for i in range(1, 3):
                 s, J2 = tuple_sign(J, i, "insert")
@@ -143,13 +143,14 @@ def test_dprime_on_PhiJ():
 
 
 def test_dprime_on_starPhiJ():
-    # d'(*Phi_J) = (-1)^(|J|-1) sum_{j in J} (-1)^{J(j)} c_j *Phi_{J - j}
+    # d'(*Phi_J) = (-1)^(|J|-1) sum_{j in J} (-1)^{J(j)} c_j *Phi_{J - j},
+    # with d' = -d2
     for n in range(2, 5):
         for k in range(1, 3):
             R = FockRing(n, k)
             for jsize in range(1, k + 1):
                 for J in itertools.combinations(range(1, k + 1), jsize):
-                    lhs = diff(star_Phi_J(R, J), "graded")
+                    lhs = -diff(star_Phi_J(R, J), "d2")
                     rhs = Cochain(R, n - jsize + 1)
                     for j in J:
                         s, J2 = tuple_sign(J, j, "remove")
@@ -182,7 +183,6 @@ def test_d_squared_pieces():
             c = random_cochain(R, rng, ell)
             assert not diff(diff(c, "d2"), "d2")
             assert not diff(diff(c, "dm2"), "dm2")
-            assert not diff(diff(c, "graded"), "graded")
 
             ci = random_invariant_cochain(R, rng, ell)
             assert not diff(diff(ci))
@@ -195,6 +195,14 @@ def test_full_is_d2_plus_dm2():
     R = FockRing(3, 2)
     c = random_cochain(R, rng, 1)
     assert diff(c) == diff(c, "d2") + diff(c, "dm2")
+
+
+def test_diff_rejects_unknown_modes():
+    # d' = -d2 has no mode of its own
+    c = phi1(FockRing(2, 1))
+    for mode in ("graded", "dprime", ""):
+        with pytest.raises(ValueError):
+            diff(c, mode)
 
 
 def test_involution_iota():

@@ -86,7 +86,7 @@ def monomial_cochains(draw):
 
 
 @settings(deadline=None, max_examples=150)
-@given(monomial_cochains(), st.sampled_from(["full", "d2", "dm2", "graded"]))
+@given(monomial_cochains(), st.sampled_from(["full", "d2", "dm2"]))
 def test_diff_preserves_torus_weight(c, mode):
     ring = c.ring
     (p,) = c.parts.values()

@@ -1,6 +1,9 @@
 """Tests for the polynomial-degree spectral sequence."""
 
-from weilcoh.fock import invariant_quotient_dims
+import pytest
+
+from weilcoh.fock import invariant_quotient_dims, orbit_size
+from weilcoh.linalg import Eliminator
 from weilcoh.polyring import FockRing, q_gen
 from weilcoh.spectral import (
     SpectralComputer,
@@ -9,6 +12,61 @@ from weilcoh.spectral import (
     regrade,
     unregrade,
 )
+
+
+def z_dim(comp, ell, mu, t, dx_bound):
+    """dim { x in span(weight-mu family at ell, deg <= t) : deg(dx) <=
+    dx_bound } as rank(family) - rank(out-of-bound parts of the images),
+    with no kernel rows."""
+    ev, eout = Eliminator(), Eliminator()
+    for row, img in comp._pairs_upto(ell, mu, t):
+        ev.add_row(row)
+        eout.add_row({key: v for key, v in img.items()
+                      if sum(key[1]) > dx_bound})
+    return ev.rank - eout.rank
+
+
+def page_oracle(comp, r):
+    """E_r by dim Z_r minus the rank of the B_r + Z_{r-1} rows."""
+    dims = {}
+    for ell in range(comp.ring.n + 1):
+        for t in range(comp.D + 1):
+            total = 0
+            for mu in comp.blocks[ell]:
+                zdim = z_dim(comp, ell, mu, t, t + 2 - r)
+                if zdim == 0:
+                    continue
+                denom = Eliminator()
+                for row in comp.b_rows(ell, mu, t, t - 3 + r):
+                    denom.add_row(row)
+                for row in comp.z_rows(ell, mu, t - 1, t + 2 - r):
+                    denom.add_row(row)
+                total += orbit_size(mu) * (zdim - denom.rank)
+            if total:
+                dims[regrade(ell, t)] = total
+    return dims
+
+
+@pytest.mark.parametrize("n,k,part,D", [
+    (3, 1, "full", 3), (2, 2, "full", 2), (1, 2, "full", 3),
+    (2, 1, "plus", 3),
+    (2, 3, "full", 1),  # k > n: the families are dependent
+])
+def test_pages_match_rank_oracle(n, k, part, D):
+    comp = SpectralComputer(FockRing(n, k), part, D)
+    for r in (1, 2, 3, 5, 7):
+        assert comp.page(r).dims == page_oracle(comp, r), r
+
+
+@pytest.mark.parametrize("n,k,part,D", [
+    (2, 2, "full", 3), (1, 2, "full", 3), (3, 1, "full", 4),
+    (2, 1, "minus", 4),
+])
+def test_e1_two_ways(n, k, part, D):
+    # graded d2 ranks against the Z/B formula at r = 1
+    R = FockRing(n, k)
+    page1 = SpectralComputer(R, part, D).page(1)
+    assert e1_dims(R, part, D).dims == page1.dims
 
 
 def test_regrade_round_trip():
