@@ -146,14 +146,15 @@ def _cmd_pages(args, doc):
 def _cmd_koszul(args, doc):
     spec = _koszul_model(args)
     D = args.max_degree
-    cert = regular_sequence_check(spec, D)
+    hilb = ideal_quotient_dims(spec, D)
+    cert = regular_sequence_check(spec, hilb)
     doc["verdicts"].append({
         "name": "regular sequence through degree %d" % D,
         "pass": cert.regular,
         "detail": "failure degrees %s" % cert.failure_degree
         if not cert.regular else "",
     })
-    quo = ideal_quotient_dims(spec, D)
+    quo = hilb[-1]
     doc["tables"].append({
         "name": "quotient dims model=%s" % args.model,
         "cells": [_cell(len(spec.sequence), t, quo[t], True)

@@ -72,6 +72,7 @@ from .polyring import (
     FockRing,
     Polynomial,
     SkRing,
+    ideal_piece,
     minor,
     monomials_of_degree,
     sk_evaluate,
@@ -754,20 +755,11 @@ def invariant_quotient_dims(ring, gens, window):
     pairs = [(a, a + 1) for a in range(1, n)]
 
     def inv_span_dim(polys):
-        return rank_of_rows(dict(p.terms) for p in polys) - rank_of_rows(
+        return rank_of_rows(p.terms for p in polys) - rank_of_rows(
             {(gi, e): c for gi, (a, b) in enumerate(pairs)
              for e, c in son_act(a, b, p).terms.items()}
             for p in polys)
 
     inv = invariant_dims(ring, 0, window)
-    out = {}
-    for t in range(window + 1):
-        ideal = []
-        for f in gens:
-            df = f.degree()
-            if df > t:
-                continue
-            for e in monomials_of_degree(ring, t - df):
-                ideal.append(Polynomial(ring, {e: 1}) * f)
-        out[t] = inv[t] - inv_span_dim(ideal)
-    return out
+    return {t: inv[t] - inv_span_dim(ideal_piece(ring, gens, t))
+            for t in range(window + 1)}

@@ -6,12 +6,14 @@ regularity are computed degree by degree up to a stated bound by exact
 linear algebra, and the certificates say so rather than claiming anything
 beyond the window.  The sequence entries may have mixed degrees.
 
-Both certificates rest on one table, the Hilbert functions of the prefix
-quotients: H_a(t) = dim (R / I_a)_t with I_a = (f_1, ..., f_a).  For each
-degree t one Eliminator takes the ideal rows of f_1, ..., f_m in sequence
-order, and its rank after f_a is dim (I_a)_t.  The quotient dims are H_m.
-Regularity reads off H too: with A = R / I_{a-1} and d = deg f_a, the
-exact sequence
+Both results rest on one table, the Hilbert functions of the prefix
+quotients: H_a(t) = dim (R / I_a)_t with I_a = (f_1, ..., f_a).
+ideal_quotient_dims builds it: for each degree t one Eliminator takes the
+ideal rows of f_1, ..., f_m in sequence order, and its rank after f_a is
+dim (I_a)_t.  The quotient dims are H_m, the table's last entry.
+regular_sequence_check reads the certificate off the same table, with no
+elimination of its own: with A = R / I_{a-1} and d = deg f_a, the exact
+sequence
 
     0 -> K_t -> A_t --f_a--> A_{t+d} -> (A / f_a A)_{t+d} -> 0
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import Eliminator
-from .polyring import Polynomial, monomials_of_degree
+from .polyring import ideal_piece
 
 __all__ = [
     "KoszulSpec",
@@ -60,36 +62,6 @@ class KoszulSpec:
         return tuple(f.degree() for f in self.sequence)
 
 
-def _ideal_rows(ring, gens, t):
-    """Spanning rows (over exponent keys) of the degree-t piece of the
-    ideal generated by gens."""
-    rows = []
-    for f in gens:
-        df = f.degree()
-        if df > t:
-            continue
-        for e in monomials_of_degree(ring, t - df):
-            prod = Polynomial(ring, {e: 1}) * f
-            rows.append(dict(prod.terms))
-    return rows
-
-
-def _prefix_quotient_dims(spec, window):
-    """hilb[a][t] = dim (R / (f_1, ..., f_a))_t for a <= m and t <= window,
-    from one elimination per degree (see the module docstring)."""
-    ring = spec.ring
-    # hilb[0][t] = dim R_t, the coefficients of 1 / prod(1 - t^w_v)
-    hilb = [ci_hilbert(ring.weights, (), window)]
-    hilb += [[] for _ in spec.sequence]
-    for t, dim_rt in enumerate(hilb[0]):
-        e = Eliminator()
-        for a, f in enumerate(spec.sequence, start=1):
-            for r in _ideal_rows(ring, (f,), t):
-                e.add_row(r)
-            hilb[a].append(dim_rt - e.rank)
-    return hilb
-
-
 @dataclass
 class RegularityCertificate:
     """Per-element degreewise injectivity report, valid up to `window`."""
@@ -103,14 +75,16 @@ class RegularityCertificate:
         return all(self.ok)
 
 
-def regular_sequence_check(spec, window):
+def regular_sequence_check(spec, hilb):
     """Certify, degree by degree through the window, that each f_alpha is
     injective by multiplication on R/(f_1, ..., f_{alpha-1}).
 
-    A failure is reported with the degree of the offending target
-    (deg g + deg f_alpha), not raised.
+    hilb is the prefix table that ideal_quotient_dims returns for spec;
+    the window is that of the table, len(hilb[0]) - 1.  A failure is
+    reported with the degree of the offending target (deg g + deg
+    f_alpha), not raised.
     """
-    hilb = _prefix_quotient_dims(spec, window)
+    window = len(hilb[0]) - 1
     cert = RegularityCertificate(window)
     for a, f in enumerate(spec.sequence, start=1):
         df = f.degree()
@@ -147,8 +121,21 @@ def ci_hilbert(var_degrees, seq_degrees, window):
 
 
 def ideal_quotient_dims(spec, window):
-    """{t: dim (R / (sequence))_t} for t <= window."""
-    return dict(enumerate(_prefix_quotient_dims(spec, window)[-1]))
+    """The prefix table [H_0, ..., H_m] of the module docstring: H_a is
+    {t: dim (R / (f_1, ..., f_a))_t} for t <= window, so the last entry
+    holds the quotient dims of the whole sequence.  One elimination per
+    degree."""
+    ring = spec.ring
+    # H_0(t) = dim R_t, the coefficients of 1 / prod(1 - t^w_v)
+    hilb = [dict(enumerate(ci_hilbert(ring.weights, (), window)))]
+    hilb += [{} for _ in spec.sequence]
+    for t, dim_rt in hilb[0].items():
+        e = Eliminator()
+        for a, f in enumerate(spec.sequence, start=1):
+            for p in ideal_piece(ring, (f,), t):
+                e.add_row(p.terms)
+            hilb[a][t] = dim_rt - e.rank
+    return hilb
 
 
 def quotient_class_independence(spec, classes, degree):
@@ -163,8 +150,8 @@ def quotient_class_independence(spec, classes, degree):
         if c.ring != ring:
             raise ValueError("class from the wrong ring")
     e = Eliminator()
-    for r in _ideal_rows(ring, spec.sequence, degree):
-        e.add_row(r)
+    for p in ideal_piece(ring, spec.sequence, degree):
+        e.add_row(p.terms)
     base = e.rank
     for c in classes:
         e.add_row(dict(c.terms))

@@ -26,6 +26,7 @@ __all__ = [
     "SkRing",
     "Polynomial",
     "monomials_of_degree",
+    "ideal_piece",
     "r_gen",
     "q_gen",
     "c_gen",
@@ -279,6 +280,17 @@ def monomials_of_degree(ring, d, varset=None):
     out = []
     _extend_monomials(ring.weights, sorted(varset), 0, d, [0] * ring.nvars,
                       out)
+    return out
+
+
+def ideal_piece(ring, gens, t):
+    """The products m * f spanning the degree-t piece of the ideal (gens),
+    m running over the monomials of degree t - deg f, generator by
+    generator in order."""
+    out = []
+    for f in gens:
+        for e in monomials_of_degree(ring, t - f.degree()):
+            out.append(Polynomial(ring, {e: 1}) * f)
     return out
 
 

@@ -240,13 +240,6 @@ def einf_and_converge(ring, part, max_degree, buffer=4):
     certified by recomputing at r + 2 and r + 4.
     """
     n, D = ring.n, max_degree
-    comp = SpectralComputer(ring, part, D)
-    p_min = regrade(0, D)[0]
-    r_max = max(2, 2 * n - p_min + 1)
-    pages = {r: comp.page(r) for r in (r_max, r_max + 2, r_max + 4)}
-
-    rep = ConvergenceReport(part, D, r_max, einf=pages[r_max])
-
     gr = {}
     gr_stab = {}
     for ell in range(n + 1):
@@ -256,6 +249,13 @@ def einf_and_converge(ring, part, max_degree, buffer=4):
             if dc.dims[t]:
                 gr[cell] = dc.dims[t]
             gr_stab[cell] = dc.stabilized[t]
+
+    comp = SpectralComputer(ring, part, D)
+    p_min = regrade(0, D)[0]
+    r_max = max(2, 2 * n - p_min + 1)
+    pages = {r: comp.page(r) for r in (r_max, r_max + 2, r_max + 4)}
+
+    rep = ConvergenceReport(part, D, r_max, einf=pages[r_max])
     rep.gr_dims = gr
     rep.gr_stabilized = gr_stab
 

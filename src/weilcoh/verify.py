@@ -215,11 +215,12 @@ def suite_koszul(n, k, seed, max_degree=4):
     if k >= n:
         R = FockRing(n, k)
         spec = KoszulSpec(R, [q_gen(R, a) for a in range(1, n + 1)])
-        cert = regular_sequence_check(spec, max_degree)
+        hilb = ideal_quotient_dims(spec, max_degree)
+        cert = regular_sequence_check(spec, hilb)
         _verdict(results, "q-sequence is regular through the window",
                  cert.regular, "failures at %s" % cert.failure_degree
                  if not cert.regular else "degree %d" % max_degree)
-        quo = ideal_quotient_dims(spec, max_degree)
+        quo = hilb[-1]
         try:
             expect = ci_hilbert((1,) * R.nvars, (2,) * n, max_degree)
             agree = [quo[t] for t in range(max_degree + 1)] == expect
@@ -231,7 +232,9 @@ def suite_koszul(n, k, seed, max_degree=4):
 
     kk = min(k, 2)
     S, cs = sk_c_sequence(kk)
-    cert = regular_sequence_check(KoszulSpec(S, cs), max_degree + 2)
+    cspec = KoszulSpec(S, cs)
+    cert = regular_sequence_check(
+        cspec, ideal_quotient_dims(cspec, max_degree + 2))
     _verdict(results, "c-sequence is regular through the window",
              cert.regular, "k=%d" % kk)
     return results

@@ -14,11 +14,11 @@ from math import comb
 
 import pytest
 
+from weilcoh import cli, koszul, verify
 from weilcoh.exterior import wedge_bits
 from weilcoh.koszul import (
     KoszulSpec,
     RegularityCertificate,
-    _ideal_rows,
     ci_hilbert,
     ideal_quotient_dims,
     quotient_class_independence,
@@ -31,6 +31,7 @@ from weilcoh.polyring import (
     Ring,
     SkRing,
     c_gen,
+    ideal_piece,
     minor,
     monomials_of_degree,
     q_gen,
@@ -111,8 +112,8 @@ def koszul_cohomology_dims(spec, ell, window):
 
 def _ideal_rank(ring, gens, t):
     e = Eliminator()
-    for r in _ideal_rows(ring, gens, t):
-        e.add_row(r)
+    for p in ideal_piece(ring, gens, t):
+        e.add_row(p.terms)
     return e.rank
 
 
@@ -132,10 +133,10 @@ def stepwise_regular_sequence_check(spec, window):
         for t in range(0, window - df + 1):
             # {g in R_t : f g in I_{t+df}} modulo I_t must vanish
             dim_rt = _monomial_count(ring, t)
-            ideal_hi = _ideal_rows(ring, prefix, t + df)
+            ideal_hi = ideal_piece(ring, prefix, t + df)
             e = Eliminator()
-            for r in ideal_hi:
-                e.add_row(r)
+            for p in ideal_hi:
+                e.add_row(p.terms)
             rank_ideal_hi = e.rank
             for expo in monomials_of_degree(ring, t):
                 prod = Polynomial(ring, {expo: 1}) * f
@@ -197,18 +198,18 @@ def test_koszul_vanishing_below_top_for_regular():
             h = koszul_cohomology_dims(spec, ell, 5)
             assert all(v == 0 for v in h.values()), (n, k, ell)
         top = koszul_cohomology_dims(spec, n, 5)
-        quo = ideal_quotient_dims(spec, 5)
+        quo = ideal_quotient_dims(spec, 5)[-1]
         assert top == quo
 
 
 def test_regularity_trivial():
     S = SkRing(1)
-    cert = regular_sequence_check(KoszulSpec(S, [S.what_var(1)]), 8)
+    spec = KoszulSpec(S, [S.what_var(1)])
+    cert = regular_sequence_check(spec, ideal_quotient_dims(spec, 8))
     assert cert.regular
 
-    cert = regular_sequence_check(
-        KoszulSpec(S, [S.what_var(1), S.what_var(1)]), 6
-    )
+    spec = KoszulSpec(S, [S.what_var(1), S.what_var(1)])
+    cert = regular_sequence_check(spec, ideal_quotient_dims(spec, 6))
     assert cert.ok == [True, False]
     assert cert.failure_degree[1] == 1
 
@@ -216,13 +217,15 @@ def test_regularity_trivial():
 def test_regularity_q_sequence():
     R = FockRing(2, 2)
     spec = KoszulSpec(R, [q_gen(R, 1), q_gen(R, 2)])
-    assert regular_sequence_check(spec, 6).regular
+    assert regular_sequence_check(spec, ideal_quotient_dims(spec, 6)).regular
 
 
 def test_regularity_c_sequence():
     for k in (1, 2):
         S, seq = sk_c_sequence(k)
-        assert regular_sequence_check(KoszulSpec(S, seq), 6).regular
+        spec = KoszulSpec(S, seq)
+        assert regular_sequence_check(spec,
+                                      ideal_quotient_dims(spec, 6)).regular
 
 
 def test_regularity_permutation_robustness():
@@ -231,13 +234,17 @@ def test_regularity_permutation_robustness():
     offdiag = [R.z_var(1, 2), R.z_var(2, 1)]
     qs = [q_gen(R, 1), q_gen(R, 2)]
     for seq in (offdiag + qs, [qs[0], offdiag[1], offdiag[0], qs[1]]):
-        assert regular_sequence_check(KoszulSpec(R, seq), 4).regular, seq
+        spec = KoszulSpec(R, seq)
+        assert regular_sequence_check(
+            spec, ideal_quotient_dims(spec, 4)).regular, seq
 
     # super-diagonal r's followed by the c's in S_2, both orders
     S, cs = sk_c_sequence(2)
     rsup = [S.rhat_var(1, 2)]
     for seq in (rsup + cs, [cs[0], rsup[0], cs[1]]):
-        assert regular_sequence_check(KoszulSpec(S, seq), 6).regular, seq
+        spec = KoszulSpec(S, seq)
+        assert regular_sequence_check(
+            spec, ideal_quotient_dims(spec, 6)).regular, seq
 
 
 def test_ci_hilbert():
@@ -252,32 +259,33 @@ def test_ci_hilbert():
 def test_empty_window():
     # a negative window holds no degree: nothing to count or certify
     spec = KoszulSpec(qx(), [qx().var(0)])
-    assert ideal_quotient_dims(spec, -1) == {}
-    assert regular_sequence_check(spec, -1).ok == [True]
+    hilb = ideal_quotient_dims(spec, -1)
+    assert hilb[-1] == {}
+    assert regular_sequence_check(spec, hilb).ok == [True]
 
 
 def test_ideal_quotient_dims():
     R = FockRing(1, 1)
     spec = KoszulSpec(R, [q_gen(R, 1)])  # q_1 = z w
-    got = ideal_quotient_dims(spec, 6)
+    got = ideal_quotient_dims(spec, 6)[-1]
     assert [got[t] for t in range(7)] == [1, 2, 2, 2, 2, 2, 2]
 
     S, cs = sk_c_sequence(2)
-    got = ideal_quotient_dims(KoszulSpec(S, cs), 6)
+    got = ideal_quotient_dims(KoszulSpec(S, cs), 6)[-1]
     # (1-t^3)^2 / ((1-t^2)^3 (1-t)^2)
     expect = ci_hilbert((2, 2, 2, 1, 1), (3, 3), 6)
     assert [got[t] for t in range(7)] == expect
 
     R23 = FockRing(2, 3)
     spec = KoszulSpec(R23, [q_gen(R23, 1), q_gen(R23, 2)])
-    got = ideal_quotient_dims(spec, 4)
+    got = ideal_quotient_dims(spec, 4)[-1]
     expect = ci_hilbert((1,) * 9, (2, 2), 4)
     assert [got[t] for t in range(5)] == expect
 
 
 def test_empty_sequence_free_ring():
     S = SkRing(2)
-    got = ideal_quotient_dims(KoszulSpec(S, ()), 5)
+    got = ideal_quotient_dims(KoszulSpec(S, ()), 5)[-1]
     expect = ci_hilbert(S.weights, (), 5)
     assert [got[t] for t in range(6)] == expect
 
@@ -404,13 +412,34 @@ def test_certificate_matches_stepwise_oracle(build, window, regular):
     # elimination of the whole ideal in each degree
     seq = build()
     spec = KoszulSpec(seq[0].ring, seq)
-    cert = regular_sequence_check(spec, window)
+    hilb = ideal_quotient_dims(spec, window)
+    cert = regular_sequence_check(spec, hilb)
     oracle = stepwise_regular_sequence_check(spec, window)
     assert cert.regular == regular
     assert cert.ok == oracle.ok
     assert cert.failure_degree == oracle.failure_degree
     ring = spec.ring
-    assert ideal_quotient_dims(spec, window) == {
+    assert hilb[-1] == {
         t: _monomial_count(ring, t) - _ideal_rank(ring, spec.sequence, t)
         for t in range(window + 1)
     }
+
+
+def test_one_elimination_per_degree(monkeypatch, capsys):
+    # the prefix table is eliminated once per call: the certificate reads
+    # the table that ideal_quotient_dims built
+    made = []
+
+    class CountingEliminator(Eliminator):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(koszul, "Eliminator", CountingEliminator)
+    assert cli.main(["koszul", "--model", "q", "--n", "2", "--k", "2",
+                     "--max-degree", "4"]) == 0
+    capsys.readouterr()
+    assert len(made) == 5  # degrees 0..4
+    made.clear()
+    assert all(v["pass"] for v in verify.suite_koszul(2, 2, 0))
+    assert len(made) == 5 + 7  # q through degree 4, c through degree 6

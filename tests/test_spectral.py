@@ -129,3 +129,33 @@ def test_converge_n2_k2_small_window():
     assert rep.einf.dims == rep.gr_dims
     assert rep.gr_dims == {regrade(2, t): d for t, d in
                            enumerate([1, 2, 7])}
+
+
+def test_bad_buffer_raises_before_the_pages(monkeypatch):
+    # the direct route runs first, so its buffer check fires before any
+    # family is built for the pages
+    def fail(*args, **kwargs):
+        pytest.fail("SpectralComputer built before the buffer was checked")
+
+    monkeypatch.setattr(SpectralComputer, "__init__", fail)
+    with pytest.raises(ValueError, match="buffer"):
+        einf_and_converge(FockRing(2, 2), "full", 2, buffer=3)
+
+
+def test_nonzero_d4_dies_at_e5():
+    # a hand-built filtered complex: x at level 0, degree 4, and y at
+    # level 1, degree 2, with d x = y.  d lowers the degree by 2, so it
+    # is a d_4 from (-4, 4) to (0, 1): both cells live through E_4 and
+    # die at E_5.  Shifting the B_r domain bound t - 3 + r either way
+    # changes E_4.
+    comp = object.__new__(SpectralComputer)
+    comp.ring = FockRing(1, 1)
+    comp.D = 4
+    comp.maxdom = 20
+    x = {(0, (4,)): 1}
+    y = {(1, (2,)): 1}
+    comp.blocks = {0: {(0,): {4: [(x, y)]}}, 1: {(0,): {2: [(y, {})]}}}
+    for r in range(1, 5):
+        assert comp.page(r).dims == {(-4, 4): 1, (0, 1): 1}, r
+    for r in range(5, 8):
+        assert comp.page(r).dims == {}, r
