@@ -251,9 +251,6 @@ def _validate(args):
         raise ValueError("--n must be in 1..8")
     if not (1 <= args.k <= 8):
         raise ValueError("--k must be in 1..8")
-    buf = getattr(args, "buffer", None)
-    if buf is not None and (buf < 2 or buf % 2):
-        raise ValueError("--buffer must be even and >= 2")
     D = getattr(args, "max_degree", None)
     if D is not None and D < 0:
         raise ValueError("--max-degree must be nonnegative")

@@ -85,7 +85,6 @@ __all__ = [
     "outer_product",
     "named_cochain",
     "phi1",
-    "phik",
     "Phi_J",
     "star_Phi_J",
     "involution",
@@ -97,6 +96,8 @@ __all__ = [
     "is_dominant",
     "orbit_size",
     "weight_blocks",
+    "dominant_pairs",
+    "check_buffer",
     "direct_cohomology_dims",
     "CohomologyReport",
     "invariant_quotient_dims",
@@ -288,14 +289,6 @@ def star_Phi_J(ring, J):
         s, comp = star_bits(bits_of(I), ring.n)
         out = out + Cochain(ring, ring.n - l, {comp: minor(ring, I, J).scale(s)})
     return out
-
-
-def phik(ring):
-    """The k-fold outer exterior product of phi_1 (equals Phi_{(1..k)})."""
-    c = phi1(FockRing(ring.n, 1))
-    for _ in range(ring.k - 1):
-        c = outer_product(c, phi1(FockRing(ring.n, 1)))
-    return c
 
 
 def named_cochain(which, ring, J=None, slot=1):
@@ -633,6 +626,25 @@ def invariant_family(ring, part, ell, degrees, dominant=False):
 
 
 # ---------------------------------------------------------------------------
+# rows of the dominant families
+
+
+def _row_pairs(vecs):
+    """(row, full-d image row) of each cochain, built as it is read."""
+    for v in vecs:
+        yield v.to_row(), diff(v, "full").to_row()
+
+
+def dominant_pairs(ring, part, ell, d):
+    """{weight: [(row, full-d image row)]} of the dominant invariant
+    family at bidegree (ell, d), in family order: the rows that the
+    direct route and the spectral pages eliminate."""
+    blocks = weight_blocks(
+        invariant_family(ring, part, ell, (d,), dominant=True))
+    return {mu: list(_row_pairs(block[d])) for mu, block in blocks.items()}
+
+
+# ---------------------------------------------------------------------------
 # direct graded cohomology with a truncation buffer
 
 
@@ -647,24 +659,29 @@ class CohomologyReport:
     stabilized: dict = field(default_factory=dict)   # degree -> bool
 
 
+def check_buffer(buffer):
+    """Raise ValueError unless the truncation buffer is even and >= 2."""
+    if buffer < 2 or buffer % 2:
+        raise ValueError("buffer must be even and >= 2")
+
+
 def _block_filtration(coc, dom, D, snapshots):
     """The filtration counts of one weight block.
 
-    coc and dom are {degree: [Cochain]} for the cocycle level and the
-    level below.  Returns {snapshot b: [F_t for t <= D]} with
-    F_t = rank(family, deg <= t) - rank(d of it) - dim(d(domain, deg <=
-    D + b) inside deg <= t).
+    coc and dom are {degree: iterable of (row, image row)} for the
+    cocycle level and the level below; each iterable is read once.
+    Returns {snapshot b: [F_t for t <= D]} with F_t = rank(family, deg <=
+    t) - rank(d of it) - dim(d(domain, deg <= D + b) inside deg <= t).
     """
     rank_v = [0] * (D + 1)
     rank_dv = [0] * (D + 1)
     ev = Eliminator()
     edv = Eliminator()
     for t in range(D + 1):
-        for v in coc.get(t, []):
-            ev.add_row(v.to_row())
-            dv = diff(v, "full")
-            if dv:
-                edv.add_row(dv.to_row())
+        for row, img in coc.get(t, ()):
+            ev.add_row(row)
+            if img:
+                edv.add_row(img)
         rank_v[t] = ev.rank
         rank_dv[t] = edv.rank
     # coboundary windows: one elimination, pivot order by degree
@@ -675,12 +692,11 @@ def _block_filtration(coc, dom, D, snapshots):
     prev = 0
     for b in snapshots:
         for t in range(prev, D + b + 1):
-            for u in dom.get(t, []):
-                du = diff(u, "full")
-                if du:
+            for _, img in dom.get(t, ()):
+                if img:
                     eb.add_row({
                         (-(sum(e)), bits, e): c
-                        for (bits, e), c in du.to_row().items()
+                        for (bits, e), c in img.items()
                     })
         prev = D + b + 1
         counts = [0] * (D + 1)
@@ -697,7 +713,23 @@ def _block_filtration(coc, dom, D, snapshots):
     return out
 
 
-def direct_cohomology_dims(ring, part, ell, max_degree, buffer=4):
+def _weight_pairs(ring, part, ell, degrees, store):
+    """{weight: {degree: (row, image row) pairs}} of the dominant families
+    at level ell: the store's cells, or without a store the cochains
+    built now and each row pair when it is read."""
+    if store is None:
+        return {mu: {d: _row_pairs(vecs) for d, vecs in block.items()}
+                for mu, block in weight_blocks(invariant_family(
+                    ring, part, ell, degrees, dominant=True)).items()}
+    out = {}
+    for d in degrees:
+        for mu, pairs in store.pairs(ell, d).items():
+            out.setdefault(mu, {})[d] = pairs
+    return out
+
+
+def direct_cohomology_dims(ring, part, ell, max_degree, buffer=4,
+                           store=None):
     """Graded dimensions of H^ell of the invariant complex.
 
     The cohomology is filtered (not graded) by polynomial degree; the
@@ -709,17 +741,22 @@ def direct_cohomology_dims(ring, part, ell, max_degree, buffer=4):
 
     Every F_t is a sum over the weight blocks, so only the dominant
     blocks are eliminated, each counted with its orbit size.
+
+    store, if given, supplies the rows: store.pairs(ell, d) returns the
+    dominant_pairs of the cell, as a spectral.SpectralComputer of the
+    same ring and part does, so a pages call builds each family once.
+    The route asks for every cell of its domain, through degree
+    max_degree + buffer + 4, itself.  Without a store the families are
+    built here and each image row is computed as it is read and then
+    dropped: one weight block's rows are alive at a time, and the images
+    of a whole domain can hold more entries than the cap.
     """
-    if buffer < 2 or buffer % 2:
-        raise ValueError("buffer must be even and >= 2")
+    check_buffer(buffer)
     D = max_degree
     maxdom = D + buffer + 4
-
-    coc = weight_blocks(
-        invariant_family(ring, part, ell, range(D + 1), dominant=True))
-    dom = weight_blocks(
-        invariant_family(ring, part, ell - 1, range(maxdom + 1),
-                         dominant=True)) if ell >= 1 else {}
+    coc = _weight_pairs(ring, part, ell, range(D + 1), store)
+    dom = _weight_pairs(ring, part, ell - 1, range(maxdom + 1), store) \
+        if ell >= 1 else {}
 
     snapshots = [buffer, buffer + 2, buffer + 4]
     F = {b: [0] * (D + 1) for b in snapshots}

@@ -34,7 +34,6 @@ __all__ = [
     "RegularityCertificate",
     "ci_hilbert",
     "ideal_quotient_dims",
-    "quotient_class_independence",
 ]
 
 
@@ -136,24 +135,3 @@ def ideal_quotient_dims(spec, window):
                 e.add_row(p.terms)
             hilb[a][t] = dim_rt - e.rank
     return hilb
-
-
-def quotient_class_independence(spec, classes, degree):
-    """Are the classes independent in (R/(sequence))_degree?
-
-    Returns (independent, rank-of-classes-in-quotient).
-    """
-    ring = spec.ring
-    for c in classes:
-        if not c or not c.is_homogeneous() or c.degree() != degree:
-            raise ValueError("classes must be homogeneous of the stated degree")
-        if c.ring != ring:
-            raise ValueError("class from the wrong ring")
-    e = Eliminator()
-    for p in ideal_piece(ring, spec.sequence, degree):
-        e.add_row(p.terms)
-    base = e.rank
-    for c in classes:
-        e.add_row(dict(c.terms))
-    quotient_rank = e.rank - base
-    return quotient_rank == len(classes), quotient_rank

@@ -33,14 +33,20 @@ sum over the weight blocks; column permutations make blocks in one
 S_k-orbit isomorphic as filtered complexes, so only the dominant blocks
 are computed, each counted orbit_size(mu) times.  The same holds for
 E_1 and d2.
+
+A pages call (einf_and_converge) keeps one store of rows, its
+SpectralComputer: the (row, image row) pairs of every dominant family,
+one cell (ell, degree) at a time, built by fock.dominant_pairs.  The
+direct filtered cohomology it is compared with reads the same store, so
+each family and its image are built once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fock import cochain_weight, diff, direct_cohomology_dims, \
-    invariant_family, orbit_size, weight_blocks
+from .fock import check_buffer, diff, direct_cohomology_dims, \
+    dominant_pairs, invariant_family, orbit_size, weight_blocks
 from .linalg import ResourceCapError, SparseRationalMatrix, kernel_basis, \
     rank_of_rows, resolve_max_entries, span_intersect_window
 
@@ -77,8 +83,10 @@ def _row_degree(key):
 
 
 class SpectralComputer:
-    """Precomputes the invariant families of dominant weight and their
-    d-images once, then serves page dimensions for any r."""
+    """The store of one pages call: the (row, image row) pairs of the
+    dominant invariant families, each cell built once by dominant_pairs.
+    It serves page dimensions for any r, and the direct route of the same
+    call reads its rows through pairs."""
 
     def __init__(self, ring, part, max_degree):
         self.ring = ring
@@ -86,23 +94,30 @@ class SpectralComputer:
         self.D = max_degree
         n = ring.n
         self.maxdom = 2 * max_degree + 2 * n + 2
-        # ell -> weight -> {deg: [(row, image row)]}
+        # the stored rows alone can exhaust memory long before any single
+        # elimination does, so they share the entry cap
+        self.cap = resolve_max_entries()
+        self.stored = 0
+        self.cells = {}  # (ell, deg) -> weight -> [(row, image row)]
+        # ell -> weight -> {deg: [(row, image row)]}, deg <= maxdom
         self.blocks = {ell: {} for ell in range(n + 1)}
-        # the stored representatives alone can exhaust memory long before
-        # any single elimination does, so they share the entry cap
-        cap = resolve_max_entries()
-        stored = 0
         for ell in range(n + 1):
             for d in range(self.maxdom + 1):
-                fam = invariant_family(ring, part, ell, (d,), dominant=True)
-                for v in fam[d]:
-                    row = v.to_row()
-                    img = diff(v, "full").to_row()
-                    stored += len(row) + len(img)
-                    if stored > cap:
-                        raise ResourceCapError(stored, cap)
-                    self.blocks[ell].setdefault(cochain_weight(v), {}) \
-                        .setdefault(d, []).append((row, img))
+                for mu, pairs in self.pairs(ell, d).items():
+                    self.blocks[ell].setdefault(mu, {})[d] = pairs
+
+    def pairs(self, ell, d):
+        """{weight: [(row, image row)]} of the cell (ell, d), built on the
+        first request; the pages read the cells through maxdom only."""
+        cell = self.cells.get((ell, d))
+        if cell is None:
+            cell = self.cells[ell, d] = dominant_pairs(self.ring, self.part,
+                                                       ell, d)
+            self.stored += sum(len(row) + len(img) for pairs in cell.values()
+                               for row, img in pairs)
+            if self.stored > self.cap:
+                raise ResourceCapError(self.stored, self.cap)
+        return cell
 
     def _pairs_upto(self, ell, mu, t):
         """(row, image-row) pairs of the weight-mu family at level ell,
@@ -237,20 +252,22 @@ def einf_and_converge(ring, part, max_degree, buffer=4):
 
     E_r stabilizes once r exceeds r(p) = 2n - p + 1 for every cell of the
     window except for the growing domain of B_r; both effects are
-    certified by recomputing at r + 2 and r + 4.
+    certified by recomputing at r + 2 and r + 4.  The direct route reads
+    its rows from the pages' store, so each family is built once.
     """
+    check_buffer(buffer)
     n, D = ring.n, max_degree
+    comp = SpectralComputer(ring, part, D)
     gr = {}
     gr_stab = {}
     for ell in range(n + 1):
-        dc = direct_cohomology_dims(ring, part, ell, D, buffer)
+        dc = direct_cohomology_dims(ring, part, ell, D, buffer, store=comp)
         for t in range(D + 1):
             cell = regrade(ell, t)
             if dc.dims[t]:
                 gr[cell] = dc.dims[t]
             gr_stab[cell] = dc.stabilized[t]
 
-    comp = SpectralComputer(ring, part, D)
     p_min = regrade(0, D)[0]
     r_max = max(2, 2 * n - p_min + 1)
     pages = {r: comp.page(r) for r in (r_max, r_max + 2, r_max + 4)}

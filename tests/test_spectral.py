@@ -2,7 +2,14 @@
 
 import pytest
 
-from weilcoh.fock import invariant_quotient_dims, orbit_size
+import weilcoh.fock as fock
+import weilcoh.spectral as spectral
+from weilcoh.fock import (
+    diff,
+    direct_cohomology_dims,
+    invariant_quotient_dims,
+    orbit_size,
+)
 from weilcoh.linalg import Eliminator
 from weilcoh.polyring import FockRing, q_gen
 from weilcoh.spectral import (
@@ -140,6 +147,58 @@ def test_bad_buffer_raises_before_the_pages(monkeypatch):
     monkeypatch.setattr(SpectralComputer, "__init__", fail)
     with pytest.raises(ValueError, match="buffer"):
         einf_and_converge(FockRing(2, 2), "full", 2, buffer=3)
+
+
+def test_pages_build_each_family_once(monkeypatch):
+    # the direct route reads the store of the pages, so a pages call
+    # differentiates exactly what its SpectralComputer alone does
+    calls = []
+
+    def counted(c, mode="full"):
+        calls.append(mode)
+        return diff(c, mode)
+
+    monkeypatch.setattr(fock, "diff", counted)
+    monkeypatch.setattr(spectral, "diff", counted)
+    SpectralComputer(FockRing(2, 2), "full", 2)
+    alone = len(calls)
+    calls.clear()
+    einf_and_converge(FockRing(2, 2), "full", 2)
+    assert alone and len(calls) == alone
+
+
+class RecordingStore:
+    """A SpectralComputer that records the cells the direct route asks
+    it for."""
+
+    def __init__(self, comp):
+        self.comp = comp
+        self.requests = set()
+
+    def pairs(self, ell, d):
+        self.requests.add((ell, d))
+        return self.comp.pairs(ell, d)
+
+
+@pytest.mark.parametrize("n,k,part,D", [(1, 1, "full", 2),
+                                        (2, 2, "full", 1)])
+def test_shared_route_reads_its_whole_domain(n, k, part, D):
+    # at buffer 8 the domain reaches degree D + 12, past the maxdom of the
+    # store, and the route must ask for all of it.  A route that stopped
+    # at maxdom still gives the standalone reports at these shapes, so
+    # the requests themselves are checked
+    R = FockRing(n, k)
+    buffer = 8
+    comp = SpectralComputer(R, part, D)
+    assert D + buffer + 4 > comp.maxdom
+    for ell in range(n + 1):
+        rec = RecordingStore(comp)
+        rep = direct_cohomology_dims(R, part, ell, D, buffer, store=rec)
+        want = {(ell, d) for d in range(D + 1)}
+        if ell >= 1:
+            want |= {(ell - 1, d) for d in range(D + buffer + 5)}
+        assert rec.requests == want, ell
+        assert rep == direct_cohomology_dims(R, part, ell, D, buffer), ell
 
 
 def test_nonzero_d4_dies_at_e5():

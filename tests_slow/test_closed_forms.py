@@ -1,9 +1,9 @@
 """Slow tier: closed forms of the paper at windows tier-1 does not reach.
 
 Tier-1 collects only `tests/` (`testpaths` in pyproject.toml), so this
-directory runs on request:
+directory runs on request (`pythonpath` there puts `src` on the path):
 
-    PYTHONPATH=src python -m pytest tests_slow
+    python -m pytest tests_slow
 
 The three checks take about a minute and a half together.
 """
