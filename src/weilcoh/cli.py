@@ -14,6 +14,11 @@ JSON is the canonical output (schema "weilcoh/1"); CSV is a lossy
 projection of the tables.  With a fixed seed the output is byte-identical
 across runs apart from the "timing" field.
 
+Every cell carries "stabilized": true, and the CSV column of that name
+always reads true: the truncation of the degree window is exact by the
+descent lemma of weilcoh.fock, so no cell rests on a sampled
+truncation.  The key stays so that the weilcoh/1 schema is unchanged.
+
 Exit codes: 0 success, 1 a verdict failed, 2 invalid arguments,
 3 resource-cap abort.  A document is emitted even on failure.
 """
@@ -41,9 +46,8 @@ from .verify import SUITES, run_suite
 __all__ = ["main"]
 
 
-def _cell(ell, degree, dim, stabilized):
-    return {"ell": ell, "degree": degree, "dim": dim,
-            "stabilized": bool(stabilized)}
+def _cell(ell, degree, dim):
+    return {"ell": ell, "degree": degree, "dim": dim, "stabilized": True}
 
 
 def _parse_ell(text, n):
@@ -96,11 +100,10 @@ def _hilbert_series(args):
 def _cmd_cohom(args, doc):
     ring = FockRing(args.n, args.k)
     for ell in _parse_ell(args.ell, args.n):
-        rep = direct_cohomology_dims(ring, args.part, ell,
-                                     args.max_degree, args.buffer)
+        rep = direct_cohomology_dims(ring, args.part, ell, args.max_degree)
         doc["tables"].append({
             "name": "cohomology part=%s ell=%d" % (args.part, ell),
-            "cells": [_cell(ell, t, rep.dims[t], rep.stabilized[t])
+            "cells": [_cell(ell, t, rep.dims[t])
                       for t in range(args.max_degree + 1)],
         })
 
@@ -110,18 +113,17 @@ def _cmd_e1(args, doc):
     cells = []
     for (p, q), dim in sorted(page.dims.items()):
         ell, t = unregrade(p, q)
-        cells.append(_cell(ell, t, dim, True))
+        cells.append(_cell(ell, t, dim))
     doc["tables"].append({"name": "E1 part=%s" % args.part, "cells": cells})
 
 
 def _cmd_pages(args, doc):
     rep = einf_and_converge(FockRing(args.n, args.k), args.part,
-                            args.max_degree, args.buffer)
+                            args.max_degree)
     cells = []
     for (p, q), dim in sorted(rep.einf.dims.items()):
         ell, t = unregrade(p, q)
-        cells.append(_cell(ell, t, dim,
-                           rep.einf_stabilized.get((p, q), False)))
+        cells.append(_cell(ell, t, dim))
     doc["tables"].append({
         "name": "Einf part=%s r=%d" % (args.part, rep.r_max),
         "cells": cells,
@@ -129,8 +131,7 @@ def _cmd_pages(args, doc):
     cells = []
     for (p, q), dim in sorted(rep.gr_dims.items()):
         ell, t = unregrade(p, q)
-        cells.append(_cell(ell, t, dim,
-                           rep.gr_stabilized.get((p, q), False)))
+        cells.append(_cell(ell, t, dim))
     doc["tables"].append({
         "name": "graded cohomology part=%s" % args.part,
         "cells": cells,
@@ -138,8 +139,8 @@ def _cmd_pages(args, doc):
     doc["verdicts"].append({
         "name": "Einf matches graded cohomology",
         "pass": rep.ok,
-        "detail": "agreements %d, mismatches %s, inconclusive %s" % (
-            len(rep.agreements), rep.mismatches, sorted(rep.inconclusive)),
+        "detail": "agreements %d, mismatches %s" % (
+            len(rep.agreements), rep.mismatches),
     })
 
 
@@ -157,7 +158,7 @@ def _cmd_koszul(args, doc):
     quo = hilb[-1]
     doc["tables"].append({
         "name": "quotient dims model=%s" % args.model,
-        "cells": [_cell(len(spec.sequence), t, quo[t], True)
+        "cells": [_cell(len(spec.sequence), t, quo[t])
                   for t in range(D + 1)],
     })
 
@@ -166,7 +167,7 @@ def _cmd_hilbert(args, doc):
     coeffs = _hilbert_series(args)
     doc["tables"].append({
         "name": "hilbert model=%s" % args.model,
-        "cells": [_cell(0, t, c, True) for t, c in enumerate(coeffs)],
+        "cells": [_cell(0, t, c) for t, c in enumerate(coeffs)],
     })
 
 
@@ -197,7 +198,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n=True, k=True, part=False, degree=False, buffer=False):
+    def common(p, n=True, k=True, part=False, degree=False):
         if n:
             p.add_argument("--n", type=int, default=2)
         if k:
@@ -207,13 +208,11 @@ def _build_parser():
                            default="full")
         if degree:
             p.add_argument("--max-degree", type=int, default=4)
-        if buffer:
-            p.add_argument("--buffer", type=int, default=4)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--max-entries", type=int, default=None)
 
     p = sub.add_parser("cohom", help="direct graded cohomology dims")
-    common(p, part=True, degree=True, buffer=True)
+    common(p, part=True, degree=True)
     p.add_argument("--ell", default="0..0",
                    help="single level or range a..b")
     p.set_defaults(func=_cmd_cohom)
@@ -223,7 +222,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_e1)
 
     p = sub.add_parser("pages", help="E-infinity and convergence report")
-    common(p, part=True, degree=True, buffer=True)
+    common(p, part=True, degree=True)
     p.set_defaults(func=_cmd_pages)
 
     p = sub.add_parser("koszul", help="regularity and quotient dims")

@@ -51,6 +51,38 @@ dominant blocks (mu_1 >= ... >= mu_k) are built and eliminated, and each
 is counted orbit_size(mu) = |S_k mu| times.  The family builder knows a
 vector's weight from the data that builds it, before any product, and
 refuses to emit a vector that is not a weight vector of that weight.
+
+Descent lemma.  Let y be an invariant cochain at level l-1 whose
+coboundary dy has polynomial degree <= t, and let m >= t - 1 be the top
+degree of y.  The degree-(m+2) part of dy is d2 y_m, so d2 y_m = 0.  If
+E_1 = H(d2) vanishes at level l-1 in degree m, then y_m = d2 u for an
+invariant u at level l-2 (y_m = 0 if l = 1), and y - du has the same
+coboundary and top degree below m, since du = d2 u + dm2 u with dm2 u of
+degree m - 4.  Repeating, every coboundary inside degree <= t is d of a
+cochain of degree <= t - 2.  The weight blocks are direct summands
+preserved by d, d2 and the degree, so the lemma holds block by block.
+
+Its hypothesis, E_1 = 0 at every level that is ever a domain, holds for
+every (n, k) and part:
+  - k >= n: on Lambda(C^n) (x) P_k, d2 is +-sum_alpha omega_alpha ^ q_alpha,
+    the Koszul complex of q_1..q_n.  Under lex order with z_11 > ... >
+    z_nn above all other variables, LT(q_alpha) = z_alpha,alpha w_alpha,
+    and these are pairwise coprime; so the q_alpha are a Groebner basis
+    (Buchberger's first criterion; Cox, Little and O'Shea, Ideals,
+    Varieties, and Algorithms, ch. 2, section 9) with a monomial
+    complete-intersection initial ideal, hence a regular sequence.  The
+    Koszul complex is exact below level n, taking SO(n)-invariants keeps
+    it exact (SO(n) is reductive), and iota splits each part off as a
+    summand.  So E_1 sits on level n, which is never a domain.
+  - k < n: E_1 of the +1 part is the Koszul homology over S_k of the
+    variables what_1..what_k, and of the -1 part that of c_1..c_k, whose
+    leading terms under lex with rhat_11 > ... > rhat_kk first are
+    rhat_jj what_j, pairwise coprime.  So E_1 sits on level k (+1 part)
+    and level n (-1 part); level k of the +1 part is no domain either,
+    because C_+^{k+1} = 0.  The full complex is the direct sum of its
+    two parts (iota splits it), so there the lemma holds part by part.
+The tests check the leading terms on the polynomials themselves, and
+E_1 = 0 at every domain level with e1_dims.
 """
 
 from __future__ import annotations
@@ -97,7 +129,6 @@ __all__ = [
     "orbit_size",
     "weight_blocks",
     "dominant_pairs",
-    "check_buffer",
     "direct_cohomology_dims",
     "CohomologyReport",
     "invariant_quotient_dims",
@@ -635,6 +666,12 @@ def _row_pairs(vecs):
         yield v.to_row(), diff(v, "full").to_row()
 
 
+def _image_rows(vecs):
+    """The full-d image row of each cochain, built as it is read."""
+    for v in vecs:
+        yield diff(v, "full").to_row()
+
+
 def dominant_pairs(ring, part, ell, d):
     """{weight: [(row, full-d image row)]} of the dominant invariant
     family at bidegree (ell, d), in family order: the rows that the
@@ -645,7 +682,8 @@ def dominant_pairs(ring, part, ell, d):
 
 
 # ---------------------------------------------------------------------------
-# direct graded cohomology with a truncation buffer
+# direct graded cohomology (the truncation is the descent lemma of the
+# module docstring)
 
 
 @dataclass
@@ -653,127 +691,90 @@ class CohomologyReport:
     part: str
     ell: int
     max_degree: int
-    buffer: int
     dims: dict = field(default_factory=dict)         # degree -> dim of gr_d H
     filtration: dict = field(default_factory=dict)   # degree -> dim F_d H
-    stabilized: dict = field(default_factory=dict)   # degree -> bool
 
 
-def check_buffer(buffer):
-    """Raise ValueError unless the truncation buffer is even and >= 2."""
-    if buffer < 2 or buffer % 2:
-        raise ValueError("buffer must be even and >= 2")
+def _block_filtration(coc, dom, D):
+    """The filtration counts [F_t for t <= D] of one weight block.
 
-
-def _block_filtration(coc, dom, D, snapshots):
-    """The filtration counts of one weight block.
-
-    coc and dom are {degree: iterable of (row, image row)} for the
-    cocycle level and the level below; each iterable is read once.
-    Returns {snapshot b: [F_t for t <= D]} with F_t = rank(family, deg <=
-    t) - rank(d of it) - dim(d(domain, deg <= D + b) inside deg <= t).
+    coc is {degree: iterable of (row, image row)} for the cocycle level,
+    dom {degree: iterable of image row} for the level below, through
+    degree D - 2; each iterable is read once.  F_t = rank(family, deg <=
+    t) - rank(d of it) - rank(d(domain, deg <= t - 2)), the last term
+    being the coboundaries inside degree <= t by the descent lemma.
     """
-    rank_v = [0] * (D + 1)
-    rank_dv = [0] * (D + 1)
-    ev = Eliminator()
-    edv = Eliminator()
+    ev, edv, eb = Eliminator(), Eliminator(), Eliminator()
+    F = []
     for t in range(D + 1):
         for row, img in coc.get(t, ()):
             ev.add_row(row)
             if img:
                 edv.add_row(img)
-        rank_v[t] = ev.rank
-        rank_dv[t] = edv.rank
-    # coboundary windows: one elimination, pivot order by degree
-    # descending so that the pivot rows with small pivot degree count
-    # the span inside every window at once
-    eb = Eliminator()
-    out = {}
-    prev = 0
-    for b in snapshots:
-        for t in range(prev, D + b + 1):
-            for _, img in dom.get(t, ()):
-                if img:
-                    eb.add_row({
-                        (-(sum(e)), bits, e): c
-                        for (bits, e), c in img.items()
-                    })
-        prev = D + b + 1
-        counts = [0] * (D + 1)
-        for pivot in eb.pivots:
-            deg = -pivot[0]
-            if deg <= D:
-                counts[deg] += 1
-        run = 0
-        F = [0] * (D + 1)
-        for t in range(D + 1):
-            run += counts[t]
-            F[t] = rank_v[t] - rank_dv[t] - run
-        out[b] = F
-    return out
+        for img in dom.get(t - 2, ()):
+            if img:
+                eb.add_row(img)
+        F.append(ev.rank - edv.rank - eb.rank)
+    return F
 
 
-def _weight_pairs(ring, part, ell, degrees, store):
-    """{weight: {degree: (row, image row) pairs}} of the dominant families
-    at level ell: the store's cells, or without a store the cochains
-    built now and each row pair when it is read."""
+def _weight_rows(ring, part, ell, degrees, store, images=False):
+    """{weight: {degree: iterable}} of the dominant families at level
+    ell: the (row, image row) pairs, or with images set the image rows
+    alone.  They are the store's cells, or without a store read off the
+    cochains built now, each row computed when it is read."""
     if store is None:
-        return {mu: {d: _row_pairs(vecs) for d, vecs in block.items()}
+        read = _image_rows if images else _row_pairs
+        return {mu: {d: read(vecs) for d, vecs in block.items()}
                 for mu, block in weight_blocks(invariant_family(
                     ring, part, ell, degrees, dominant=True)).items()}
     out = {}
     for d in degrees:
         for mu, pairs in store.pairs(ell, d).items():
-            out.setdefault(mu, {})[d] = pairs
+            out.setdefault(mu, {})[d] = \
+                [img for _, img in pairs] if images else pairs
     return out
 
 
-def direct_cohomology_dims(ring, part, ell, max_degree, buffer=4,
-                           store=None):
+def direct_cohomology_dims(ring, part, ell, max_degree, store=None):
     """Graded dimensions of H^ell of the invariant complex.
 
     The cohomology is filtered (not graded) by polynomial degree; the
     reported cell at degree t is gr_t = F_t - F_{t-1} where
     F_t = dim{cocycles of degree <= t} - dim(coboundaries inside degree
-    <= t).  Cocycles are exact; the coboundary span is computed from the
-    domain truncated at max_degree + buffer and certified stable by
-    recomputation at buffer + 2 and buffer + 4.
+    <= t).  Both terms are exact on the window: the cocycle level is read
+    through degree max_degree, and the domain level through max_degree -
+    2 only, because by the descent lemma (module docstring) every
+    coboundary inside degree <= t is d of a cochain of degree <= t - 2.
+    Its hypothesis, E_1 = 0 at the domain level, holds for every (n, k)
+    and part by the leading-term certificate stated there.
 
     Every F_t is a sum over the weight blocks, so only the dominant
-    blocks are eliminated, each counted with its orbit size.
+    blocks are eliminated, each counted with its orbit size.  A domain
+    block with no cocycle-level rows has zero images, so the blocks of
+    the cocycle level are all there is to count.
 
     store, if given, supplies the rows: store.pairs(ell, d) returns the
     dominant_pairs of the cell, as a spectral.SpectralComputer of the
     same ring and part does, so a pages call builds each family once.
-    The route asks for every cell of its domain, through degree
-    max_degree + buffer + 4, itself.  Without a store the families are
-    built here and each image row is computed as it is read and then
-    dropped: one weight block's rows are alive at a time, and the images
-    of a whole domain can hold more entries than the cap.
+    Without a store the families are built here, and each row is computed
+    as it is read and then dropped: the domain level yields its image
+    rows only, and one weight block's rows are alive at a time.
     """
-    check_buffer(buffer)
     D = max_degree
-    maxdom = D + buffer + 4
-    coc = _weight_pairs(ring, part, ell, range(D + 1), store)
-    dom = _weight_pairs(ring, part, ell - 1, range(maxdom + 1), store) \
-        if ell >= 1 else {}
-
-    snapshots = [buffer, buffer + 2, buffer + 4]
-    F = {b: [0] * (D + 1) for b in snapshots}
-    for mu in set(coc) | set(dom):
+    coc = _weight_rows(ring, part, ell, range(D + 1), store)
+    dom = _weight_rows(ring, part, ell - 1, range(D - 1), store,
+                       images=True) if ell >= 1 else {}
+    F = [0] * (D + 1)
+    for mu, block in coc.items():
         mult = orbit_size(mu)
-        block = _block_filtration(coc.get(mu, {}), dom.get(mu, {}), D,
-                                  snapshots)
-        for b in snapshots:
-            for t in range(D + 1):
-                F[b][t] += mult * block[b][t]
+        for t, f in enumerate(_block_filtration(block, dom.get(mu, {}), D)):
+            F[t] += mult * f
 
-    rep = CohomologyReport(part, ell, D, buffer)
+    rep = CohomologyReport(part, ell, D)
     for t in range(D + 1):
-        grs = [F[b][t] - (F[b][t - 1] if t else 0) for b in snapshots]
-        rep.dims[t] = grs[0]
-        rep.filtration[t] = F[buffer][t]
-        rep.stabilized[t] = grs[0] == grs[1] == grs[2]
+        rep.dims[t] = F[t] - (F[t - 1] if t else 0)
+        rep.filtration[t] = F[t]
     return rep
 
 

@@ -14,16 +14,21 @@ Pages are computed from the subspace formulas
 
 with explicit spanning rows over the ambient coordinates: B_r and
 Z_{r-1}^{p+1,q-1} both lie in Z_r, so dim E_r is the rank Z_r adds over
-B_r + Z_{r-1}, rank(Z_r rows) - rank(B_r rows + Z_{r-1} rows).  Z_r is
-exactly computable; the only growing ingredient is the domain of B_r,
-which is why E_infinity is certified by recomputation at larger r.
+B_r + Z_{r-1}, rank(Z_r rows) - rank(B_r rows + Z_{r-1} rows).
 
 e1_dims reads E_1 off the graded differential d' instead, independently
 of the Z/B formulas: d' = -d2 (d2 the degree-raising piece of d), so
 its ranks are those of d2.
 
-The stabilization bound is r(p) = 2n - p + 1: beyond it Z_r^{p,q} is the
-full cocycle space of the cell.
+Truncation.  In polynomial degree, the cell (ell, t) is E_r^{p,q} with
+p = 2 ell - t; Z_r asks deg(dx) <= t + 2 - r, and the domain of B_r is
+level ell - 1 through degree t - 3 + r.  The descent lemma of fock
+(every coboundary inside degree <= t is d of a cochain of degree
+<= t - 2, because E_1 vanishes at every domain level, by the
+leading-term certificate stated there) gives B_r = B_1 for every
+r >= 1, and Z_r is the full cocycle space of the cell once r > t + 2.
+So the pages of a window through degree D need the cells through
+degree D only, and E_r for r > D + 2 is E_infinity.
 
 Every space above is the direct sum of its parts in the torus weight
 blocks of the complex (see fock), because d, the filtration and the
@@ -36,17 +41,18 @@ E_1 and d2.
 
 A pages call (einf_and_converge) keeps one store of rows, its
 SpectralComputer: the (row, image row) pairs of every dominant family,
-one cell (ell, degree) at a time, built by fock.dominant_pairs.  The
-direct filtered cohomology it is compared with reads the same store, so
-each family and its image are built once per call.
+one cell (ell, degree) at a time through degree D, built by
+fock.dominant_pairs.  The direct filtered cohomology it is compared
+with reads the same store, so each family and its image are built once
+per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fock import check_buffer, diff, direct_cohomology_dims, \
-    dominant_pairs, invariant_family, orbit_size, weight_blocks
+from .fock import diff, direct_cohomology_dims, dominant_pairs, \
+    invariant_family, orbit_size, weight_blocks
 from .linalg import ResourceCapError, SparseRationalMatrix, kernel_basis, \
     rank_of_rows, resolve_max_entries, span_intersect_window
 
@@ -84,40 +90,36 @@ def _row_degree(key):
 
 class SpectralComputer:
     """The store of one pages call: the (row, image row) pairs of the
-    dominant invariant families, each cell built once by dominant_pairs.
-    It serves page dimensions for any r, and the direct route of the same
-    call reads its rows through pairs."""
+    dominant invariant families through degree max_degree, each cell
+    built once by dominant_pairs.  It serves page dimensions for any r,
+    and the direct route of the same call reads its rows through
+    pairs."""
 
     def __init__(self, ring, part, max_degree):
         self.ring = ring
         self.part = part
         self.D = max_degree
-        n = ring.n
-        self.maxdom = 2 * max_degree + 2 * n + 2
         # the stored rows alone can exhaust memory long before any single
         # elimination does, so they share the entry cap
-        self.cap = resolve_max_entries()
-        self.stored = 0
-        self.cells = {}  # (ell, deg) -> weight -> [(row, image row)]
-        # ell -> weight -> {deg: [(row, image row)]}, deg <= maxdom
-        self.blocks = {ell: {} for ell in range(n + 1)}
-        for ell in range(n + 1):
-            for d in range(self.maxdom + 1):
-                for mu, pairs in self.pairs(ell, d).items():
-                    self.blocks[ell].setdefault(mu, {})[d] = pairs
+        cap = resolve_max_entries()
+        stored = 0
+        # ell -> weight -> {deg: [(row, image row)]}, deg <= max_degree
+        self.blocks = {}
+        for ell in range(ring.n + 1):
+            level = self.blocks[ell] = {}
+            for d in range(max_degree + 1):
+                cell = dominant_pairs(ring, part, ell, d)
+                stored += sum(len(row) + len(img) for pairs in cell.values()
+                              for row, img in pairs)
+                if stored > cap:
+                    raise ResourceCapError(stored, cap)
+                for mu, pairs in cell.items():
+                    level.setdefault(mu, {})[d] = pairs
 
     def pairs(self, ell, d):
-        """{weight: [(row, image row)]} of the cell (ell, d), built on the
-        first request; the pages read the cells through maxdom only."""
-        cell = self.cells.get((ell, d))
-        if cell is None:
-            cell = self.cells[ell, d] = dominant_pairs(self.ring, self.part,
-                                                       ell, d)
-            self.stored += sum(len(row) + len(img) for pairs in cell.values()
-                               for row, img in pairs)
-            if self.stored > self.cap:
-                raise ResourceCapError(self.stored, self.cap)
-        return cell
+        """{weight: [(row, image row)]} of the stored cell (ell, d)."""
+        return {mu: block[d] for mu, block in self.blocks[ell].items()
+                if d in block}
 
     def _pairs_upto(self, ell, mu, t):
         """(row, image-row) pairs of the weight-mu family at level ell,
@@ -126,7 +128,7 @@ class SpectralComputer:
             return []
         block = self.blocks[ell].get(mu, {})
         out = []
-        for d in range(0, min(t, self.maxdom) + 1):
+        for d in range(min(t, self.D) + 1):
             out.extend(block.get(d, ()))
         return out
 
@@ -235,58 +237,46 @@ class ConvergenceReport:
     r_max: int
     einf: PageData = None
     gr_dims: dict = field(default_factory=dict)       # (p, q) -> dim
-    einf_stabilized: dict = field(default_factory=dict)
-    gr_stabilized: dict = field(default_factory=dict)
     agreements: list = field(default_factory=list)
     mismatches: list = field(default_factory=list)
-    inconclusive: list = field(default_factory=list)
 
     @property
     def ok(self):
         return not self.mismatches
 
 
-def einf_and_converge(ring, part, max_degree, buffer=4):
+def einf_and_converge(ring, part, max_degree):
     """Compute E_infinity on the window, compare with the filtration-graded
     direct cohomology, and report agreement cell by cell.
 
-    E_r stabilizes once r exceeds r(p) = 2n - p + 1 for every cell of the
-    window except for the growing domain of B_r; both effects are
-    certified by recomputing at r + 2 and r + 4.  The direct route reads
-    its rows from the pages' store, so each family is built once.
+    One page is computed, E_r at r = r_max = 2n + max_degree + 1.  Z_r is
+    the full cocycle space of every cell once r > t + 2, and B_r = B_1
+    for every r >= 1 by the descent lemma of fock (every coboundary
+    inside degree <= t is d of a cochain of degree <= t - 2; its
+    hypothesis, E_1 = 0 at every domain level, holds by the leading-term
+    certificate stated there).  So E_{r_max} is E_infinity, and the
+    store holds the cells through max_degree only.  The direct route
+    reads its rows from the pages' store, so each family is built once.
     """
-    check_buffer(buffer)
     n, D = ring.n, max_degree
     comp = SpectralComputer(ring, part, D)
     gr = {}
-    gr_stab = {}
     for ell in range(n + 1):
-        dc = direct_cohomology_dims(ring, part, ell, D, buffer, store=comp)
+        dc = direct_cohomology_dims(ring, part, ell, D, store=comp)
         for t in range(D + 1):
-            cell = regrade(ell, t)
             if dc.dims[t]:
-                gr[cell] = dc.dims[t]
-            gr_stab[cell] = dc.stabilized[t]
+                gr[regrade(ell, t)] = dc.dims[t]
 
     p_min = regrade(0, D)[0]
     r_max = max(2, 2 * n - p_min + 1)
-    pages = {r: comp.page(r) for r in (r_max, r_max + 2, r_max + 4)}
-
-    rep = ConvergenceReport(part, D, r_max, einf=pages[r_max])
-    rep.gr_dims = gr
-    rep.gr_stabilized = gr_stab
-
+    rep = ConvergenceReport(part, D, r_max, einf=comp.page(r_max),
+                            gr_dims=gr)
     for ell in range(n + 1):
         for t in range(D + 1):
             cell = regrade(ell, t)
-            e_vals = [p.dims.get(cell, 0) for p in pages.values()]
-            e_stab = e_vals[0] == e_vals[1] == e_vals[2]
-            rep.einf_stabilized[cell] = e_stab
-            g = gr.get(cell, 0)
-            if not (e_stab and gr_stab.get(cell, False)):
-                rep.inconclusive.append(cell)
-            elif e_vals[0] == g:
+            e, g = rep.einf.dims.get(cell, 0), gr.get(cell, 0)
+            if e == g:
                 rep.agreements.append(cell)
             else:
-                rep.mismatches.append((cell, e_vals[0], g))
+                rep.mismatches.append((cell, e, g))
     return rep

@@ -24,8 +24,7 @@ def strip_timing(text):
 def test_cohom_json_schema_and_values(capsys):
     code, out = run_cli(
         capsys, "cohom", "--n", "3", "--k", "1", "--part", "plus",
-        "--ell", "1", "--max-degree", "6", "--buffer", "4",
-        "--format", "json",
+        "--ell", "1", "--max-degree", "6", "--format", "json",
     )
     assert code == 0
     doc = json.loads(out)
@@ -102,7 +101,6 @@ def test_failed_verdict_exits_one(capsys):
 
 def test_invalid_arguments_exit_two(capsys):
     assert run_cli(capsys, "cohom", "--n", "99")[0] == 2
-    assert run_cli(capsys, "cohom", "--n", "2", "--buffer", "3")[0] == 2
     assert run_cli(capsys, "cohom", "--n", "2", "--ell", "5")[0] == 2
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])

@@ -3,6 +3,7 @@ involutions, the so(n) action, invariants and direct cohomology."""
 
 import itertools
 import random
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -10,11 +11,9 @@ from weilcoh.exterior import bits_of
 import weilcoh.fock as fock
 from weilcoh.fock import (
     Cochain,
-    CohomologyReport,
     Phi_J,
     _block_filtration,
     cochain_weight,
-    check_buffer,
     diff,
     direct_cohomology_dims,
     dominant_pairs,
@@ -425,32 +424,39 @@ def test_zform_rows_are_invariant(n, k):
 
 def test_direct_cohomology_31():
     R = FockRing(3, 1)
-    rep = direct_cohomology_dims(R, "plus", 0, 6, 4)
+    rep = direct_cohomology_dims(R, "plus", 0, 6)
     assert all(v == 0 for v in rep.dims.values())
-    assert all(rep.stabilized.values())
 
-    rep = direct_cohomology_dims(R, "plus", 1, 6, 4)
+    rep = direct_cohomology_dims(R, "plus", 1, 6)
     assert [rep.dims[t] for t in range(7)] == [0, 1, 0, 1, 0, 1, 0]
-    assert all(rep.stabilized.values())
 
-    rep = direct_cohomology_dims(R, "full", 2, 4, 4)
+    rep = direct_cohomology_dims(R, "full", 2, 4)
     assert all(v == 0 for v in rep.dims.values())
 
     # H^3(C_-) carries S_1/(c_1): dims 1,1,2,1,2 up to degree 4
-    rep = direct_cohomology_dims(R, "minus", 3, 4, 4)
+    rep = direct_cohomology_dims(R, "minus", 3, 4)
     assert [rep.dims[t] for t in range(5)] == [1, 1, 2, 1, 2]
-    assert all(rep.stabilized.values())
 
 
-def test_direct_cohomology_buffer_validation():
-    R = FockRing(2, 1)
-    with pytest.raises(ValueError):
-        direct_cohomology_dims(R, "full", 0, 2, 3)
-    for buffer in (-2, 0, 1, 3, 5):
-        with pytest.raises(ValueError, match="buffer"):
-            check_buffer(buffer)
-    for buffer in (2, 4, 8):
-        check_buffer(buffer)
+def test_cohom_builds_no_domain_row(monkeypatch):
+    # without a store the domain level is read for its images only, and
+    # through degree D - 2: each cocycle-level cochain gives its row and
+    # its image row, each domain cochain its image row alone
+    R, ell, D = FockRing(3, 2), 3, 3
+    coc = invariant_family(R, "minus", ell, range(D + 1), dominant=True)
+    dom = invariant_family(R, "minus", ell - 1, range(D - 1), dominant=True)
+    levels = []
+    to_row = Cochain.to_row
+
+    def recorded(c):
+        levels.append(c.ell)
+        return to_row(c)
+
+    monkeypatch.setattr(Cochain, "to_row", recorded)
+    direct_cohomology_dims(R, "minus", ell, D)
+    assert ell - 1 not in levels
+    assert len(levels) == 2 * sum(map(len, coc.values())) + \
+        sum(map(len, dom.values()))
 
 
 def test_named_cochain_errors():
@@ -488,8 +494,17 @@ def test_integer_inputs_give_int_coefficients():
 # the weight grading: only dominant blocks are eliminated
 
 
-# The route before the weight split: one elimination per slice
-# s = z-degree - w-degree over the whole family.  Kept as the oracle.
+# The route before the weight split and before the descent lemma: one
+# elimination per slice s = z-degree - w-degree over the whole family,
+# with the domain read through max_degree + buffer + 4 and each cell
+# called stabilized when three buffers agree.  Kept as the oracle.
+@dataclass
+class BufferedReport:
+    dims: dict = field(default_factory=dict)         # degree -> dim of gr_d H
+    filtration: dict = field(default_factory=dict)   # degree -> dim F_d H
+    stabilized: dict = field(default_factory=dict)   # degree -> bool
+
+
 def _bidegree(c):
     """(z-degree, w-degree) of a bihomogeneous cochain; None if zero."""
     ring = c.ring
@@ -589,7 +604,7 @@ def slice_direct_cohomology_dims(ring, part, ell, max_degree, buffer=4):
             for t in range(D + 1):
                 F[b][t] += rank_v[t] - rank_dv[t] - win[b][t]
 
-    rep = CohomologyReport(part, ell, D, buffer)
+    rep = BufferedReport()
     for t in range(D + 1):
         grs = [F[b][t] - (F[b][t - 1] if t else 0) for b in snapshots]
         rep.dims[t] = grs[0]
@@ -627,38 +642,53 @@ WEIGHT_CASES = [(n, k, part) for n, k in [(2, 2), (3, 2), (2, 3)]
 def test_weight_blocks_symmetric_and_sum_to_slices(n, k, part):
     # every block, dominant or not: the block at sigma mu equals the block
     # at mu, the orbit-weighted dominant sum is the sum over all blocks,
-    # and both are the filtration of the slice route
+    # and both are the filtration of the buffered slice route
     R = FockRing(n, k)
     D, buffer = (2, 2) if k < 3 else (1, 2)
-    snapshots = [buffer, buffer + 2, buffer + 4]
-    maxdom = D + buffer + 4
     for ell in range(n + 1):
         coc_all = invariant_family(R, part, ell, range(D + 1))
-        dom_all = invariant_family(R, part, ell - 1, range(maxdom + 1))
+        dom_all = invariant_family(R, part, ell - 1, range(D - 1))
         for lvl, fam_all in ((ell, coc_all), (ell - 1, dom_all)):
             fam_dom = invariant_family(R, part, lvl, list(fam_all),
                                        dominant=True)
             for d, vecs in fam_all.items():
                 assert fam_dom[d] == [v for v in vecs
                                       if is_dominant(cochain_weight(v))]
-        coc, dom = row_pair_blocks(coc_all), row_pair_blocks(dom_all)
-        blocks = {mu: _block_filtration(coc.get(mu, {}), dom.get(mu, {}),
-                                        D, snapshots)
+        coc = row_pair_blocks(coc_all)
+        dom = {mu: {d: [img for _, img in pairs]
+                    for d, pairs in block.items()}
+               for mu, block in row_pair_blocks(dom_all).items()}
+        blocks = {mu: _block_filtration(coc.get(mu, {}), dom.get(mu, {}), D)
                   for mu in set(coc) | set(dom)}
-        total = {b: [0] * (D + 1) for b in snapshots}
-        weighted = {b: [0] * (D + 1) for b in snapshots}
+        total = [0] * (D + 1)
+        weighted = [0] * (D + 1)
         for mu, block in blocks.items():
             for sigma in itertools.permutations(range(k)):
                 assert blocks[tuple(mu[i] for i in sigma)] == block, mu
-            for b in snapshots:
-                for t in range(D + 1):
-                    total[b][t] += block[b][t]
-                    if is_dominant(mu):
-                        weighted[b][t] += orbit_size(mu) * block[b][t]
+            for t in range(D + 1):
+                total[t] += block[t]
+                if is_dominant(mu):
+                    weighted[t] += orbit_size(mu) * block[t]
         assert weighted == total
         oracle = slice_direct_cohomology_dims(R, part, ell, D, buffer)
-        assert [oracle.filtration[t] for t in range(D + 1)] == total[buffer]
-        assert direct_cohomology_dims(R, part, ell, D, buffer) == oracle
+        assert all(oracle.stabilized.values())
+        assert [oracle.filtration[t] for t in range(D + 1)] == total
+        rep = direct_cohomology_dims(R, part, ell, D)
+        assert (rep.dims, rep.filtration) == (oracle.dims, oracle.filtration)
+
+
+@pytest.mark.parametrize("n,k,part,D", [(3, 1, "plus", 6), (3, 1, "minus", 6),
+                                        (1, 2, "full", 4)])
+def test_short_domain_matches_the_buffered_slices(n, k, part, D):
+    # the domain through degree D - 2 (the descent lemma) against the
+    # buffered slice route, at every level
+    R = FockRing(n, k)
+    for ell in range(n + 1):
+        oracle = slice_direct_cohomology_dims(R, part, ell, D)
+        assert all(oracle.stabilized.values()), ell
+        rep = direct_cohomology_dims(R, part, ell, D)
+        assert (rep.dims, rep.filtration) == \
+            (oracle.dims, oracle.filtration), ell
 
 
 @pytest.mark.parametrize("n,k,part", [(2, 2, "full"), (3, 2, "minus"),
