@@ -75,14 +75,16 @@ every (n, k) and part:
     it exact (SO(n) is reductive), and iota splits each part off as a
     summand.  So E_1 sits on level n, which is never a domain.
   - k < n: E_1 of the +1 part is the Koszul homology over S_k of the
-    variables what_1..what_k, and of the -1 part that of c_1..c_k, whose
+    variables what_1..what_k, and of the -1 part that of c_1..c_k (the
+    d2 rows of sk_model_d2_row on the basis of sk_model_basis), whose
     leading terms under lex with rhat_11 > ... > rhat_kk first are
     rhat_jj what_j, pairwise coprime.  So E_1 sits on level k (+1 part)
     and level n (-1 part); level k of the +1 part is no domain either,
     because C_+^{k+1} = 0.  The full complex is the direct sum of its
     two parts (iota splits it), so there the lemma holds part by part.
 The tests check the leading terms on the polynomials themselves, and
-E_1 = 0 at every domain level with e1_dims.
+E_1 = 0 at every domain level with e1_dims, and for k < n also on the
+evaluated families and their diff.
 """
 
 from __future__ import annotations
@@ -124,6 +126,8 @@ __all__ = [
     "invariant_dims",
     "pm_basis_vectors",
     "invariant_family",
+    "sk_model_basis",
+    "sk_model_d2_row",
     "cochain_weight",
     "is_dominant",
     "orbit_size",
@@ -654,6 +658,69 @@ def invariant_family(ring, part, ell, degrees, dominant=False):
     return {d: [v for p in parts
                 for v in pm_basis_vectors(ring, p, ell, d, dominant)]
             for d in degrees}
+
+
+# ---------------------------------------------------------------------------
+# the S_k model of the invariant cochains, for k < n
+
+
+def sk_model_basis(sk, n, part, ell, d):
+    """{weight: [(J, m)]} of the dominant pairs of the part at bidegree
+    (ell, d): m an S_k exponent tuple and J increasing, standing for
+    m . Phi_J (plus, |J| = ell) or m . *Phi_J (minus, |J| = n - ell),
+    with deg m = d - |J| and weight weight(m) + e_J dominant.  For k < n
+    these vectors are a basis of the dominant invariant cochains (the
+    paper's theorem), so nothing is evaluated."""
+    if part not in ("plus", "minus"):
+        raise ValueError("part must be plus or minus")
+    k = sk.k
+    jsize = ell if part == "plus" else n - ell
+    if ell < 0 or ell > n or not 0 <= jsize <= k or d < jsize:
+        return {}
+    out = {}
+    Js = [(J, [int(j in J) for j in range(1, k + 1)])
+          for J in itertools.combinations(range(1, k + 1), jsize)]
+    for expo in monomials_of_degree(sk, d - jsize):
+        mw = _sk_monomial_weight(sk, expo)
+        for J, eJ in Js:
+            mu = tuple(a + b for a, b in zip(mw, eJ))
+            if is_dominant(mu):
+                out.setdefault(mu, []).append((J, expo))
+    return out
+
+
+def sk_model_d2_row(sk, part, J, expo):
+    """The d2 row {(J', m'): coef} of m . Phi_J (plus) or m . *Phi_J
+    (minus), m the S_k monomial expo, in the pairs of sk_model_basis:
+
+        d2(m Phi_J)  = -sum_{i not in J} (-1)^#{j in J : j < i}
+                           (what_i m) Phi_{J + i}
+        d2(m *Phi_J) = -sum_{j in J} (-1)^(p_j + |J| + 1)
+                           (c_j m) *Phi_{J - j},
+
+    with c_j = sum_i rhat(i,j) what(i) and p_j the 0-based position of j
+    in J.  Each term is one monomial, and distinct terms have distinct
+    keys.  The plus formula assumes |J| + 1 <= n, as k < n gives."""
+    k = sk.k
+    row = {}
+    if part == "plus":
+        for i in range(1, k + 1):
+            if i in J:
+                continue
+            below = sum(j < i for j in J)
+            e = list(expo)
+            e[sk.what(i)] += 1
+            row[tuple(sorted(J + (i,))), tuple(e)] = -(-1) ** below
+        return row
+    for p, j in enumerate(J):
+        sign = -(-1) ** (p + len(J) + 1)
+        rest = J[:p] + J[p + 1:]
+        for i in range(1, k + 1):
+            e = list(expo)
+            e[sk.rhat(i, j)] += 1
+            e[sk.what(i)] += 1
+            row[rest, tuple(e)] = sign
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,20 @@ B_r + Z_{r-1}, rank(Z_r rows) - rank(B_r rows + Z_{r-1} rows).
 
 e1_dims reads E_1 off the graded differential d' instead, independently
 of the Z/B formulas: d' = -d2 (d2 the degree-raising piece of d), so
-its ranks are those of d2.
+its ranks are those of d2.  For k < n it runs on the S_k model of fock:
+the m . Phi_J and m . *Phi_J (m an S_k monomial, J increasing) are a
+basis of the invariant cochains (the paper's theorem), and d2 has the
+closed form
+
+    d2(m Phi_J)  = -sum_{i not in J} (-1)^#{j in J : j < i}
+                       (what_i m) Phi_{J + i},
+    d2(m *Phi_J) = -sum_{j in J} (-1)^(p_j + |J| + 1) (c_j m) *Phi_{J - j},
+
+c_j = sum_i rhat(i,j) what(i) and p_j the 0-based position of j in J,
+so E_1 is the Koszul homology over S_k of what_1..what_k (+1 part) and
+of c_1..c_k (-1 part), computed with no Fock polynomial.  For k >= n
+the families are evaluated and differentiated in the Fock ring: they
+are dependent for k > n, and the theorem does not cover k = n.
 
 Truncation.  In polynomial degree, the cell (ell, t) is E_r^{p,q} with
 p = 2 ell - t; Z_r asks deg(dx) <= t + 2 - r, and the domain of B_r is
@@ -52,9 +65,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fock import diff, direct_cohomology_dims, dominant_pairs, \
-    invariant_family, orbit_size, weight_blocks
+    invariant_family, orbit_size, sk_model_basis, sk_model_d2_row, \
+    weight_blocks
 from .linalg import ResourceCapError, SparseRationalMatrix, kernel_basis, \
     rank_of_rows, resolve_max_entries, span_intersect_window
+from .polyring import SkRing
 
 __all__ = [
     "regrade",
@@ -206,15 +221,41 @@ def e1_dims(ring, part, max_degree):
     """The E_1 page: cohomology of the graded differential d' = -d2 per
     cell, from the dominant weight blocks counted with their orbit sizes.
 
-    One level is built at a time; the cell (ell, t) needs the image rank
-    of the cell (ell - 1, t - 2) below it, which is kept.
+    For k < n the cells are computed on the S_k model: the pairs (J, m)
+    of fock.sk_model_basis are a basis of the invariant cochains (the
+    paper's theorem), so the rank of a cell is their count, and the d2
+    rows of fock.sk_model_d2_row, one monomial per term, give its image
+    rank with no Fock polynomial.  For k >= n the families are evaluated
+    and differentiated in the Fock ring (_e1_fock): they are dependent
+    for k > n, and the basis theorem does not cover k = n.
     """
-    img_rank = {}  # (ell, t) -> orbit-weighted rank of the d2-image
-    data = PageData(1)
-    for ell in range(ring.n + 1):
-        blocks = weight_blocks(invariant_family(ring, part, ell,
-                                                range(max_degree + 1),
-                                                dominant=True))
+    if ring.k >= ring.n:
+        return _e1_fock(ring, part, max_degree)
+    n = ring.n
+    sk = SkRing(ring.k)
+    parts = ("plus", "minus") if part == "full" else (part,)
+
+    def level_ranks(ell):
+        for t in range(max_degree + 1):
+            rv = ri = 0
+            for p in parts:
+                for mu, basis in sk_model_basis(sk, n, p, ell, t).items():
+                    mult = orbit_size(mu)
+                    rv += mult * len(basis)
+                    ri += mult * rank_of_rows(sk_model_d2_row(sk, p, J, m)
+                                              for J, m in basis)
+            yield rv, ri
+
+    return _e1_page(n, max_degree, level_ranks)
+
+
+def _e1_fock(ring, part, max_degree):
+    """e1_dims on the Fock route, for every (n, k): the ranks of the rows
+    of the dominant families and of their d2 images.  One level is built
+    at a time."""
+    def level_ranks(ell):
+        blocks = weight_blocks(invariant_family(
+            ring, part, ell, range(max_degree + 1), dominant=True))
         for t in range(max_degree + 1):
             rv = ri = 0
             for mu, block in blocks.items():
@@ -223,6 +264,20 @@ def e1_dims(ring, part, max_degree):
                 rv += mult * rank_of_rows(v.to_row() for v in vecs)
                 ri += mult * rank_of_rows(diff(v, "d2").to_row()
                                           for v in vecs)
+            yield rv, ri
+
+    return _e1_page(ring.n, max_degree, level_ranks)
+
+
+def _e1_page(n, max_degree, level_ranks):
+    """The E_1 page from level_ranks(ell), which yields the orbit-weighted
+    (rank, d2-image rank) of each cell (ell, t), t <= max_degree: the
+    cell (ell, t) loses the image of the cell (ell - 1, t - 2) below it,
+    which is kept."""
+    img_rank = {}  # (ell, t) -> orbit-weighted rank of the d2-image
+    data = PageData(1)
+    for ell in range(n + 1):
+        for t, (rv, ri) in enumerate(level_ranks(ell)):
             img_rank[ell, t] = ri
             dim = rv - ri - img_rank.get((ell - 1, t - 2), 0)
             if dim:

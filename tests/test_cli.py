@@ -117,6 +117,15 @@ def test_resource_cap_exits_three(capsys):
     assert not verdict["pass"] and "cap" in verdict["detail"]
 
 
+def test_e1_model_stays_under_the_cap(capsys):
+    # e1 for k < n eliminates the S_k model rows under the same entry cap
+    code, out = run_cli(capsys, "e1", "--n", "3", "--k", "2",
+                        "--max-degree", "8", "--max-entries", "5")
+    assert code == 3
+    (verdict,) = json.loads(out)["verdicts"]
+    assert verdict["name"] == "resource cap" and not verdict["pass"]
+
+
 def test_cap_does_not_outlive_the_call(capsys, monkeypatch):
     monkeypatch.delenv("WEILCOH_MAX_ENTRIES", raising=False)
     argv = ("cohom", "--n", "2", "--k", "1", "--ell", "1",

@@ -1,14 +1,18 @@
 """Closed forms of the paper at the larger windows: every level of the
 direct route at once, against the binomials and the c-quotient for
-k < n and the invariant quadric series for k >= n."""
+k < n and the invariant quadric series for k >= n; and E_1 for k < n
+across n, on the S_k model."""
 
 import json
 from math import comb
+
+import pytest
 
 from weilcoh import cli
 from weilcoh.fock import direct_cohomology_dims, invariant_quotient_dims
 from weilcoh.koszul import ci_hilbert
 from weilcoh.polyring import FockRing, q_gen
+from weilcoh.spectral import e1_dims, regrade
 
 
 def level_dims(n, k, part, window):
@@ -65,6 +69,20 @@ def test_n4k2_plus_part_is_binomial():
     assert plus == [comb((t - 2) // 2 + 2, 2) if t >= 2 and t % 2 == 0
                     else 0 for t in range(11)]
     assert level_dims(4, 2, "plus", 10) == concentrated(4, 10, 2, plus)
+
+
+@pytest.mark.parametrize("n,k,window", [(10, 2, 12), (8, 3, 8)])
+def test_e1_k_less_n_theorem_across_n(n, k, window):
+    # k < n at n far above k, where the Fock route with its n k
+    # z-variables cannot go: E_1 is the binomials of the +1 part on level
+    # k and the c-quotient of the -1 part on level n, and nothing else
+    plus = [comb((t - k) // 2 + k * (k + 1) // 2 - 1, (t - k) // 2)
+            if t >= k and (t - k) % 2 == 0 else 0 for t in range(window + 1)]
+    cquo = ci_hilbert((2,) * (k * (k + 1) // 2) + (1,) * k, (3,) * k,
+                      window)
+    want = {regrade(k, t): d for t, d in enumerate(plus) if d}
+    want.update((regrade(n, t), d) for t, d in enumerate(cquo) if d)
+    assert e1_dims(FockRing(n, k), "full", window).dims == want
 
 
 def test_n3k3_plus_part_within_the_default_cap(capsys):

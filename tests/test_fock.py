@@ -26,6 +26,8 @@ from weilcoh.fock import (
     outer_product,
     phi1,
     pm_basis_vectors,
+    sk_model_basis,
+    sk_model_d2_row,
     son_act_cochain,
     star_Phi_J,
     weight_blocks,
@@ -759,3 +761,52 @@ def test_builder_refuses_a_vector_of_the_wrong_weight(patch, monkeypatch):
                             sk_evaluate(p, ring) * ring.z_var(1, 2))
     with pytest.raises(ValueError, match="weight"):
         pm_basis_vectors(R, "plus", 1, 3)
+
+
+# the S_k model for k < n: m . Phi_J and m . *Phi_J as pairs (J, m)
+MODEL_SHAPES = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]
+
+
+def model_vector(ring, sk, part, J, expo):
+    """The cochain m . Phi_J (plus) or m . *Phi_J (minus) of a model pair."""
+    base = Phi_J(ring, J) if part == "plus" else star_Phi_J(ring, J)
+    return base.mul_poly(sk_evaluate(Polynomial(sk, {expo: 1}), ring))
+
+
+@pytest.mark.parametrize("n,k", MODEL_SHAPES)
+def test_sk_model_d2_rows_match_diff(n, k):
+    # every model d2 row, evaluated term by term, is the Fock d2 of the
+    # evaluated cochain, sign for sign: every S_k monomial of degree <= 4
+    # (<= 3 for k = 3), every J, both parts
+    R, sk = FockRing(n, k), SkRing(k)
+    for d in range((4 if k < 3 else 3) + 1):
+        for expo in monomials_of_degree(sk, d):
+            for part in ("plus", "minus"):
+                for size in range(k + 1):
+                    for J in itertools.combinations(range(1, k + 1), size):
+                        v = model_vector(R, sk, part, J, expo)
+                        got = Cochain(R, v.ell + 1)
+                        for (J2, e2), c in sk_model_d2_row(
+                                sk, part, J, expo).items():
+                            got = got + model_vector(R, sk, part, J2,
+                                                     e2).scale(c)
+                        assert got.to_row() == diff(v, "d2").to_row(), \
+                            (part, J, expo)
+
+
+@pytest.mark.parametrize("n,k", MODEL_SHAPES)
+def test_sk_model_basis_is_the_dominant_family(n, k):
+    # evaluated, the model pairs of a cell are the dominant family of
+    # pm_basis_vectors, block by block and in family order
+    R, sk = FockRing(n, k), SkRing(k)
+    for part in ("plus", "minus"):
+        for ell in range(n + 1):
+            for d in range(5):
+                fam = weight_blocks({d: pm_basis_vectors(R, part, ell, d,
+                                                         dominant=True)})
+                model = sk_model_basis(sk, n, part, ell, d)
+                assert {mu: [model_vector(R, sk, part, J, m)
+                             for J, m in pairs]
+                        for mu, pairs in model.items()} == \
+                    {mu: block[d] for mu, block in fam.items()}, \
+                    (part, ell, d)

@@ -14,7 +14,7 @@ from weilcoh.fock import (
     orbit_size,
 )
 from weilcoh.linalg import Eliminator
-from weilcoh.polyring import FockRing, q_gen, sk_c_sequence
+from weilcoh.polyring import FockRing, Polynomial, q_gen, sk_c_sequence
 from weilcoh.spectral import (
     SpectralComputer,
     e1_dims,
@@ -79,6 +79,27 @@ def test_e1_two_ways(n, k, part, D):
     assert e1_dims(R, part, D).dims == page1.dims
 
 
+@pytest.mark.parametrize("n,k,part,D", [
+    (2, 1, "full", 6), (3, 1, "full", 8), (3, 2, "full", 6),
+    (3, 2, "minus", 6), (4, 2, "full", 6), (4, 3, "full", 5),
+])
+def test_e1_model_matches_the_fock_route(n, k, part, D):
+    # k < n: the S_k model's counts and d2 rows against the evaluated
+    # families and their Fock d2
+    R = FockRing(n, k)
+    assert e1_dims(R, part, D).dims == spectral._e1_fock(R, part, D).dims
+
+
+def test_e1_model_builds_no_fock_polynomial(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fock route called")
+
+    for name in ("diff", "invariant_family"):
+        monkeypatch.setattr(spectral, name, refuse)
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    assert e1_dims(FockRing(3, 2), "full", 6).dims
+
+
 def test_regrade_round_trip():
     for ell in range(-1, 6):
         for t in range(0, 12):
@@ -129,12 +150,17 @@ def test_e1_vanishes_at_every_domain_level(n, k, part, D):
     # E_1 sits on level n, except the +1 part for k < n, which sits on
     # level k and has no level k + 1 for it to be the domain of.  iota
     # splits the complex into its parts, and the lemma holds part by
-    # part, so for k < n the full complex is checked one part at a time
+    # part, so for k < n the full complex is checked one part at a time.
+    # For k < n e1_dims runs on the S_k model, so the Fock route is run
+    # as well: the certificate then covers fock.diff itself
     R = FockRing(n, k)
     parts = ("plus", "minus") if part == "full" and k < n else (part,)
+    routes = (e1_dims, spectral._e1_fock) if k < n else (e1_dims,)
     for p in parts:
-        levels = {unregrade(*cell)[0] for cell in e1_dims(R, p, D).dims}
-        assert levels <= ({k} if p == "plus" and k < n else {n}), p
+        for route in routes:
+            levels = {unregrade(*cell)[0] for cell in route(R, p, D).dims}
+            assert levels <= ({k} if p == "plus" and k < n else {n}), \
+                (p, route.__name__)
     if k < n and "plus" in parts:
         assert not any(invariant_family(R, "plus", k + 1,
                                         range(D + 1)).values())
