@@ -38,7 +38,8 @@ this joint kernel is exactly the space of SO(n)-invariants.)
 Weight grading.  The differential commutes with the GL(k) of the Howe
 dual pair, z |-> z g and w |-> g^-1 w, and so does SO(n) and iota.  A
 monomial z^a w^b has torus weight mu in Z^k, mu_j = (z-degree in column
-j) - (degree in w_j); d2 multiplies by z_{alpha j} w_j and dm2
+j) - (degree in w_j) (FockRing.weight, and SkRing.weight for the S_k
+monomial that evaluates to it); d2 multiplies by z_{alpha j} w_j and dm2
 differentiates by the same pair, so both preserve mu, and SO(n) and iota
 preserve every column degree.  The invariant complex is therefore the
 direct sum of its weight blocks, each a coordinate subspace of the
@@ -90,9 +91,8 @@ evaluated families and their diff.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb
 
 from .exterior import bits_of, contract_bits, star_bits, tuple_of, wedge_bits
 from .linalg import (
@@ -107,8 +107,10 @@ from .polyring import (
     Polynomial,
     SkRing,
     ideal_piece,
+    is_dominant,
     minor,
     monomials_of_degree,
+    orbit_size,
     sk_evaluate,
     son_act,
 )
@@ -529,7 +531,8 @@ def invariant_dims(ring, ell, window):
 
 
 # ---------------------------------------------------------------------------
-# torus weights (see the module docstring)
+# torus weights (see the module docstring; the weight of a monomial is
+# its ring's weight, and is_dominant and orbit_size come from polyring)
 
 
 def _col_degrees(n, k, ze):
@@ -537,32 +540,12 @@ def _col_degrees(n, k, ze):
     return tuple(sum(ze[j * n:(j + 1) * n]) for j in range(k))
 
 
-def _weight(n, k, e):
-    """The torus weight of a Fock monomial."""
-    nz = n * k
-    return tuple(c - e[nz + j] for j, c in enumerate(_col_degrees(n, k, e)))
-
-
 def _check_weight(polys, mu):
     """Raise unless every monomial of the polynomials has weight mu."""
     for p in polys:
-        n, k = p.ring.n, p.ring.k
         for e in p.terms:
-            if _weight(n, k, e) != mu:
+            if p.ring.weight(e) != mu:
                 raise ValueError("not a weight vector of weight %r" % (mu,))
-
-
-def _sk_monomial_weight(sk, expo):
-    """The weight of the image of an S_k monomial: rhat(i,j) gives
-    e_i + e_j and what(i) gives -e_i."""
-    mu = [0] * sk.k
-    for i in range(1, sk.k + 1):
-        mu[i - 1] -= expo[sk.what(i)]
-        for j in range(i, sk.k + 1):
-            x = expo[sk.rhat(i, j)]
-            mu[i - 1] += x
-            mu[j - 1] += x
-    return mu
 
 
 def cochain_weight(c):
@@ -570,21 +553,8 @@ def cochain_weight(c):
     None for the zero cochain."""
     for p in c.parts.values():
         for e in p.terms:
-            return _weight(c.ring.n, c.ring.k, e)
+            return c.ring.weight(e)
     return None
-
-
-def is_dominant(mu):
-    """mu_1 >= mu_2 >= ... >= mu_k: one weight in each S_k-orbit."""
-    return all(a >= b for a, b in zip(mu, mu[1:]))
-
-
-def orbit_size(mu):
-    """|S_k . mu|: the number of weight blocks isomorphic to the mu-block."""
-    out = factorial(len(mu))
-    for m in Counter(mu).values():
-        out //= factorial(m)
-    return out
 
 
 def weight_blocks(families):
@@ -632,14 +602,14 @@ def pm_basis_vectors(ring, part, ell, d, dominant=False):
     sk = SkRing(k)
     out = []
     for expo in monomials_of_degree(sk, base):
-        mw = _sk_monomial_weight(sk, expo)
+        mw = sk.weight(expo)
         m = None
         for eJ, c in gens:
             if dominant and not is_dominant([a + b for a, b in zip(mw, eJ)]):
                 continue
             if m is None:
                 m = sk_evaluate(Polynomial(sk, {expo: 1}), ring)
-                _check_weight((m,), tuple(mw))
+                _check_weight((m,), mw)
             out.append(c.mul_poly(m))
     return out
 
@@ -681,7 +651,7 @@ def sk_model_basis(sk, n, part, ell, d):
     Js = [(J, [int(j in J) for j in range(1, k + 1)])
           for J in itertools.combinations(range(1, k + 1), jsize)]
     for expo in monomials_of_degree(sk, d - jsize):
-        mw = _sk_monomial_weight(sk, expo)
+        mw = sk.weight(expo)
         for J, eJ in Js:
             mu = tuple(a + b for a, b in zip(mw, eJ))
             if is_dominant(mu):

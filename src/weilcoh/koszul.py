@@ -19,14 +19,37 @@ sequence
 
 gives dim K_t = H_{a-1}(t) - H_{a-1}(t+d) + H_a(t+d), so f_a is injective
 on A_t exactly when that integer is 0.
+
+Symmetry lemma.  Let every f_a be a torus weight vector (all its
+monomials share one Ring.weight) fixed by the column permutations S_k
+of its ring, as the q_alpha = sum_i z_{alpha i} w_i of the Fock ring
+are (weight 0; S_k lies in the GL(k) of the Howe dual pair).  A row
+m f_a has weight wt(m) + wt(f_a), so (I_a)_t is the direct sum of its
+intersections with the weight spaces R_mu, and a permutation sigma, which
+maps each m f_b to sigma(m) f_b, maps the mu-block of every prefix ideal
+onto its (sigma mu)-block.  Hence
+
+    H_a(t) = dim R_t - sum_{mu dominant} orbit_size(mu) rank((I_a)_t ∩ R_mu),
+
+and only the rows of dominant weight are eliminated.  The test is made on
+the sequence: an entry with two weights or moved by one of the ring's
+adjacent column transpositions (Ring.column_swaps) makes the group
+trivial, and then every row is kept and counts once.  The c_j and what_i
+of S_k are such entries, since sigma permutes them, and so is every
+entry of a ring without columns.  Both cases are the same loop, with
+one Eliminator per degree: blocks have disjoint columns, so their rows
+never interact, and a row that raises the rank adds the orbit size of
+its block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .linalg import Eliminator
-from .polyring import ideal_piece
+from .polyring import is_dominant, monomials_of_degree, orbit_size, \
+    shifted_terms
 
 __all__ = [
     "KoszulSpec",
@@ -123,15 +146,51 @@ def ideal_quotient_dims(spec, window):
     """The prefix table [H_0, ..., H_m] of the module docstring: H_a is
     {t: dim (R / (f_1, ..., f_a))_t} for t <= window, so the last entry
     holds the quotient dims of the whole sequence.  One elimination per
-    degree."""
+    degree, of the dominant rows only when the symmetry lemma applies;
+    each row m f is f's terms shifted by m."""
     ring = spec.ring
+    weight = ring.weight if all(map(_symmetric, spec.sequence)) \
+        else _no_weight
     # H_0(t) = dim R_t, the coefficients of 1 / prod(1 - t^w_v)
     hilb = [dict(enumerate(ci_hilbert(ring.weights, (), window)))]
     hilb += [{} for _ in spec.sequence]
     for t, dim_rt in hilb[0].items():
         e = Eliminator()
+        rank = 0
+        by_weight = {}  # degree -> {weight: [monomial]}, for this t only
         for a, f in enumerate(spec.sequence, start=1):
-            for p in ideal_piece(ring, (f,), t):
-                e.add_row(p.terms)
-            hilb[a][t] = dim_rt - e.rank
+            s = t - f.degree()
+            if s not in by_weight:
+                by_weight[s] = _monomials_by_weight(ring, s, weight)
+            wf = weight(next(iter(f.terms)))
+            for wm, mons in by_weight[s].items():
+                mu = tuple(map(add, wm, wf))
+                if not is_dominant(mu):
+                    continue
+                mult = orbit_size(mu)
+                for m in mons:
+                    if e.add_row(shifted_terms(f, m)):
+                        rank += mult
+            hilb[a][t] = dim_rt - rank
     return hilb
+
+
+def _symmetric(f):
+    """Is f a weight vector fixed by its ring's column transpositions?"""
+    ring = f.ring
+    return len({ring.weight(e) for e in f.terms}) == 1 and all(
+        {tuple(e[v] for v in swap): c for e, c in f.terms.items()}
+        == f.terms for swap in ring.column_swaps)
+
+
+def _no_weight(expo):
+    """The weight of the trivial grading: one block, counted once."""
+    return ()
+
+
+def _monomials_by_weight(ring, d, weight):
+    """{weight: [monomial]} of the degree-d monomials, in monomial order."""
+    out = {}
+    for m in monomials_of_degree(ring, d):
+        out.setdefault(weight(m), []).append(m)
+    return out

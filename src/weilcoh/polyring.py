@@ -14,11 +14,25 @@ Q[x] in the Koszul tests.
 
 Monomials are dense exponent tuples; the term order is graded
 lexicographic with z(1,1) < z(2,1) < ... < z(n,k) < w(1) < ... < w(k).
+
+Torus weights.  Both concrete rings carry the diagonal torus of the GL(k)
+of the Howe dual pair and its Weyl group S_k, which permutes the k
+columns.  A monomial of the Fock ring has weight mu in Z^k, mu_j =
+(z-degree in column j) - (degree in w_j); an S_k monomial has the weight
+of its image, rhat(i,j) giving e_i + e_j and what(i) giving -e_i.  A
+column permutation sigma maps the mu-monomials onto the (sigma mu)-
+monomials, so one dominant weight (mu_1 >= ... >= mu_k) stands for the
+orbit_size(mu) weights of its orbit.  Ring.weight and Ring.column_swaps
+hold the weight and the adjacent transpositions of each ring; a generic
+ring has no columns, the weight () and no transpositions.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from math import factorial
+from operator import add
 
 __all__ = [
     "Ring",
@@ -26,7 +40,10 @@ __all__ = [
     "SkRing",
     "Polynomial",
     "monomials_of_degree",
+    "shifted_terms",
     "ideal_piece",
+    "is_dominant",
+    "orbit_size",
     "r_gen",
     "q_gen",
     "c_gen",
@@ -70,6 +87,15 @@ class Ring:
     def monomial_degree(self, expo):
         return sum(e * w for e, w in zip(expo, self.weights))
 
+    # the adjacent column transpositions (j j+1) of S_k, each an
+    # involution of the variable indices, so that it sends the exponent
+    # tuple e to tuple(e[v] for v in swap); a ring without columns has none
+    column_swaps = ()
+
+    def weight(self, expo):
+        """The torus weight of a monomial: () on a ring without columns."""
+        return ()
+
 
 class FockRing(Ring):
     """P_k: variables z(alpha,i) and w(i), all of degree 1.
@@ -86,6 +112,11 @@ class FockRing(Ring):
         names = ["z(%d,%d)" % (a, i) for i in range(1, k + 1) for a in range(1, n + 1)]
         names += ["w(%d)" % i for i in range(1, k + 1)]
         super().__init__(names)
+        self.column_swaps = tuple(
+            tuple(self.z(a, _swap(j, i)) for i in range(1, k + 1)
+                  for a in range(1, n + 1))
+            + tuple(self.w(_swap(j, i)) for i in range(1, k + 1))
+            for j in range(1, k))
         # rhat-exponent -> terms of its sk_evaluate image, filled on demand;
         # plain dicts, so the ring stays out of reference cycles
         self._rhat_images = {}
@@ -99,6 +130,12 @@ class FockRing(Ring):
         if not (1 <= i <= self.k):
             raise ValueError("w(%d) out of range" % i)
         return self.n * self.k + (i - 1)
+
+    def weight(self, expo):
+        """(z-degree in column j) - (degree in w_j), for j = 1..k."""
+        n, nz = self.n, self.n * self.k
+        return tuple(sum(expo[j * n:(j + 1) * n]) - expo[nz + j]
+                     for j in range(self.k))
 
     def z_var(self, alpha, i):
         return self.var(self.z(alpha, i))
@@ -123,6 +160,10 @@ class SkRing(Ring):
         names += ["what(%d)" % i for i in range(1, k + 1)]
         weights = [2] * len(pairs) + [1] * k
         super().__init__(names, weights)
+        self.column_swaps = tuple(
+            tuple(self.rhat(_swap(j, i), _swap(j, l)) for i, l in pairs)
+            + tuple(self.what(_swap(j, i)) for i in range(1, k + 1))
+            for j in range(1, k))
 
     def rhat(self, i, j):
         if i > j:
@@ -136,11 +177,25 @@ class SkRing(Ring):
             raise ValueError("what(%d) out of range" % i)
         return len(self._pair_index) + (i - 1)
 
+    def weight(self, expo):
+        """The weight of the image in the Fock ring: rhat(i,j) gives
+        e_i + e_j and what(i) gives -e_i."""
+        mu = [-x for x in expo[len(self.pairs):]]
+        for (i, j), x in zip(self.pairs, expo):
+            mu[i - 1] += x
+            mu[j - 1] += x
+        return tuple(mu)
+
     def rhat_var(self, i, j):
         return self.var(self.rhat(i, j))
 
     def what_var(self, i):
         return self.var(self.what(i))
+
+
+def _swap(j, i):
+    """The image of the column i under the transposition (j j+1)."""
+    return j + 1 if i == j else j if i == j + 1 else i
 
 
 class Polynomial:
@@ -283,14 +338,31 @@ def monomials_of_degree(ring, d, varset=None):
     return out
 
 
+def shifted_terms(f, m):
+    """The terms of the product of the monomial with exponent tuple m and
+    f: each exponent tuple of f shifted by m, with its coefficient.
+    Distinct exponents stay distinct, so nothing is merged."""
+    return {tuple(map(add, e, m)): c for e, c in f.terms.items()}
+
+
 def ideal_piece(ring, gens, t):
     """The products m * f spanning the degree-t piece of the ideal (gens),
     m running over the monomials of degree t - deg f, generator by
     generator in order."""
-    out = []
-    for f in gens:
-        for e in monomials_of_degree(ring, t - f.degree()):
-            out.append(Polynomial(ring, {e: 1}) * f)
+    return [Polynomial(ring, shifted_terms(f, e)) for f in gens
+            for e in monomials_of_degree(ring, t - f.degree())]
+
+
+def is_dominant(mu):
+    """mu_1 >= mu_2 >= ... >= mu_k: one weight in each S_k-orbit."""
+    return all(a >= b for a, b in zip(mu, mu[1:]))
+
+
+def orbit_size(mu):
+    """|S_k . mu|: the number of weights in the orbit of mu."""
+    out = factorial(len(mu))
+    for m in Counter(mu).values():
+        out //= factorial(m)
     return out
 
 

@@ -65,11 +65,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fock import diff, direct_cohomology_dims, dominant_pairs, \
-    invariant_family, orbit_size, sk_model_basis, sk_model_d2_row, \
-    weight_blocks
+    invariant_family, sk_model_basis, sk_model_d2_row, weight_blocks
 from .linalg import ResourceCapError, SparseRationalMatrix, kernel_basis, \
     rank_of_rows, resolve_max_entries, span_intersect_window
-from .polyring import SkRing
+from .polyring import SkRing, orbit_size
 
 __all__ = [
     "regrade",

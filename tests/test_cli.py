@@ -126,6 +126,16 @@ def test_e1_model_stays_under_the_cap(capsys):
     assert verdict["name"] == "resource cap" and not verdict["pass"]
 
 
+def test_koszul_stays_under_the_cap(capsys):
+    # the prefix table of koszul eliminates under the same entry cap
+    code, out = run_cli(capsys, "koszul", "--model", "q", "--n", "3",
+                        "--k", "3", "--max-degree", "7",
+                        "--max-entries", "5")
+    assert code == 3
+    (verdict,) = json.loads(out)["verdicts"]
+    assert verdict["name"] == "resource cap" and not verdict["pass"]
+
+
 def test_cap_does_not_outlive_the_call(capsys, monkeypatch):
     monkeypatch.delenv("WEILCOH_MAX_ENTRIES", raising=False)
     argv = ("cohom", "--n", "2", "--k", "1", "--ell", "1",

@@ -1,7 +1,8 @@
 """Closed forms of the paper at the larger windows: every level of the
 direct route at once, against the binomials and the c-quotient for
-k < n and the invariant quadric series for k >= n; and E_1 for k < n
-across n, on the S_k model."""
+k < n and the invariant quadric series for k >= n; E_1 for k < n across
+n, on the S_k model; and the complete intersection P_k / (q_1..q_n) for
+k >= n."""
 
 import json
 from math import comb
@@ -10,7 +11,12 @@ import pytest
 
 from weilcoh import cli
 from weilcoh.fock import direct_cohomology_dims, invariant_quotient_dims
-from weilcoh.koszul import ci_hilbert
+from weilcoh.koszul import (
+    KoszulSpec,
+    ci_hilbert,
+    ideal_quotient_dims,
+    regular_sequence_check,
+)
 from weilcoh.polyring import FockRing, q_gen
 from weilcoh.spectral import e1_dims, regrade
 
@@ -97,3 +103,16 @@ def test_n3k3_plus_part_within_the_default_cap(capsys):
     assert set(cells) == {(ell, t) for ell in range(4) for t in range(4)}
     assert {cell: c["dim"] for cell, c in cells.items() if c["dim"]} == \
         {(3, 3): 1}
+
+
+@pytest.mark.parametrize("n,k,window", [(4, 4, 6), (3, 3, 8)])
+def test_q_quotient_is_the_complete_intersection(n, k, window):
+    # k >= n: q_1..q_n is a regular sequence of quadrics in the n k + k
+    # variables of P_k, so its quotient has the complete-intersection
+    # Hilbert series
+    R = FockRing(n, k)
+    spec = KoszulSpec(R, [q_gen(R, a) for a in range(1, n + 1)])
+    hilb = ideal_quotient_dims(spec, window)
+    assert regular_sequence_check(spec, hilb).regular
+    assert hilb[-1] == dict(enumerate(
+        ci_hilbert((1,) * (n * k + k), (2,) * n, window)))

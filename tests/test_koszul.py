@@ -13,6 +13,7 @@ import itertools
 from math import comb
 
 import pytest
+from test_fock import monomial_weight
 
 from weilcoh import cli, koszul, verify
 from weilcoh.exterior import wedge_bits
@@ -443,6 +444,115 @@ def test_certificate_matches_stepwise_oracle(build, window, regular):
         t: _monomial_count(ring, t) - _ideal_rank(ring, spec.sequence, t)
         for t in range(window + 1)
     }
+
+
+def plain_ideal_quotient_dims(spec, window):
+    """The prefix table with no symmetry: every row m * f, built as a
+    product, in one Eliminator per degree."""
+    ring = spec.ring
+    # H_0(t) = dim R_t, the coefficients of 1 / prod(1 - t^w_v)
+    hilb = [dict(enumerate(ci_hilbert(ring.weights, (), window)))]
+    hilb += [{} for _ in spec.sequence]
+    for t, dim_rt in hilb[0].items():
+        e = Eliminator()
+        for a, f in enumerate(spec.sequence, start=1):
+            for p in ideal_piece(ring, (f,), t):
+                e.add_row(p.terms)
+            hilb[a][t] = dim_rt - e.rank
+    return hilb
+
+
+def _not_a_weight_vector():
+    R = FockRing(1, 2)
+    return [R.z_var(1, 1) + R.z_var(1, 2)]
+
+
+def _regularity_robustness_sequences():
+    S, cs = sk_c_sequence(2)
+    return [_offdiag_then_q(), _q_offdiag_interleaved(),
+            [S.rhat_var(1, 2), *cs], [cs[0], S.rhat_var(1, 2), cs[1]]]
+
+
+# (name, sequence builder, window, symmetry lemma applies)
+SYMMETRY_CASES = [
+    ("q11", lambda: _q_seq(1, 1), 6, True),
+    ("q22", lambda: _q_seq(2, 2), 6, True),
+    ("q32", lambda: _q_seq(3, 2), 5, True),
+    ("q23", lambda: _q_seq(2, 3), 5, True),
+    ("q33", lambda: _q_seq(3, 3), 5, True),
+    ("q42", lambda: _q_seq(4, 2), 5, True),
+    *[("robustness-%d" % i,
+       lambda i=i: _regularity_robustness_sequences()[i], 5, False)
+      for i in range(4)],
+    ("c2", lambda: _c_seq(2), 6, False),
+    ("c3", lambda: _c_seq(3), 5, False),
+    ("w2", lambda: _what_seq(2), 6, False),
+    ("w3", lambda: _what_seq(3), 5, False),
+    ("z11+z12", _not_a_weight_vector, 6, False),
+    ("x", lambda: [qx().var(0)], 6, False),
+]
+
+
+def counting_rows(monkeypatch):
+    """Patch koszul's Eliminator to count its add_row calls."""
+    rows = []
+
+    class CountingEliminator(Eliminator):
+        def add_row(self, row):
+            rows.append(1)
+            return super().add_row(row)
+
+    monkeypatch.setattr(koszul, "Eliminator", CountingEliminator)
+    return rows
+
+
+def plain_row_count(spec, window):
+    return sum(len(monomials_of_degree(spec.ring, t - f.degree()))
+               for t in range(window + 1) for f in spec.sequence)
+
+
+def dominant_row_count(spec, window):
+    """The rows m * q_alpha of dominant weight: q_alpha has weight 0, so
+    those whose monomial m has dominant weight."""
+    ring = spec.ring
+    return sum(
+        all(a >= b for a, b in zip(mu, mu[1:]))
+        for t in range(window + 1) for f in spec.sequence
+        for mu in (monomial_weight(ring, m)
+                   for m in monomials_of_degree(ring, t - f.degree())))
+
+
+@pytest.mark.parametrize("build,window,symmetric",
+                         [case[1:] for case in SYMMETRY_CASES],
+                         ids=[case[0] for case in SYMMETRY_CASES])
+def test_symmetric_table_matches_the_plain_route(build, window, symmetric,
+                                                 monkeypatch):
+    # the dominant blocks weighted by orbit size give the plain table
+    # entry by entry; where the lemma does not apply every row is kept
+    seq = build()
+    spec = KoszulSpec(seq[0].ring, seq)
+    want = plain_ideal_quotient_dims(spec, window)
+    rows = counting_rows(monkeypatch)
+    assert ideal_quotient_dims(spec, window) == want
+    plain = plain_row_count(spec, window)
+    if symmetric:
+        # one weight in each S_k-orbit: fewer rows as soon as k > 1
+        assert len(rows) == dominant_row_count(spec, window)
+        assert len(rows) < plain or spec.ring.k == 1
+    else:
+        assert len(rows) == plain
+
+
+def test_prefix_table_builds_no_product(monkeypatch):
+    # the rows are f's terms shifted by m, never a Polynomial product
+    spec = KoszulSpec(FockRing(3, 3), _q_seq(3, 3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Polynomial product")
+
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    monkeypatch.setattr(Polynomial, "__rmul__", refuse)
+    assert regular_sequence_check(spec, ideal_quotient_dims(spec, 6)).regular
 
 
 def test_one_elimination_per_degree(monkeypatch, capsys):

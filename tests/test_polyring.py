@@ -5,11 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_fock import monomial_weight
 
 from weilcoh.polyring import (
     FockRing,
+    Polynomial,
+    Ring,
     SkRing,
     c_gen,
+    ideal_piece,
     laplacian,
     minor,
     monomials_of_degree,
@@ -342,3 +346,67 @@ def test_sk_evaluate_memo_leaves_no_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def act(swap, p):
+    """The image of p under a column transposition of its ring."""
+    return Polynomial(p.ring, {tuple(e[v] for v in swap): c
+                               for e, c in p.terms.items()})
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 3), (3, 2)])
+def test_ring_weights_agree_with_the_evaluation(n, k):
+    # FockRing.weight is the column degree minus the w degree, and
+    # SkRing.weight is the Fock weight of every monomial of the image
+    R, S = FockRing(n, k), SkRing(k)
+    for e in monomials_of_degree(R, 2):
+        assert R.weight(e) == monomial_weight(R, e)
+    for d in range(4):
+        for expo in monomials_of_degree(S, d):
+            image = sk_evaluate(Polynomial(S, {expo: 1}), R)
+            assert {R.weight(e) for e in image.terms} == {S.weight(expo)}
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 3)])
+def test_column_swaps_are_the_adjacent_transpositions(n, k):
+    # the swap (j j+1) of each ring permutes the columns of the generators
+    # and commutes with sk_evaluate; q is fixed, r(i,l) and c(i) move
+    R, S = FockRing(n, k), SkRing(k)
+    assert len(R.column_swaps) == len(S.column_swaps) == k - 1
+    for j, (fswap, sswap) in enumerate(zip(R.column_swaps, S.column_swaps),
+                                       start=1):
+        tau = {j: j + 1, j + 1: j}
+        for a in range(1, n + 1):
+            assert act(fswap, q_gen(R, a)) == q_gen(R, a)
+        for i in range(1, k + 1):
+            ti = tau.get(i, i)
+            assert act(fswap, R.w_var(i)) == R.w_var(ti)
+            assert act(fswap, c_gen(R, i)) == c_gen(R, ti)
+            for l in range(i, k + 1):
+                assert act(fswap, r_gen(R, i, l)) == \
+                    r_gen(R, ti, tau.get(l, l))
+        for d in range(4):
+            for expo in monomials_of_degree(S, d):
+                m = Polynomial(S, {expo: 1})
+                assert sk_evaluate(act(sswap, m), R) == \
+                    act(fswap, sk_evaluate(m, R))
+                assert S.weight(act(sswap, m).terms.popitem()[0]) == \
+                    tuple(S.weight(expo)[tau.get(i, i) - 1]
+                          for i in range(1, k + 1))
+
+
+def test_generic_ring_has_no_columns():
+    R = Ring(["x", "y"], [2, 3])
+    assert R.column_swaps == ()
+    assert R.weight((4, 1)) == ()
+
+
+def test_ideal_piece_is_the_products():
+    # the rows by exponent shift are the products m * f
+    R = FockRing(2, 2)
+    gens = [q_gen(R, 1), c_gen(R, 2)]
+    for t in range(5):
+        got = ideal_piece(R, gens, t)
+        want = [Polynomial(R, {e: 1}) * f for f in gens
+                for e in monomials_of_degree(R, t - f.degree())]
+        assert got == want
