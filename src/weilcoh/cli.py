@@ -33,13 +33,13 @@ import time
 
 from .fock import direct_cohomology_dims
 from .koszul import (
-    KoszulSpec,
     ci_hilbert,
     ideal_quotient_dims,
+    named_sequence,
     regular_sequence_check,
 )
 from .linalg import ResourceCapError
-from .polyring import FockRing, SkRing, q_gen, sk_c_sequence
+from .polyring import FockRing
 from .spectral import e1_dims, einf_and_converge, unregrade
 from .verify import SUITES, run_suite
 
@@ -48,6 +48,12 @@ __all__ = ["main"]
 
 def _cell(ell, degree, dim):
     return {"ell": ell, "degree": degree, "dim": dim, "stabilized": True}
+
+
+def _page_cells(dims):
+    """The cells of a {(p, q): dim} page, in (p, q) order."""
+    return [_cell(*unregrade(p, q), dim)
+            for (p, q), dim in sorted(dims.items())]
 
 
 def _parse_ell(text, n):
@@ -59,20 +65,6 @@ def _parse_ell(text, n):
     if not (0 <= lo <= hi <= n):
         raise ValueError("--ell out of range 0..%d: %s" % (n, text))
     return range(lo, hi + 1)
-
-
-def _koszul_model(args):
-    """The named sequence for `koszul`: q in P_k, or c / w in S_k."""
-    if args.model == "q":
-        R = FockRing(args.n, args.k)
-        return KoszulSpec(R, [q_gen(R, a) for a in range(1, args.n + 1)])
-    if args.model == "c":
-        S, seq = sk_c_sequence(args.k)
-        return KoszulSpec(S, seq)
-    if args.model == "w":
-        S = SkRing(args.k)
-        return KoszulSpec(S, [S.what_var(i) for i in range(1, args.k + 1)])
-    raise ValueError("unknown koszul model %r" % args.model)
 
 
 def _hilbert_series(args):
@@ -110,31 +102,20 @@ def _cmd_cohom(args, doc):
 
 def _cmd_e1(args, doc):
     page = e1_dims(FockRing(args.n, args.k), args.part, args.max_degree)
-    cells = []
-    for (p, q), dim in sorted(page.dims.items()):
-        ell, t = unregrade(p, q)
-        cells.append(_cell(ell, t, dim))
-    doc["tables"].append({"name": "E1 part=%s" % args.part, "cells": cells})
+    doc["tables"].append({"name": "E1 part=%s" % args.part,
+                          "cells": _page_cells(page.dims)})
 
 
 def _cmd_pages(args, doc):
     rep = einf_and_converge(FockRing(args.n, args.k), args.part,
                             args.max_degree)
-    cells = []
-    for (p, q), dim in sorted(rep.einf.dims.items()):
-        ell, t = unregrade(p, q)
-        cells.append(_cell(ell, t, dim))
     doc["tables"].append({
         "name": "Einf part=%s r=%d" % (args.part, rep.r_max),
-        "cells": cells,
+        "cells": _page_cells(rep.einf.dims),
     })
-    cells = []
-    for (p, q), dim in sorted(rep.gr_dims.items()):
-        ell, t = unregrade(p, q)
-        cells.append(_cell(ell, t, dim))
     doc["tables"].append({
         "name": "graded cohomology part=%s" % args.part,
-        "cells": cells,
+        "cells": _page_cells(rep.gr_dims),
     })
     doc["verdicts"].append({
         "name": "Einf matches graded cohomology",
@@ -145,7 +126,7 @@ def _cmd_pages(args, doc):
 
 
 def _cmd_koszul(args, doc):
-    spec = _koszul_model(args)
+    spec = named_sequence(args.model, args.n, args.k)
     D = args.max_degree
     hilb = ideal_quotient_dims(spec, D)
     cert = regular_sequence_check(spec, hilb)

@@ -21,7 +21,11 @@ invariant cochain is therefore an S_k-combination of the Phi_J and the
 pm_basis_vectors span the invariants for every k.  They are a basis for
 k < n, as the paper proves, and the tests find them free at k = n too;
 for k > n the relations among inner products and determinants make them
-dependent, which the consumers, all rank-based, do not mind.
+dependent, which the consumers, all rank-based, do not mind.  So the
+families are the S_k model pairs (J, m) evaluated in the Fock ring, as
+m . Phi_J or m . *Phi_J (*Phi_J the Hodge star of Phi_J), and they come
+from one enumeration, sk_model_pairs: pm_basis_vectors evaluates its
+pairs, and the model (sk_model_basis) reads them as they are.
 
 Invariant dimensions come from an independent route, the joint kernel
 of the so(n) generators X_{i,i+1}, and serve as the oracle of the
@@ -128,6 +132,7 @@ __all__ = [
     "invariant_dims",
     "pm_basis_vectors",
     "invariant_family",
+    "sk_model_pairs",
     "sk_model_basis",
     "sk_model_d2_row",
     "cochain_weight",
@@ -315,22 +320,17 @@ def Phi_J(ring, J):
 
 def star_Phi_J(ring, J):
     """Hodge dual family: sum over I of f_{I,J} (x) *(omega_I)."""
-    J = tuple(J)
-    l = len(J)
-    if l > ring.k:
-        raise ValueError("|J| exceeds k")
-    if l > ring.n:
-        raise ValueError("|J| exceeds n")
-    out = Cochain(ring, ring.n - l)
-    for I in itertools.combinations(range(1, ring.n + 1), l):
-        s, comp = star_bits(bits_of(I), ring.n)
-        out = out + Cochain(ring, ring.n - l, {comp: minor(ring, I, J).scale(s)})
-    return out
+    c = Phi_J(ring, J)
+    parts = {}
+    for bits, f in c.parts.items():
+        s, comp = star_bits(bits, ring.n)
+        parts[comp] = f.scale(s)
+    return Cochain(ring, ring.n - c.ell, parts)
 
 
-def named_cochain(which, ring, J=None, slot=1):
+def named_cochain(which, ring, J=None):
     if which == "phi1":
-        return phi1(ring, slot)
+        return phi1(ring)
     if which == "phik":
         return Phi_J(ring, tuple(range(1, ring.k + 1)))
     if which == "PhiJ":
@@ -569,48 +569,53 @@ def weight_blocks(families):
     return out
 
 
+def sk_model_pairs(sk, n, part, ell, d, dominant):
+    """The pairs (J, m) of the part at bidegree (ell, d) as triples
+    (weight, J, m): m an S_k exponent tuple and J increasing, standing for
+    m . Phi_J (plus, |J| = ell) or m . *Phi_J (minus, |J| = n - ell), with
+    deg m = d - |J| and weight weight(m) + e_J; only the dominant weights
+    if dominant is set.  m runs in monomial order and, for each m, J in
+    combination order.  The one enumeration of the families: the Fock
+    builder evaluates these pairs, and the model reads them as they are."""
+    if part not in ("plus", "minus"):
+        raise ValueError("part must be plus or minus")
+    k = sk.k
+    jsize = ell if part == "plus" else n - ell
+    if ell < 0 or ell > n or not 0 <= jsize <= k or d < jsize:
+        return
+    Js = [(J, [int(j in J) for j in range(1, k + 1)])
+          for J in itertools.combinations(range(1, k + 1), jsize)]
+    for expo in monomials_of_degree(sk, d - jsize):
+        mw = sk.weight(expo)
+        for J, eJ in Js:
+            mu = tuple(a + b for a, b in zip(mw, eJ))
+            if not dominant or is_dominant(mu):
+                yield mu, J, expo
+
+
 def pm_basis_vectors(ring, part, ell, d, dominant=False):
     """The spanning family of C_+ (m . Phi_J) or C_- (m . *Phi_J) at
-    bidegree (ell, d), with m running over S_k-monomials of the
-    complementary degree; only the vectors of dominant weight if
-    dominant is set.  The family spans for every k and is dependent for
-    k > n (see the module docstring).  Each Phi_J / *Phi_J is built once
-    per call and each m is evaluated once.  m . Phi_J and m . *Phi_J have
-    weight weight(m) + e_J, so a pair (m, J) of other weight costs
-    nothing."""
-    n, k = ring.n, ring.k
-    if ell < 0 or ell > n or d < 0:
-        return []
-    if part == "plus":
-        jsize = ell
-        base = d - ell
-    elif part == "minus":
-        jsize = n - ell
-        base = d - (n - ell)
-    else:
-        raise ValueError("part must be plus or minus")
-    if jsize < 0 or jsize > k or base < 0:
-        return []
+    bidegree (ell, d): the pairs of sk_model_pairs evaluated, in their
+    order; only the vectors of dominant weight if dominant is set.  The
+    family spans for every k and is dependent for k > n (see the module
+    docstring).  Each Phi_J / *Phi_J is built once per call, on first
+    use, and each m is evaluated once."""
+    sk = SkRing(ring.k)
     build = Phi_J if part == "plus" else star_Phi_J
-    gens = []
-    for J in itertools.combinations(range(1, k + 1), jsize):
-        c = build(ring, J)
-        if c:
-            eJ = tuple(int(j in J) for j in range(1, k + 1))
-            _check_weight(c.parts.values(), eJ)
-            gens.append((eJ, c))
-    sk = SkRing(k)
+    gens = {}
     out = []
-    for expo in monomials_of_degree(sk, base):
-        mw = sk.weight(expo)
-        m = None
-        for eJ, c in gens:
-            if dominant and not is_dominant([a + b for a, b in zip(mw, eJ)]):
-                continue
-            if m is None:
-                m = sk_evaluate(Polynomial(sk, {expo: 1}), ring)
-                _check_weight((m,), mw)
-            out.append(c.mul_poly(m))
+    last = m = None
+    for _, J, expo in sk_model_pairs(sk, ring.n, part, ell, d, dominant):
+        c = gens.get(J)
+        if c is None:
+            c = gens[J] = build(ring, J)
+            _check_weight(c.parts.values(),
+                          tuple(int(j in J) for j in range(1, ring.k + 1)))
+        if expo != last:
+            last = expo
+            m = sk_evaluate(Polynomial(sk, {expo: 1}), ring)
+            _check_weight((m,), sk.weight(expo))
+        out.append(c.mul_poly(m))
     return out
 
 
@@ -635,27 +640,12 @@ def invariant_family(ring, part, ell, degrees, dominant=False):
 
 
 def sk_model_basis(sk, n, part, ell, d):
-    """{weight: [(J, m)]} of the dominant pairs of the part at bidegree
-    (ell, d): m an S_k exponent tuple and J increasing, standing for
-    m . Phi_J (plus, |J| = ell) or m . *Phi_J (minus, |J| = n - ell),
-    with deg m = d - |J| and weight weight(m) + e_J dominant.  For k < n
-    these vectors are a basis of the dominant invariant cochains (the
-    paper's theorem), so nothing is evaluated."""
-    if part not in ("plus", "minus"):
-        raise ValueError("part must be plus or minus")
-    k = sk.k
-    jsize = ell if part == "plus" else n - ell
-    if ell < 0 or ell > n or not 0 <= jsize <= k or d < jsize:
-        return {}
+    """{weight: [(J, m)]} of the dominant pairs of sk_model_pairs.  For
+    k < n these vectors are a basis of the dominant invariant cochains
+    (the paper's theorem), so nothing is evaluated."""
     out = {}
-    Js = [(J, [int(j in J) for j in range(1, k + 1)])
-          for J in itertools.combinations(range(1, k + 1), jsize)]
-    for expo in monomials_of_degree(sk, d - jsize):
-        mw = sk.weight(expo)
-        for J, eJ in Js:
-            mu = tuple(a + b for a, b in zip(mw, eJ))
-            if is_dominant(mu):
-                out.setdefault(mu, []).append((J, expo))
+    for mu, J, expo in sk_model_pairs(sk, n, part, ell, d, True):
+        out.setdefault(mu, []).append((J, expo))
     return out
 
 

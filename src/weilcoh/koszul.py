@@ -48,11 +48,12 @@ from dataclasses import dataclass, field
 from operator import add
 
 from .linalg import Eliminator
-from .polyring import is_dominant, monomials_of_degree, orbit_size, \
-    shifted_terms
+from .polyring import FockRing, SkRing, is_dominant, monomials_of_degree, \
+    orbit_size, q_gen, shifted_terms, sk_c_sequence
 
 __all__ = [
     "KoszulSpec",
+    "named_sequence",
     "regular_sequence_check",
     "RegularityCertificate",
     "ci_hilbert",
@@ -82,6 +83,21 @@ class KoszulSpec:
     @property
     def degrees(self):
         return tuple(f.degree() for f in self.sequence)
+
+
+def named_sequence(model, n, k):
+    """The named sequences: q, the q_alpha = sum_i z_{alpha i} w_i
+    (alpha <= n) in P_k; c, the c_1..c_k in S_k; w, the what_1..what_k
+    in S_k (n is read by q only)."""
+    if model == "q":
+        R = FockRing(n, k)
+        return KoszulSpec(R, [q_gen(R, a) for a in range(1, n + 1)])
+    if model == "c":
+        return KoszulSpec(*sk_c_sequence(k))
+    if model == "w":
+        S = SkRing(k)
+        return KoszulSpec(S, [S.what_var(i) for i in range(1, k + 1)])
+    raise ValueError("unknown koszul model %r" % model)
 
 
 @dataclass

@@ -147,13 +147,10 @@ class SparseRationalMatrix:
     caller); zeros are never stored.
     """
 
-    def __init__(self, rows, cols, entries=None):
+    def __init__(self, rows, cols):
         self.rows = rows
         self.cols = cols
         self.entries = {}
-        if entries:
-            for (i, j), v in entries.items():
-                self.set(i, j, v)
 
     def set(self, i, j, v):
         if not (0 <= i < self.rows and 0 <= j < self.cols):

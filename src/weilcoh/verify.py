@@ -25,34 +25,38 @@ from .fock import (
     son_act_cochain,
 )
 from .koszul import (
-    KoszulSpec,
     ci_hilbert,
     ideal_quotient_dims,
+    named_sequence,
     regular_sequence_check,
 )
 from .linalg import rank_of_rows
-from .polyring import FockRing, laplacian, minor, q_gen, sk_c_sequence
+from .polyring import FockRing, laplacian, minor
 from .spectral import e1_dims, einf_and_converge
 
 __all__ = ["SUITES", "run_suite"]
 
+TRIALS = 10  # random draws per randomized check
+WINDOW = 4   # degree window of the bases and koszul suites
 
-def _random_cochain(ring, rng, ell, nterms=3, max_deg=3):
+
+def _random_cochain(ring, rng, ell):
+    """Three random terms, each a monomial of degree <= 3."""
     c = Cochain(ring, ell)
-    for _ in range(nterms):
+    for _ in range(3):
         I = tuple(sorted(rng.sample(range(1, ring.n + 1), ell)))
         p = ring.one().scale(rng.randint(-3, 3))
-        for _ in range(rng.randint(0, max_deg)):
+        for _ in range(rng.randint(0, 3)):
             p = p * ring.var(rng.randrange(ring.nvars))
         c = c + Cochain(ring, ell, {bits_of(I): p} if p else {})
     return c
 
 
-def _random_invariant_cochain(ring, rng, ell, max_deg=3):
+def _random_invariant_cochain(ring, rng, ell):
+    """A random combination of the invariant families of degree <= 3."""
     c = Cochain(ring, ell)
-    fam = invariant_family(ring, "full", ell, range(max_deg + 1))
-    for d in range(max_deg + 1):
-        for v in fam[d]:
+    for vecs in invariant_family(ring, "full", ell, range(4)).values():
+        for v in vecs:
             x = rng.randint(-3, 3)
             if x:
                 c = c + v.scale(x)
@@ -63,14 +67,14 @@ def _verdict(results, name, ok, detail=""):
     results.append({"name": name, "pass": bool(ok), "detail": detail})
 
 
-def suite_signs(n, k, seed, trials=10):
+def suite_signs(n, k, seed):
     """Sign discipline: wedge antisymmetry, the outer-product Leibniz
     rule, and commutation of d with the involutions."""
     rng = random.Random(seed)
     results = []
 
     bad = 0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         a = rng.randrange(1 << n)
         b = rng.randrange(1 << n)
         sa, ab = wedge_bits(a, b)
@@ -85,7 +89,7 @@ def suite_signs(n, k, seed, trials=10):
     _verdict(results, "wedge antisymmetry", bad == 0, "%d violations" % bad)
 
     bad = 0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         ka = rng.randint(1, max(1, k - 1)) if k > 1 else 1
         kb = max(1, k - ka)
         a = _random_cochain(FockRing(n, ka), rng, rng.randint(0, n - 1))
@@ -99,7 +103,7 @@ def suite_signs(n, k, seed, trials=10):
 
     R = FockRing(n, k)
     bad = 0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         c = _random_cochain(R, rng, rng.randint(0, n))
         for which in ("iota", "iota_prime"):
             if involution(diff(c), which) != diff(involution(c, which)):
@@ -109,7 +113,7 @@ def suite_signs(n, k, seed, trials=10):
     return results
 
 
-def suite_closedness(n, k, seed, trials=10):
+def suite_closedness(n, k, seed):
     """d phi_k = 0; d^2 = 0 and the anticommutator identity on the
     invariant complex; d2^2 = dm2^2 = 0 everywhere."""
     rng = random.Random(seed)
@@ -121,7 +125,7 @@ def suite_closedness(n, k, seed, trials=10):
             "phik", R)), "(n,k)=(%d,%d)" % (n, k))
 
     bad2 = badm2 = 0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         c = _random_cochain(R, rng, rng.randint(0, n - 1))
         bad2 += bool(diff(diff(c, "d2"), "d2"))
         badm2 += bool(diff(diff(c, "dm2"), "dm2"))
@@ -131,7 +135,7 @@ def suite_closedness(n, k, seed, trials=10):
              "%d violations" % badm2)
 
     badf = bada = 0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         c = _random_invariant_cochain(R, rng, rng.randint(0, n - 1))
         badf += bool(diff(diff(c)))
         anti = diff(diff(c, "d2"), "dm2") + diff(diff(c, "dm2"), "d2")
@@ -143,7 +147,7 @@ def suite_closedness(n, k, seed, trials=10):
     return results
 
 
-def suite_invariance(n, k, seed, trials=10):
+def suite_invariance(n, k, seed):
     """The so(n) generators kill the named cochains and commute with d."""
     rng = random.Random(seed)
     results = []
@@ -160,7 +164,7 @@ def suite_invariance(n, k, seed, trials=10):
              "%d violations" % bad)
 
     bad = 0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         c = _random_cochain(R, rng, rng.randint(0, n - 1))
         for a, b in gens:
             if diff(son_act_cochain(a, b, c)) != son_act_cochain(
@@ -171,7 +175,7 @@ def suite_invariance(n, k, seed, trials=10):
     return results
 
 
-def suite_bases(n, k, seed, max_degree=4):
+def suite_bases(n, k, seed):
     """The Phi / *Phi families are independent and jointly span the
     invariants in every (ell, degree) cell of the window (k < n only);
     the minors are harmonic."""
@@ -192,8 +196,8 @@ def suite_bases(n, k, seed, max_degree=4):
     if k < n:
         bad = []
         for ell in range(n + 1):
-            dims = invariant_dims(R, ell, max_degree)
-            for d in range(max_degree + 1):
+            dims = invariant_dims(R, ell, WINDOW)
+            for d in range(WINDOW + 1):
                 plus = pm_basis_vectors(R, "plus", ell, d)
                 minus = pm_basis_vectors(R, "minus", ell, d)
                 # both families free and jointly free, and spanning; a
@@ -203,27 +207,26 @@ def suite_bases(n, k, seed, max_degree=4):
                     bad.append((ell, d))
         _verdict(results, "determinantal families are a basis", not bad,
                  "failing cells: %s" % bad if bad else
-                 "all cells to degree %d" % max_degree)
+                 "all cells to degree %d" % WINDOW)
     return results
 
 
-def suite_koszul(n, k, seed, max_degree=4):
+def suite_koszul(n, k, seed):
     """Regularity of the q-sequence (k >= n only: for k < n the q's have
     evident syzygies) and of the abstract c-sequence, with
     Hilbert-series agreement for the quotients."""
     results = []
     if k >= n:
-        R = FockRing(n, k)
-        spec = KoszulSpec(R, [q_gen(R, a) for a in range(1, n + 1)])
-        hilb = ideal_quotient_dims(spec, max_degree)
+        spec = named_sequence("q", n, k)
+        hilb = ideal_quotient_dims(spec, WINDOW)
         cert = regular_sequence_check(spec, hilb)
         _verdict(results, "q-sequence is regular through the window",
                  cert.regular, "failures at %s" % cert.failure_degree
-                 if not cert.regular else "degree %d" % max_degree)
+                 if not cert.regular else "degree %d" % WINDOW)
         quo = hilb[-1]
         try:
-            expect = ci_hilbert((1,) * R.nvars, (2,) * n, max_degree)
-            agree = [quo[t] for t in range(max_degree + 1)] == expect
+            expect = ci_hilbert((1,) * spec.ring.nvars, (2,) * n, WINDOW)
+            agree = [quo[t] for t in range(WINDOW + 1)] == expect
             detail = ""
         except ValueError as exc:
             agree, detail = False, str(exc)
@@ -231,26 +234,23 @@ def suite_koszul(n, k, seed, max_degree=4):
                  detail)
 
     kk = min(k, 2)
-    S, cs = sk_c_sequence(kk)
-    cspec = KoszulSpec(S, cs)
+    cspec = named_sequence("c", n, kk)
     cert = regular_sequence_check(
-        cspec, ideal_quotient_dims(cspec, max_degree + 2))
+        cspec, ideal_quotient_dims(cspec, WINDOW + 2))
     _verdict(results, "c-sequence is regular through the window",
              cert.regular, "k=%d" % kk)
     return results
 
 
-def suite_spectral(n, k, seed, max_degree=None):
+def suite_spectral(n, k, seed):
     """E_infinity agrees with the graded direct cohomology on a small
     window; in the k < n case E_1 already equals E_infinity.
 
-    The default window is 2 for n <= 2 and 1 above; it is kept fixed so
-    that the verdicts for a given (n, k) and seed do not change between
-    versions.
+    The window is 2 for n <= 2 and 1 above; it is kept fixed so that the
+    verdicts for a given (n, k) and seed do not change between versions.
     """
     results = []
-    if max_degree is None:
-        max_degree = 2 if n <= 2 else 1
+    max_degree = 2 if n <= 2 else 1
     R = FockRing(n, k)
     # iota splits the complex for every k (the Phi_J families are
     # iota-even, the *Phi_J families iota-odd); the parts are run apart

@@ -7,12 +7,13 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from weilcoh.exterior import bits_of
+from weilcoh.exterior import bits_of, star_bits
 import weilcoh.fock as fock
 from weilcoh.fock import (
     Cochain,
     Phi_J,
     _block_filtration,
+    _check_weight,
     cochain_weight,
     diff,
     direct_cohomology_dims,
@@ -38,6 +39,7 @@ from weilcoh.polyring import (
     Polynomial,
     SkRing,
     c_gen,
+    minor,
     monomials_of_degree,
     q_gen,
     r_gen,
@@ -761,6 +763,95 @@ def test_builder_refuses_a_vector_of_the_wrong_weight(patch, monkeypatch):
                             sk_evaluate(p, ring) * ring.z_var(1, 2))
     with pytest.raises(ValueError, match="weight"):
         pm_basis_vectors(R, "plus", 1, 3)
+
+
+# The two family builders as they were before both read the pairs of
+# fock.sk_model_pairs, verbatim apart from their names: the oracles of
+# the one enumeration.
+
+
+def old_star_Phi_J(ring, J):
+    """Hodge dual family: sum over I of f_{I,J} (x) *(omega_I)."""
+    J = tuple(J)
+    l = len(J)
+    if l > ring.k:
+        raise ValueError("|J| exceeds k")
+    if l > ring.n:
+        raise ValueError("|J| exceeds n")
+    out = Cochain(ring, ring.n - l)
+    for I in itertools.combinations(range(1, ring.n + 1), l):
+        s, comp = star_bits(bits_of(I), ring.n)
+        out = out + Cochain(ring, ring.n - l, {comp: minor(ring, I, J).scale(s)})
+    return out
+
+
+def old_pm_basis_vectors(ring, part, ell, d, dominant=False):
+    """The spanning family of C_+ (m . Phi_J) or C_- (m . *Phi_J) at
+    bidegree (ell, d), with m running over S_k-monomials of the
+    complementary degree; only the vectors of dominant weight if
+    dominant is set.  The family spans for every k and is dependent for
+    k > n (see the module docstring).  Each Phi_J / *Phi_J is built once
+    per call and each m is evaluated once.  m . Phi_J and m . *Phi_J have
+    weight weight(m) + e_J, so a pair (m, J) of other weight costs
+    nothing."""
+    n, k = ring.n, ring.k
+    if ell < 0 or ell > n or d < 0:
+        return []
+    if part == "plus":
+        jsize = ell
+        base = d - ell
+    elif part == "minus":
+        jsize = n - ell
+        base = d - (n - ell)
+    else:
+        raise ValueError("part must be plus or minus")
+    if jsize < 0 or jsize > k or base < 0:
+        return []
+    build = Phi_J if part == "plus" else old_star_Phi_J
+    gens = []
+    for J in itertools.combinations(range(1, k + 1), jsize):
+        c = build(ring, J)
+        if c:
+            eJ = tuple(int(j in J) for j in range(1, k + 1))
+            _check_weight(c.parts.values(), eJ)
+            gens.append((eJ, c))
+    sk = SkRing(k)
+    out = []
+    for expo in monomials_of_degree(sk, base):
+        mw = sk.weight(expo)
+        m = None
+        for eJ, c in gens:
+            if dominant and not is_dominant([a + b for a, b in zip(mw, eJ)]):
+                continue
+            if m is None:
+                m = sk_evaluate(Polynomial(sk, {expo: 1}), ring)
+                _check_weight((m,), mw)
+            out.append(c.mul_poly(m))
+    return out
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (2, 2), (3, 3), (2, 3),
+                                 (1, 2)])
+def test_builders_match_the_previous_builders(n, k):
+    # k < n, k = n and k > n: every *Phi_J, and every family of both
+    # parts at every level through degree 4, dominant or not, equal
+    # vector by vector and in order
+    R = FockRing(n, k)
+    for size in range(min(n, k) + 1):
+        for J in itertools.combinations(range(1, k + 1), size):
+            assert star_Phi_J(R, J) == old_star_Phi_J(R, J), J
+    for J in (tuple(range(1, k + 2)), tuple(range(1, n + 2))[:k]):
+        if len(J) > min(n, k):
+            for build in (star_Phi_J, old_star_Phi_J):
+                with pytest.raises(ValueError, match="exceeds"):
+                    build(R, J)
+    for part in ("plus", "minus"):
+        for ell in range(-1, n + 2):
+            for d in range(5):
+                for dominant in (False, True):
+                    assert pm_basis_vectors(R, part, ell, d, dominant) == \
+                        old_pm_basis_vectors(R, part, ell, d, dominant), \
+                        (part, ell, d, dominant)
 
 
 # the S_k model for k < n: m . Phi_J and m . *Phi_J as pairs (J, m)
