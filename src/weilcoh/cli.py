@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -38,7 +37,7 @@ from .koszul import (
     named_sequence,
     regular_sequence_check,
 )
-from .linalg import ResourceCapError
+from .linalg import DEFAULT_MAX_ENTRIES, ResourceCapError, entry_cap
 from .polyring import FockRing
 from .spectral import e1_dims, einf_and_converge, unregrade
 from .verify import SUITES, run_suite
@@ -156,8 +155,8 @@ def _cmd_verify(args, doc):
     doc["verdicts"].extend(run_suite(args.suite, args.n, args.k, args.seed))
 
 
-def _emit(doc, fmt, elapsed, out=None):
-    out = out or sys.stdout
+def _emit(doc, fmt, elapsed):
+    out = sys.stdout
     doc["timing"] = elapsed
     if fmt == "json":
         json.dump(doc, out, indent=2, sort_keys=True)
@@ -190,7 +189,10 @@ def _build_parser():
         if degree:
             p.add_argument("--max-degree", type=int, default=4)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--max-entries", type=int, default=None)
+        p.add_argument("--max-entries", type=int,
+                       default=DEFAULT_MAX_ENTRIES,
+                       help="entry cap of each elimination "
+                            "(default %(default)s)")
 
     p = sub.add_parser("cohom", help="direct graded cohomology dims")
     common(p, part=True, degree=True)
@@ -234,10 +236,8 @@ def _validate(args):
     D = getattr(args, "max_degree", None)
     if D is not None and D < 0:
         raise ValueError("--max-degree must be nonnegative")
-    if args.max_entries is not None:
-        if args.max_entries <= 0:
-            raise ValueError("--max-entries must be positive")
-        os.environ["WEILCOH_MAX_ENTRIES"] = str(args.max_entries)
+    if args.max_entries <= 0:
+        raise ValueError("--max-entries must be positive")
 
 
 def main(argv=None):
@@ -255,12 +255,10 @@ def main(argv=None):
         "verdicts": [],
     }
     start = time.monotonic()
-    # --max-entries reaches the eliminators through the environment; put
-    # the caller's value back so that the cap ends with this call
-    saved_cap = os.environ.get("WEILCOH_MAX_ENTRIES")
     try:
         _validate(args)
-        args.func(args, doc)
+        with entry_cap(args.max_entries):
+            args.func(args, doc)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -270,11 +268,6 @@ def main(argv=None):
         })
         _emit(doc, args.format, time.monotonic() - start)
         return 3
-    finally:
-        if saved_cap is None:
-            os.environ.pop("WEILCOH_MAX_ENTRIES", None)
-        else:
-            os.environ["WEILCOH_MAX_ENTRIES"] = saved_cap
     _emit(doc, args.format, time.monotonic() - start)
     if any(not v["pass"] for v in doc["verdicts"]):
         return 1

@@ -123,7 +123,6 @@ __all__ = [
     "Cochain",
     "diff",
     "outer_product",
-    "named_cochain",
     "phi1",
     "Phi_J",
     "star_Phi_J",
@@ -326,18 +325,6 @@ def star_Phi_J(ring, J):
         s, comp = star_bits(bits, ring.n)
         parts[comp] = f.scale(s)
     return Cochain(ring, ring.n - c.ell, parts)
-
-
-def named_cochain(which, ring, J=None):
-    if which == "phi1":
-        return phi1(ring)
-    if which == "phik":
-        return Phi_J(ring, tuple(range(1, ring.k + 1)))
-    if which == "PhiJ":
-        return Phi_J(ring, J)
-    if which == "starPhiJ":
-        return star_Phi_J(ring, J)
-    raise ValueError("unknown cochain %r" % which)
 
 
 def involution(c, which):

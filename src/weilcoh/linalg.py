@@ -17,7 +17,8 @@ when a matrix is assembled directly over an ambient basis.
 
 from __future__ import annotations
 
-import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from math import gcd
 
 __all__ = [
@@ -28,9 +29,14 @@ __all__ = [
     "rank_of_rows",
     "span_intersect_window",
     "DEFAULT_MAX_ENTRIES",
+    "entry_cap",
 ]
 
 DEFAULT_MAX_ENTRIES = 2_000_000
+
+# the entry cap in force, read by each Eliminator when it is made; set it
+# with entry_cap
+MAX_ENTRIES = ContextVar("max_entries", default=DEFAULT_MAX_ENTRIES)
 
 
 class ResourceCapError(Exception):
@@ -45,15 +51,15 @@ class ResourceCapError(Exception):
         )
 
 
-def resolve_max_entries(max_entries=None):
-    """The effective entry cap: explicit argument, else WEILCOH_MAX_ENTRIES,
-    else the built-in default."""
-    if max_entries is not None:
-        return max_entries
-    env = os.environ.get("WEILCOH_MAX_ENTRIES")
-    if env is not None:
-        return int(env)
-    return DEFAULT_MAX_ENTRIES
+@contextmanager
+def entry_cap(limit):
+    """Cap the stored entries of every elimination inside the block at
+    limit; the previous cap is back on exit, by exception too."""
+    token = MAX_ENTRIES.set(limit)
+    try:
+        yield
+    finally:
+        MAX_ENTRIES.reset(token)
 
 
 def _primitive(row):
@@ -79,10 +85,10 @@ class Eliminator:
     column order, so a fixed insertion order yields a fixed reduction.
     """
 
-    def __init__(self, max_entries=None):
+    def __init__(self):
         self.pivots = {}  # pivot col -> {col: int}
         self._entries = 0
-        self._cap = resolve_max_entries(max_entries)
+        self._cap = MAX_ENTRIES.get()
 
     @property
     def rank(self):
@@ -161,15 +167,15 @@ class SparseRationalMatrix:
             self.entries.pop((i, j), None)
 
 
-def rank_of_rows(rows, max_entries=None):
+def rank_of_rows(rows):
     """Rank of a family of {col: value} rows."""
-    e = Eliminator(max_entries)
+    e = Eliminator()
     for r in rows:
         e.add_row(r)
     return e.rank
 
 
-def kernel_basis(m, max_entries=None):
+def kernel_basis(m):
     """A basis of {v : m v = 0} as sparse {col: int} rows.
 
     Row j of [m^T | I] is (column j of m, e_j), so a combination with
@@ -181,10 +187,10 @@ def kernel_basis(m, max_entries=None):
     rows = [{j: 1} for j in range(cols)]
     for (i, j), v in m.entries.items():
         rows[j][cols + i] = v
-    return span_intersect_window(rows, lambda c: c < cols, max_entries)
+    return span_intersect_window(rows, lambda c: c < cols)
 
 
-def span_intersect_window(vectors, in_window, max_entries=None):
+def span_intersect_window(vectors, in_window):
     """A basis (list of {col: int} rows) of span(vectors) ∩ window.
 
     Works by re-sorting columns so that out-of-window labels come first;
@@ -192,7 +198,7 @@ def span_intersect_window(vectors, in_window, max_entries=None):
     support at all.  Their number is rank(V) minus the rank of the
     projection of V onto the out-of-window coordinates.
     """
-    e = Eliminator(max_entries)
+    e = Eliminator()
     for v in vectors:
         e.add_row({((0, c) if not in_window(c) else (1, c)): x
                    for c, x in v.items()})

@@ -292,13 +292,6 @@ class Polynomial:
         degs = {self.ring.monomial_degree(e) for e in self.terms}
         return len(degs) <= 1
 
-    def graded_part(self, d):
-        return Polynomial(
-            self.ring,
-            {e: c for e, c in self.terms.items()
-             if self.ring.monomial_degree(e) == d},
-        )
-
     def coefficient(self, expo):
         return self.terms.get(tuple(expo), 0)
 

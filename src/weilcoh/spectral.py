@@ -66,8 +66,8 @@ from dataclasses import dataclass, field
 
 from .fock import diff, direct_cohomology_dims, dominant_pairs, \
     invariant_family, sk_model_basis, sk_model_d2_row, weight_blocks
-from .linalg import ResourceCapError, SparseRationalMatrix, kernel_basis, \
-    rank_of_rows, resolve_max_entries, span_intersect_window
+from .linalg import MAX_ENTRIES, ResourceCapError, SparseRationalMatrix, \
+    kernel_basis, rank_of_rows, span_intersect_window
 from .polyring import SkRing, orbit_size
 
 __all__ = [
@@ -115,7 +115,7 @@ class SpectralComputer:
         self.D = max_degree
         # the stored rows alone can exhaust memory long before any single
         # elimination does, so they share the entry cap
-        cap = resolve_max_entries()
+        cap = MAX_ENTRIES.get()
         stored = 0
         # ell -> weight -> {deg: [(row, image row)]}, deg <= max_degree
         self.blocks = {}

@@ -14,11 +14,11 @@ import random
 from .exterior import bits_of, wedge_bits
 from .fock import (
     Cochain,
+    Phi_J,
     diff,
     invariant_dims,
     invariant_family,
     involution,
-    named_cochain,
     outer_product,
     phi1,
     pm_basis_vectors,
@@ -121,8 +121,9 @@ def suite_closedness(n, k, seed):
     R = FockRing(n, k)
 
     if k <= n:
-        _verdict(results, "phi_k is closed", not diff(named_cochain(
-            "phik", R)), "(n,k)=(%d,%d)" % (n, k))
+        _verdict(results, "phi_k is closed",
+                 not diff(Phi_J(R, tuple(range(1, k + 1)))),
+                 "(n,k)=(%d,%d)" % (n, k))
 
     bad2 = badm2 = 0
     for _ in range(TRIALS):
@@ -158,7 +159,8 @@ def suite_invariance(n, k, seed):
     for a, b in gens:
         if son_act_cochain(a, b, phi1(R)):
             bad += 1
-        if k <= n and son_act_cochain(a, b, named_cochain("phik", R)):
+        if k <= n and son_act_cochain(
+                a, b, Phi_J(R, tuple(range(1, k + 1)))):
             bad += 1
     _verdict(results, "named cochains are so(n)-invariant", bad == 0,
              "%d violations" % bad)

@@ -2,12 +2,12 @@
 and determinism."""
 
 import json
-import os
 import sys
 
 import pytest
 
 from weilcoh.cli import main
+from weilcoh.linalg import DEFAULT_MAX_ENTRIES, MAX_ENTRIES
 
 
 def run_cli(capsys, *argv):
@@ -136,17 +136,43 @@ def test_koszul_stays_under_the_cap(capsys):
     assert verdict["name"] == "resource cap" and not verdict["pass"]
 
 
-def test_cap_does_not_outlive_the_call(capsys, monkeypatch):
-    monkeypatch.delenv("WEILCOH_MAX_ENTRIES", raising=False)
+# one small call of every subcommand that eliminates
+ELIMINATING = {
+    "cohom": ("cohom", "--n", "3", "--k", "2", "--part", "minus",
+              "--ell", "0..3", "--max-degree", "4"),
+    "e1-model": ("e1", "--n", "3", "--k", "2", "--max-degree", "4"),
+    "e1-fock": ("e1", "--n", "2", "--k", "3", "--max-degree", "4"),
+    "pages": ("pages", "--n", "2", "--k", "2", "--max-degree", "2"),
+    "koszul-q": ("koszul", "--model", "q", "--n", "2", "--k", "2",
+                 "--max-degree", "4"),
+    "koszul-c": ("koszul", "--model", "c", "--k", "3", "--max-degree", "6"),
+    "verify-bases": ("verify", "--suite", "bases", "--n", "3", "--k", "2"),
+}
+
+
+@pytest.mark.parametrize("argv", ELIMINATING.values(), ids=ELIMINATING)
+def test_every_eliminating_command_is_capped(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--max-entries", "5")
+    assert code == 3
+    verdict = json.loads(out)["verdicts"][-1]
+    assert verdict["name"] == "resource cap" and not verdict["pass"]
+    assert MAX_ENTRIES.get() == DEFAULT_MAX_ENTRIES
+
+
+def test_cap_does_not_outlive_the_call(capsys):
     argv = ("cohom", "--n", "2", "--k", "1", "--ell", "1",
             "--max-degree", "3")
     assert run_cli(capsys, *argv, "--max-entries", "5")[0] == 3
-    assert "WEILCOH_MAX_ENTRIES" not in os.environ
+    assert MAX_ENTRIES.get() == DEFAULT_MAX_ENTRIES
     assert run_cli(capsys, *argv)[0] == 0
-    # a cap set by the caller is left as it was
-    monkeypatch.setenv("WEILCOH_MAX_ENTRIES", "1000000")
-    assert run_cli(capsys, *argv, "--max-entries", "5")[0] == 3
-    assert os.environ["WEILCOH_MAX_ENTRIES"] == "1000000"
+
+
+def test_environment_sets_no_cap(capsys, monkeypatch):
+    # the cap is --max-entries or entry_cap, never a variable of the
+    # environment
+    monkeypatch.setenv("WEILCOH_MAX_ENTRIES", "5")
+    assert run_cli(capsys, "cohom", "--n", "3", "--k", "2", "--part",
+                   "minus", "--ell", "3", "--max-degree", "3")[0] == 0
 
 
 def test_determinism_modulo_timing(capsys):

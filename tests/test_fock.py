@@ -22,7 +22,6 @@ from weilcoh.fock import (
     invariant_family,
     involution,
     is_dominant,
-    named_cochain,
     orbit_size,
     outer_product,
     phi1,
@@ -108,7 +107,7 @@ def test_phik_closed_small():
     for n in range(1, 5):
         for k in range(1, n + 1):
             R = FockRing(n, k)
-            assert not diff(named_cochain("phik", R)), (n, k)
+            assert not diff(Phi_J(R, tuple(range(1, k + 1)))), (n, k)
 
 
 def test_phik_outer_product_agrees():
@@ -461,14 +460,6 @@ def test_cohom_builds_no_domain_row(monkeypatch):
     assert ell - 1 not in levels
     assert len(levels) == 2 * sum(map(len, coc.values())) + \
         sum(map(len, dom.values()))
-
-
-def test_named_cochain_errors():
-    R = FockRing(2, 3)
-    with pytest.raises(ValueError):
-        named_cochain("PhiJ", R, J=(1, 2, 3))
-    with pytest.raises(ValueError):
-        named_cochain("nope", R)
 
 
 def _all_int(polys):

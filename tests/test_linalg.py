@@ -6,16 +6,19 @@ from fractions import Fraction
 import pytest
 
 from weilcoh.linalg import (
+    DEFAULT_MAX_ENTRIES,
+    MAX_ENTRIES,
     Eliminator,
     ResourceCapError,
     SparseRationalMatrix,
+    entry_cap,
     kernel_basis,
     rank_of_rows,
     span_intersect_window,
 )
 
 
-def windowed_span_dim(vectors, in_window, max_entries=None):
+def windowed_span_dim(vectors, in_window):
     """dim( span(vectors) ∩ {v supported inside the window} ).
 
     vectors are {col: value} rows; in_window is a predicate on column
@@ -23,8 +26,8 @@ def windowed_span_dim(vectors, in_window, max_entries=None):
     coordinates deleted (the kernel dimension of projecting the span onto
     the out-of-window coordinates).
     """
-    full = Eliminator(max_entries)
-    outside = Eliminator(max_entries)
+    full = Eliminator()
+    outside = Eliminator()
     for v in vectors:
         full.add_row(v)
         outside.add_row({c: x for c, x in v.items() if not in_window(c)})
@@ -235,14 +238,24 @@ def test_add_row_rejects_non_int_entries(row):
 
 def test_resource_cap():
     rows = [{j: i * 7 + j + 1 + (i == j) for j in range(4)} for i in range(4)]
-    with pytest.raises(ResourceCapError):
-        rank_of_rows(rows, max_entries=3)
-
-
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("WEILCOH_MAX_ENTRIES", "2")
-    rows = sparse_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    with pytest.raises(ResourceCapError):
+    with entry_cap(3), pytest.raises(ResourceCapError):
         rank_of_rows(rows)
-    monkeypatch.setenv("WEILCOH_MAX_ENTRIES", "1000")
-    assert rank_of_rows(rows) == 3
+    assert rank_of_rows(rows) == 4
+
+
+def test_nested_caps_restore_the_outer_cap():
+    rows = sparse_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    with entry_cap(1000):
+        with entry_cap(2):
+            assert MAX_ENTRIES.get() == 2
+            with pytest.raises(ResourceCapError) as exc:
+                rank_of_rows(rows)
+            assert exc.value.cap == 2
+        assert MAX_ENTRIES.get() == 1000
+        # an inner block left by the cap's own exception
+        with pytest.raises(ResourceCapError):
+            with entry_cap(2):
+                rank_of_rows(rows)
+        assert MAX_ENTRIES.get() == 1000
+        assert rank_of_rows(rows) == 3
+    assert MAX_ENTRIES.get() == DEFAULT_MAX_ENTRIES

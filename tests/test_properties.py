@@ -41,15 +41,6 @@ def test_partial_is_a_derivation(a, b, v):
     assert lhs == rhs
 
 
-@settings(deadline=None, max_examples=60)
-@given(polynomials())
-def test_graded_parts_sum_to_whole(p):
-    total = Polynomial(RING, {})
-    for d in range(p.degree() + 1 if p else 1):
-        total = total + p.graded_part(d)
-    assert total == p
-
-
 @settings(deadline=None, max_examples=100)
 @given(st.integers(0, 63), st.integers(0, 63), st.integers(0, 63))
 def test_wedge_associative_and_graded_commutative(a, b, c):

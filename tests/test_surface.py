@@ -1,6 +1,8 @@
 """Static guard on the package surface: every module-level import is used,
-every ``__all__`` entry names something the module defines, and no module
-imports ``fractions`` (coefficients are ints end to end).
+every ``__all__`` entry names something the module defines, no module
+imports ``fractions`` (coefficients are ints end to end), and no module
+reads the process environment (the entry cap is --max-entries on the
+command line and weilcoh.linalg.entry_cap in the library).
 
 Only the standard-library ``ast`` module is used, so the check needs no
 linter and does not import the package.
@@ -65,6 +67,23 @@ def imported_modules(source):
     return out
 
 
+ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source):
+    """Lines that read the environment: an environ or getenv attribute
+    (os.environ, os.getenv, and the same through any alias of os), or
+    one of those names imported from os."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENV_READERS:
+            out.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" and \
+                any(alias.name in ENV_READERS for alias in node.names):
+            out.append(node.lineno)
+    return sorted(out)
+
+
 def unused_imports(source):
     tree = ast.parse(source)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
@@ -94,6 +113,11 @@ def test_no_fractions_import(path):
     assert "fractions" not in imported_modules(path.read_text())
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    assert environment_reads(path.read_text()) == []
+
+
 def test_checks_flag_what_they_guard():
     src = (
         "from __future__ import annotations\n"
@@ -111,3 +135,11 @@ def test_checks_flag_what_they_guard():
     assert "fractions" in imported_modules(
         "def f():\n    from fractions import Fraction\n")
     assert "fractions" in imported_modules("import fractions as fr\n")
+    assert environment_reads(src) == []
+    assert environment_reads(
+        "import os\n"
+        "import os as o\n"
+        "from os import getenv\n"
+        "def cap():\n"
+        "    return os.environ.get('CAP') or o.getenv('CAP')\n"
+        "os.environ['CAP'] = '5'\n") == [3, 5, 5, 6]
