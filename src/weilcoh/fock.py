@@ -95,7 +95,6 @@ evaluated families and their diff.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import comb
 
 from .exterior import bits_of, contract_bits, star_bits, tuple_of, wedge_bits
@@ -700,13 +699,18 @@ def dominant_pairs(ring, part, ell, d):
 # module docstring)
 
 
-@dataclass
 class CohomologyReport:
-    part: str
-    ell: int
-    max_degree: int
-    dims: dict = field(default_factory=dict)         # degree -> dim of gr_d H
-    filtration: dict = field(default_factory=dict)   # degree -> dim F_d H
+    def __init__(self, part, ell, max_degree):
+        self.part = part
+        self.ell = ell
+        self.max_degree = max_degree
+        self.dims = {}        # degree -> dim of gr_d H
+        self.filtration = {}  # degree -> dim F_d H
+
+    def __eq__(self, other):
+        """Equal when every field is."""
+        return isinstance(other, CohomologyReport) and \
+            vars(self) == vars(other)
 
 
 def _block_filtration(coc, dom, D):

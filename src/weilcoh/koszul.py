@@ -40,16 +40,30 @@ entry of a ring without columns.  Both cases are the same loop, with
 one Eliminator per degree: blocks have disjoint columns, so their rows
 never interact, and a row that raises the rank adds the orbit size of
 its block.
+
+Rows.  A symmetric f_a has a weight fixed by S_k, so one with equal
+entries, and m f_a is dominant exactly when m is, with the same orbit
+size: the monomials m are polyring.dominant_monomials, which never makes
+a non-dominant one.  Ring.weight is linear in the exponents and constant
+on each class of variables of equal degree and weight (the n z's of a
+column, each w_j), so dominant_monomials reads the weight off the
+vector of class degrees and expands only the dominant vectors.  The
+column labels of the rows are packed ints: with B the bit length of the
+window, pack(e) is e in base 2^B, variable 0 the most significant digit.
+Every exponent of a row of degree t <= window is at most t < 2^B, so
+pack is injective, orders the labels as the tuples (lex), and is
+additive with no carry, pack(e) + pack(m) = pack(e + m).  The row m f
+is then f's packed terms each plus pack(m), and the Eliminator, whose
+pivot is the least label of a row, gets the same rows in the same order
+under an order-preserving relabelling: it does the same elimination step
+for step, with the same ranks, stored entries and cap aborts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import add
-
 from .linalg import Eliminator
-from .polyring import FockRing, SkRing, is_dominant, monomials_of_degree, \
-    orbit_size, q_gen, shifted_terms, sk_c_sequence
+from .polyring import FockRing, SkRing, dominant_monomials, \
+    monomials_of_degree, orbit_size, q_gen, sk_c_sequence
 
 __all__ = [
     "KoszulSpec",
@@ -61,12 +75,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class KoszulSpec:
     """A graded ring plus an ordered sequence of homogeneous elements."""
-
-    ring: object
-    sequence: tuple
 
     def __init__(self, ring, sequence):
         seq = tuple(sequence)
@@ -77,8 +87,8 @@ class KoszulSpec:
                 raise ValueError("sequence entry from the wrong ring")
             if not f.is_homogeneous():
                 raise ValueError("sequence entries must be homogeneous")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "sequence", seq)
+        self.ring = ring
+        self.sequence = seq
 
     @property
     def degrees(self):
@@ -100,13 +110,13 @@ def named_sequence(model, n, k):
     raise ValueError("unknown koszul model %r" % model)
 
 
-@dataclass
 class RegularityCertificate:
     """Per-element degreewise injectivity report, valid up to `window`."""
 
-    window: int
-    ok: list = field(default_factory=list)        # per element
-    failure_degree: list = field(default_factory=list)  # or None
+    def __init__(self, window):
+        self.window = window
+        self.ok = []              # per element
+        self.failure_degree = []  # per element, or None
 
     @property
     def regular(self):
@@ -163,29 +173,29 @@ def ideal_quotient_dims(spec, window):
     {t: dim (R / (f_1, ..., f_a))_t} for t <= window, so the last entry
     holds the quotient dims of the whole sequence.  One elimination per
     degree, of the dominant rows only when the symmetry lemma applies;
-    each row m f is f's terms shifted by m."""
+    each row m f is f's packed terms shifted by the packed m."""
     ring = spec.ring
-    weight = ring.weight if all(map(_symmetric, spec.sequence)) \
-        else _no_weight
+    blocks = dominant_monomials if all(map(_symmetric, spec.sequence)) \
+        else _one_block
+    bits = _label_bits(window)
+    packed = [{_pack(e, bits): c for e, c in f.terms.items()}
+              for f in spec.sequence]
     # H_0(t) = dim R_t, the coefficients of 1 / prod(1 - t^w_v)
     hilb = [dict(enumerate(ci_hilbert(ring.weights, (), window)))]
     hilb += [{} for _ in spec.sequence]
     for t, dim_rt in hilb[0].items():
         e = Eliminator()
         rank = 0
-        by_weight = {}  # degree -> {weight: [monomial]}, for this t only
-        for a, f in enumerate(spec.sequence, start=1):
+        by_degree = {}  # degree -> [(orbit size, [packed monomial])]
+        for a, (f, pf) in enumerate(zip(spec.sequence, packed), start=1):
             s = t - f.degree()
-            if s not in by_weight:
-                by_weight[s] = _monomials_by_weight(ring, s, weight)
-            wf = weight(next(iter(f.terms)))
-            for wm, mons in by_weight[s].items():
-                mu = tuple(map(add, wm, wf))
-                if not is_dominant(mu):
-                    continue
-                mult = orbit_size(mu)
-                for m in mons:
-                    if e.add_row(shifted_terms(f, m)):
+            if s not in by_degree:
+                by_degree[s] = [
+                    (orbit_size(mu), [_pack(m, bits) for m in mons])
+                    for mu, mons in blocks(ring, s).items()]
+            for mult, mons in by_degree[s]:
+                for x in mons:
+                    if e.add_row({y + x: c for y, c in pf.items()}):
                         rank += mult
             hilb[a][t] = dim_rt - rank
     return hilb
@@ -199,14 +209,22 @@ def _symmetric(f):
         == f.terms for swap in ring.column_swaps)
 
 
-def _no_weight(expo):
-    """The weight of the trivial grading: one block, counted once."""
-    return ()
+def _one_block(ring, d):
+    """The degree-d monomials as one block of the trivial grading,
+    counted once."""
+    return {(): monomials_of_degree(ring, d)}
 
 
-def _monomials_by_weight(ring, d, weight):
-    """{weight: [monomial]} of the degree-d monomials, in monomial order."""
-    out = {}
-    for m in monomials_of_degree(ring, d):
-        out.setdefault(weight(m), []).append(m)
-    return out
+def _label_bits(window):
+    """The digit width B of the packed labels: every exponent of a row of
+    degree <= window is < 2^B."""
+    return max(window, 1).bit_length()
+
+
+def _pack(expo, bits):
+    """The exponent tuple as one int, in base 2^bits with variable 0 the
+    most significant digit; each exponent must be < 2^bits."""
+    x = 0
+    for v in expo:
+        x = x << bits | v
+    return x

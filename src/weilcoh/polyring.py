@@ -40,6 +40,7 @@ __all__ = [
     "SkRing",
     "Polynomial",
     "monomials_of_degree",
+    "dominant_monomials",
     "shifted_terms",
     "ideal_piece",
     "is_dominant",
@@ -328,6 +329,50 @@ def monomials_of_degree(ring, d, varset=None):
     out = []
     _extend_monomials(ring.weights, sorted(varset), 0, d, [0] * ring.nvars,
                       out)
+    return out
+
+
+def dominant_monomials(ring, d):
+    """{mu: [monomial]} of the degree-d monomials of dominant weight mu:
+    the blocks of monomials_of_degree(ring, d) whose weight is dominant,
+    each in its order there, the weights in the order of their first
+    monomial there.
+
+    The variables fall into classes of equal degree and weight (on the
+    Fock ring the n z's of one column, and each w_j).  Ring.weight is
+    linear in the exponents, so a monomial has the weight of its vector
+    of class degrees: the vectors of non-dominant weight are dropped
+    before any monomial is made.  The classes are in the order of their
+    first variables and the vectors in descending lex order; the largest
+    monomial of a vector puts each class degree on the class's first
+    variable, so the vectors, and with them the weights, come in the
+    order of their largest monomials.
+    """
+    if d < 0:
+        return {}
+    nvars = ring.nvars
+    classes = {}  # (degree, weight) -> [variable]
+    for v in range(nvars):
+        unit = (0,) * v + (1,) + (0,) * (nvars - v - 1)
+        classes.setdefault((ring.weights[v], ring.weight(unit)), []).append(v)
+    keys = list(classes)
+    vectors = []  # class degrees, as the exponents of one variable a class
+    _extend_monomials([deg for deg, _ in keys], range(len(keys)), 0, d,
+                      [0] * len(keys), vectors)
+    out = {}
+    for vec in vectors:
+        rep = [0] * nvars  # a monomial with these class degrees
+        for key, c in zip(keys, vec):
+            rep[classes[key][0]] = c
+        mu = ring.weight(tuple(rep))
+        if not is_dominant(mu):
+            continue
+        parts = [monomials_of_degree(ring, c * key[0], classes[key])
+                 for key, c in zip(keys, vec)]
+        out.setdefault(mu, []).extend(tuple(map(sum, zip(*combo)))
+                                      for combo in itertools.product(*parts))
+    for mons in out.values():
+        mons.sort(reverse=True)
     return out
 
 

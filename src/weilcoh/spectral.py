@@ -62,8 +62,6 @@ per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .fock import diff, direct_cohomology_dims, dominant_pairs, \
     invariant_family, sk_model_basis, sk_model_d2_row, weight_blocks
 from .linalg import MAX_ENTRIES, ResourceCapError, SparseRationalMatrix, \
@@ -91,10 +89,10 @@ def unregrade(p, q):
     return p + q, p + 2 * q
 
 
-@dataclass
 class PageData:
-    r: int
-    dims: dict = field(default_factory=dict)      # (p, q) -> dim
+    def __init__(self, r):
+        self.r = r
+        self.dims = {}  # (p, q) -> dim
 
 
 def _row_degree(key):
@@ -284,15 +282,15 @@ def _e1_page(n, max_degree, level_ranks):
     return data
 
 
-@dataclass
 class ConvergenceReport:
-    part: str
-    max_degree: int
-    r_max: int
-    einf: PageData = None
-    gr_dims: dict = field(default_factory=dict)       # (p, q) -> dim
-    agreements: list = field(default_factory=list)
-    mismatches: list = field(default_factory=list)
+    def __init__(self, part, max_degree, r_max, einf, gr_dims):
+        self.part = part
+        self.max_degree = max_degree
+        self.r_max = r_max
+        self.einf = einf
+        self.gr_dims = gr_dims  # (p, q) -> dim
+        self.agreements = []
+        self.mismatches = []
 
     @property
     def ok(self):

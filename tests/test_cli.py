@@ -107,55 +107,34 @@ def test_invalid_arguments_exit_two(capsys):
     assert exc.value.code == 2
 
 
-def test_resource_cap_exits_three(capsys):
-    code, out = run_cli(capsys, "cohom", "--n", "3", "--k", "2",
-                        "--ell", "2", "--max-degree", "6",
-                        "--max-entries", "50")
-    assert code == 3
-    doc = json.loads(out)
-    (verdict,) = doc["verdicts"]
-    assert not verdict["pass"] and "cap" in verdict["detail"]
-
-
-def test_e1_model_stays_under_the_cap(capsys):
-    # e1 for k < n eliminates the S_k model rows under the same entry cap
-    code, out = run_cli(capsys, "e1", "--n", "3", "--k", "2",
-                        "--max-degree", "8", "--max-entries", "5")
-    assert code == 3
-    (verdict,) = json.loads(out)["verdicts"]
-    assert verdict["name"] == "resource cap" and not verdict["pass"]
-
-
-def test_koszul_stays_under_the_cap(capsys):
-    # the prefix table of koszul eliminates under the same entry cap
-    code, out = run_cli(capsys, "koszul", "--model", "q", "--n", "3",
-                        "--k", "3", "--max-degree", "7",
-                        "--max-entries", "5")
-    assert code == 3
-    (verdict,) = json.loads(out)["verdicts"]
-    assert verdict["name"] == "resource cap" and not verdict["pass"]
-
-
-# one small call of every subcommand that eliminates
+# one capped call of every subcommand that eliminates: id -> (argv, cap)
 ELIMINATING = {
-    "cohom": ("cohom", "--n", "3", "--k", "2", "--part", "minus",
-              "--ell", "0..3", "--max-degree", "4"),
-    "e1-model": ("e1", "--n", "3", "--k", "2", "--max-degree", "4"),
-    "e1-fock": ("e1", "--n", "2", "--k", "3", "--max-degree", "4"),
-    "pages": ("pages", "--n", "2", "--k", "2", "--max-degree", "2"),
-    "koszul-q": ("koszul", "--model", "q", "--n", "2", "--k", "2",
-                 "--max-degree", "4"),
-    "koszul-c": ("koszul", "--model", "c", "--k", "3", "--max-degree", "6"),
-    "verify-bases": ("verify", "--suite", "bases", "--n", "3", "--k", "2"),
+    "cohom": (("cohom", "--n", "3", "--k", "2", "--part", "minus",
+               "--ell", "0..3", "--max-degree", "4"), 5),
+    "cohom-ell2": (("cohom", "--n", "3", "--k", "2", "--ell", "2",
+                    "--max-degree", "6"), 50),
+    "e1-model": (("e1", "--n", "3", "--k", "2", "--max-degree", "4"), 5),
+    "e1-model-d8": (("e1", "--n", "3", "--k", "2", "--max-degree", "8"), 5),
+    "e1-fock": (("e1", "--n", "2", "--k", "3", "--max-degree", "4"), 5),
+    "pages": (("pages", "--n", "2", "--k", "2", "--max-degree", "2"), 5),
+    "koszul-q": (("koszul", "--model", "q", "--n", "2", "--k", "2",
+                  "--max-degree", "4"), 5),
+    "koszul-q-n3k3": (("koszul", "--model", "q", "--n", "3", "--k", "3",
+                       "--max-degree", "7"), 5),
+    "koszul-c": (("koszul", "--model", "c", "--k", "3", "--max-degree",
+                  "6"), 5),
+    "verify-bases": (("verify", "--suite", "bases", "--n", "3", "--k",
+                      "2"), 5),
 }
 
 
-@pytest.mark.parametrize("argv", ELIMINATING.values(), ids=ELIMINATING)
-def test_every_eliminating_command_is_capped(capsys, argv):
-    code, out = run_cli(capsys, *argv, "--max-entries", "5")
+@pytest.mark.parametrize("argv,cap", ELIMINATING.values(), ids=ELIMINATING)
+def test_every_eliminating_command_is_capped(capsys, argv, cap):
+    code, out = run_cli(capsys, *argv, "--max-entries", str(cap))
     assert code == 3
-    verdict = json.loads(out)["verdicts"][-1]
+    (verdict,) = json.loads(out)["verdicts"]
     assert verdict["name"] == "resource cap" and not verdict["pass"]
+    assert "cap" in verdict["detail"]
     assert MAX_ENTRIES.get() == DEFAULT_MAX_ENTRIES
 
 

@@ -116,3 +116,18 @@ def test_q_quotient_is_the_complete_intersection(n, k, window):
     assert regular_sequence_check(spec, hilb).regular
     assert hilb[-1] == dict(enumerate(
         ci_hilbert((1,) * (n * k + k), (2,) * n, window)))
+
+
+@pytest.mark.parametrize("n,k,window", [(4, 4, 6), (3, 3, 8)])
+def test_koszul_q_command_is_the_complete_intersection(n, k, window, capsys):
+    # the same through the koszul command: the regularity verdict passes
+    # and the quotient table is the complete-intersection series
+    code = cli.main(["koszul", "--model", "q", "--n", str(n), "--k", str(k),
+                     "--max-degree", str(window)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    (verdict,) = doc["verdicts"]
+    assert verdict["pass"]
+    (table,) = doc["tables"]
+    assert [c["dim"] for c in table["cells"]] == \
+        ci_hilbert((1,) * (n * k + k), (2,) * n, window)

@@ -11,6 +11,7 @@ koszul_cohomology_dims insists on that.
 
 import itertools
 from math import comb
+from operator import add
 
 import pytest
 from test_fock import monomial_weight
@@ -21,6 +22,7 @@ from weilcoh.koszul import (
     KoszulSpec,
     RegularityCertificate,
     ci_hilbert,
+    _symmetric,
     ideal_quotient_dims,
     regular_sequence_check,
 )
@@ -32,10 +34,13 @@ from weilcoh.polyring import (
     SkRing,
     c_gen,
     ideal_piece,
+    is_dominant,
     minor,
     monomials_of_degree,
+    orbit_size,
     q_gen,
     r_gen,
+    shifted_terms,
     sk_c_sequence,
 )
 
@@ -573,3 +578,103 @@ def test_one_elimination_per_degree(monkeypatch, capsys):
     made.clear()
     assert all(v["pass"] for v in verify.suite_koszul(2, 2, 0))
     assert len(made) == 5 + 7  # q through degree 4, c through degree 6
+
+
+def tuple_key_ideal_quotient_dims(spec, window):
+    """The prefix table with exponent-tuple column labels and every
+    monomial enumerated and weighed, as ideal_quotient_dims built it
+    before its labels were packed ints (kept verbatim but for the name)."""
+    ring = spec.ring
+    weight = ring.weight if all(map(_symmetric, spec.sequence)) \
+        else _no_weight
+    # H_0(t) = dim R_t, the coefficients of 1 / prod(1 - t^w_v)
+    hilb = [dict(enumerate(ci_hilbert(ring.weights, (), window)))]
+    hilb += [{} for _ in spec.sequence]
+    for t, dim_rt in hilb[0].items():
+        e = Eliminator()
+        rank = 0
+        by_weight = {}  # degree -> {weight: [monomial]}, for this t only
+        for a, f in enumerate(spec.sequence, start=1):
+            s = t - f.degree()
+            if s not in by_weight:
+                by_weight[s] = _monomials_by_weight(ring, s, weight)
+            wf = weight(next(iter(f.terms)))
+            for wm, mons in by_weight[s].items():
+                mu = tuple(map(add, wm, wf))
+                if not is_dominant(mu):
+                    continue
+                mult = orbit_size(mu)
+                for m in mons:
+                    if e.add_row(shifted_terms(f, m)):
+                        rank += mult
+            hilb[a][t] = dim_rt - rank
+    return hilb
+
+
+def _no_weight(expo):
+    """The weight of the trivial grading: one block, counted once."""
+    return ()
+
+
+def _monomials_by_weight(ring, d, weight):
+    """{weight: [monomial]} of the degree-d monomials, in monomial order."""
+    out = {}
+    for m in monomials_of_degree(ring, d):
+        out.setdefault(weight(m), []).append(m)
+    return out
+
+
+def recording_eliminations(monkeypatch):
+    """Patch Eliminator to log, for each elimination, the result of every
+    add_row and the stored entries after it."""
+    log = []
+    init, add_row = Eliminator.__init__, Eliminator.add_row
+
+    def recording_init(self):
+        init(self)
+        log.append([])
+
+    def recording_add_row(self, row):
+        raised = add_row(self, row)
+        log[-1].append((raised, self._entries))
+        return raised
+
+    monkeypatch.setattr(Eliminator, "__init__", recording_init)
+    monkeypatch.setattr(Eliminator, "add_row", recording_add_row)
+    return log
+
+
+@pytest.mark.parametrize("build,window", [
+    (lambda: _q_seq(3, 3), 6), (lambda: _q_seq(4, 2), 5),
+    (lambda: _c_seq(3), 5),
+], ids=["q33", "q42", "c3"])
+def test_packed_labels_give_the_same_elimination(build, window,
+                                                 monkeypatch):
+    # packed labels relabel the columns in order, so the Eliminator takes
+    # the same steps as on exponent tuples: the same add_row results and
+    # stored entries, row by row and degree by degree
+    seq = build()
+    spec = KoszulSpec(seq[0].ring, seq)
+    log = recording_eliminations(monkeypatch)
+    want = tuple_key_ideal_quotient_dims(spec, window)
+    tuple_log = list(log)
+    log.clear()
+    assert ideal_quotient_dims(spec, window) == want
+    assert log == tuple_log
+    assert len(log) == window + 1 and any(raised for raised, _ in log[-1])
+
+
+@pytest.mark.parametrize("n,k,window", [(2, 2, 4), (3, 3, 3)])
+def test_packing_keeps_order_and_adds_without_carry(n, k, window):
+    # pack is injective, orders as the tuples, and is additive on every
+    # pair of monomials whose product stays inside the window
+    R = FockRing(n, k)
+    bits = koszul._label_bits(window)
+    mons = [m for t in range(window + 1) for m in monomials_of_degree(R, t)]
+    pack = {m: koszul._pack(m, bits) for m in mons}
+    assert sorted(mons, key=pack.get) == sorted(mons)
+    assert len(set(pack.values())) == len(mons)
+    for a in mons:
+        for b in mons:
+            if sum(a) + sum(b) <= window:
+                assert pack[a] + pack[b] == pack[tuple(map(add, a, b))]

@@ -13,7 +13,9 @@ from weilcoh.polyring import (
     Ring,
     SkRing,
     c_gen,
+    dominant_monomials,
     ideal_piece,
+    is_dominant,
     laplacian,
     minor,
     monomials_of_degree,
@@ -329,6 +331,39 @@ def test_monomials_of_degree_leaves_no_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_dominant_monomials_leaves_no_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        dominant_monomials(FockRing(2, 2), 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def dominant_blocks(ring, d):
+    """The dominant-weight blocks of monomials_of_degree, by filtering."""
+    out = {}
+    for m in monomials_of_degree(ring, d):
+        mu = ring.weight(m)
+        if is_dominant(mu):
+            out.setdefault(mu, []).append(m)
+    return out
+
+
+@pytest.mark.parametrize("ring", [
+    FockRing(1, 1), FockRing(2, 2), FockRing(3, 3), FockRing(2, 4),
+    FockRing(4, 2), FockRing(1, 3), SkRing(2), SkRing(3),
+    Ring(["x", "y", "z"], [1, 2, 1]),
+], ids=["fock11", "fock22", "fock33", "fock24", "fock42", "fock13", "sk2",
+        "sk3", "x1y2z1"])
+def test_dominant_monomials_are_the_dominant_blocks(ring):
+    # same weights in the same order, and each block in monomial order
+    for d in range(-1, 7):
+        got = dominant_monomials(ring, d)
+        assert list(got.items()) == list(dominant_blocks(ring, d).items())
 
 
 def test_sk_evaluate_memo_leaves_no_cycle():

@@ -114,6 +114,13 @@ def test_no_fractions_import(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    # dataclasses pulls in inspect, ast, dis and tokenize, a cost that
+    # every cold CLI call pays at import
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_environment_reads(path):
     assert environment_reads(path.read_text()) == []
 
