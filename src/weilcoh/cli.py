@@ -7,7 +7,13 @@ Subcommands map one-to-one onto library entry points:
     pages    E_infinity and its comparison with the graded cohomology
     koszul   regularity certificate and quotient dimensions for a
              named sequence
-    hilbert  complete-intersection Hilbert series for a named model
+    hilbert  complete-intersection Hilbert series for a named model:
+             each model is the quotient by a koszul sequence, or the
+             ring that sequence lives in --
+                 cminus  S_k/(c_1..c_k)          (koszul model c)
+                 aquot   P_k/(q_1..q_n)          (koszul model q)
+                 rk      S_k/(what_1..what_k)    (koszul model w)
+                 sk      S_k                     (the ring of model w)
     verify   bundled exact-check suites
 
 JSON is the canonical output (schema "weilcoh/1"); CSV is a lossy
@@ -66,26 +72,23 @@ def _parse_ell(text, n):
     return range(lo, hi + 1)
 
 
-def _hilbert_series(args):
-    """Named Hilbert-series models.
+# hilbert model -> (koszul model, quotient by its sequence?), as in the
+# module docstring
+HILBERT_MODELS = {
+    "cminus": ("c", True),
+    "aquot": ("q", True),
+    "rk": ("w", True),
+    "sk": ("w", False),
+}
 
-    cminus  S_k/(c_1..c_k)
-    aquot   P_k/(q_1..q_n)  (free z,w variables modulo the n quadrics)
-    rk      the free ring R_k on the k(k+1)/2 quadratic generators
-    sk      the free ring S_k
-    """
-    k, D = args.k, args.max_degree
-    tk = k * (k + 1) // 2
-    if args.model == "cminus":
-        return ci_hilbert((2,) * tk + (1,) * k, (3,) * k, D)
-    if args.model == "aquot":
-        n = args.n
-        return ci_hilbert((1,) * (n * k + k), (2,) * n, D)
-    if args.model == "rk":
-        return ci_hilbert((2,) * tk, (), D)
-    if args.model == "sk":
-        return ci_hilbert((2,) * tk + (1,) * k, (), D)
-    raise ValueError("unknown hilbert model %r" % args.model)
+
+def _hilbert_series(args):
+    """The complete-intersection series of a hilbert model (HILBERT_MODELS)
+    through degree --max-degree."""
+    model, quotient = HILBERT_MODELS[args.model]
+    spec = named_sequence(model, args.n, args.k)
+    return ci_hilbert(spec.ring.weights, spec.degrees if quotient else (),
+                      args.max_degree)
 
 
 def _cmd_cohom(args, doc):
@@ -215,7 +218,7 @@ def _build_parser():
 
     p = sub.add_parser("hilbert", help="closed-form Hilbert series")
     common(p, degree=True)
-    p.add_argument("--model", choices=("cminus", "aquot", "rk", "sk"),
+    p.add_argument("--model", choices=tuple(HILBERT_MODELS),
                    default="cminus")
     p.set_defaults(func=_cmd_hilbert)
 

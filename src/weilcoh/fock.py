@@ -700,17 +700,9 @@ def dominant_pairs(ring, part, ell, d):
 
 
 class CohomologyReport:
-    def __init__(self, part, ell, max_degree):
-        self.part = part
-        self.ell = ell
-        self.max_degree = max_degree
+    def __init__(self):
         self.dims = {}        # degree -> dim of gr_d H
         self.filtration = {}  # degree -> dim F_d H
-
-    def __eq__(self, other):
-        """Equal when every field is."""
-        return isinstance(other, CohomologyReport) and \
-            vars(self) == vars(other)
 
 
 def _block_filtration(coc, dom, D):
@@ -789,7 +781,7 @@ def direct_cohomology_dims(ring, part, ell, max_degree, store=None):
         for t, f in enumerate(_block_filtration(block, dom.get(mu, {}), D)):
             F[t] += mult * f
 
-    rep = CohomologyReport(part, ell, D)
+    rep = CohomologyReport()
     for t in range(D + 1):
         rep.dims[t] = F[t] - (F[t - 1] if t else 0)
         rep.filtration[t] = F[t]

@@ -111,10 +111,10 @@ def named_sequence(model, n, k):
 
 
 class RegularityCertificate:
-    """Per-element degreewise injectivity report, valid up to `window`."""
+    """Per-element degreewise injectivity report, valid through the window
+    of the prefix table it was read off."""
 
-    def __init__(self, window):
-        self.window = window
+    def __init__(self):
         self.ok = []              # per element
         self.failure_degree = []  # per element, or None
 
@@ -133,7 +133,7 @@ def regular_sequence_check(spec, hilb):
     f_alpha), not raised.
     """
     window = len(hilb[0]) - 1
-    cert = RegularityCertificate(window)
+    cert = RegularityCertificate()
     for a, f in enumerate(spec.sequence, start=1):
         df = f.degree()
         prev, cur = hilb[a - 1], hilb[a]

@@ -6,9 +6,9 @@ are small integers but whose sizes can reach the tens of thousands.  The
 workhorse is an insertion-based fraction-free elimination: rows are kept as
 integer dictionaries keyed by an arbitrary sortable column label, each new
 row is reduced against the stored pivot rows by integer cross-multiplication
-(with a gcd strip after every combination), and a row that survives becomes
-a new pivot row.  No floating point, no modular shortcuts.  Input rows
-hold ints only; a row with any other entry type is a TypeError.
+(with a gcd strip on entry and after every combination), and a row that
+survives becomes a new pivot row.  No floating point, no modular shortcuts.
+Input rows hold ints only; a row with any other entry type is a TypeError.
 
 Column labels may be any mutually comparable hashable values -- integers for
 plain matrices, or structured keys such as (form-index, monomial) tuples
@@ -62,19 +62,6 @@ def entry_cap(limit):
         MAX_ENTRIES.reset(token)
 
 
-def _primitive(row):
-    """The nonzero entries of a {col: int} row divided by their gcd.
-
-    math.gcd rejects any entry that is not an int with TypeError.
-    """
-    out = {c: v for c, v in row.items() if v}
-    g = gcd(*out.values())
-    if g > 1:
-        for c in out:
-            out[c] //= g
-    return out
-
-
 class Eliminator:
     """Incremental fraction-free row reduction.
 
@@ -102,10 +89,16 @@ class Eliminator:
         """Reduce a {col: int} row against the stored pivots.
 
         Returns the residual row, primitive and possibly empty, without
-        storing it.
+        storing it.  One gcd strip, at the top of the loop, makes primitive
+        both the copied input and each combination (after its cap check);
+        math.gcd rejects any entry that is not an int with TypeError.
         """
-        r = _primitive(row)
+        r = {c: v for c, v in row.items() if v}
         while r:
+            g = gcd(*r.values())
+            if g > 1:
+                for col in r:
+                    r[col] //= g
             c = min(r)
             if c not in self.pivots:
                 return r
@@ -124,10 +117,6 @@ class Eliminator:
                 elif col in new:
                     del new[col]
             self._check_cap(len(new))
-            g2 = gcd(*new.values())
-            if g2 > 1:
-                for col in new:
-                    new[col] //= g2
             r = new
         return r
 

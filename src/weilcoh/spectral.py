@@ -90,8 +90,7 @@ def unregrade(p, q):
 
 
 class PageData:
-    def __init__(self, r):
-        self.r = r
+    def __init__(self):
         self.dims = {}  # (p, q) -> dim
 
 
@@ -204,7 +203,7 @@ class SpectralComputer:
         return total
 
     def page(self, r):
-        data = PageData(r)
+        data = PageData()
         for ell in range(self.ring.n + 1):
             for t in range(self.D + 1):
                 p, q = regrade(ell, t)
@@ -272,7 +271,7 @@ def _e1_page(n, max_degree, level_ranks):
     cell (ell, t) loses the image of the cell (ell - 1, t - 2) below it,
     which is kept."""
     img_rank = {}  # (ell, t) -> orbit-weighted rank of the d2-image
-    data = PageData(1)
+    data = PageData()
     for ell in range(n + 1):
         for t, (rv, ri) in enumerate(level_ranks(ell)):
             img_rank[ell, t] = ri
@@ -283,9 +282,7 @@ def _e1_page(n, max_degree, level_ranks):
 
 
 class ConvergenceReport:
-    def __init__(self, part, max_degree, r_max, einf, gr_dims):
-        self.part = part
-        self.max_degree = max_degree
+    def __init__(self, r_max, einf, gr_dims):
         self.r_max = r_max
         self.einf = einf
         self.gr_dims = gr_dims  # (p, q) -> dim
@@ -321,8 +318,7 @@ def einf_and_converge(ring, part, max_degree):
 
     p_min = regrade(0, D)[0]
     r_max = max(2, 2 * n - p_min + 1)
-    rep = ConvergenceReport(part, D, r_max, einf=comp.page(r_max),
-                            gr_dims=gr)
+    rep = ConvergenceReport(r_max, einf=comp.page(r_max), gr_dims=gr)
     for ell in range(n + 1):
         for t in range(D + 1):
             cell = regrade(ell, t)

@@ -3,10 +3,12 @@ and determinism."""
 
 import json
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from weilcoh.cli import main
+from weilcoh.koszul import ci_hilbert
 from weilcoh.linalg import DEFAULT_MAX_ENTRIES, MAX_ENTRIES
 
 
@@ -57,6 +59,45 @@ def test_hilbert_cminus_example(capsys):
     doc = json.loads(out)
     cells = doc["tables"][0]["cells"]
     assert [c["dim"] for c in cells] == [1, 1, 2, 1, 2, 1, 2]
+
+
+def _hilbert_series(args):
+    """Named Hilbert-series models.
+
+    cminus  S_k/(c_1..c_k)
+    aquot   P_k/(q_1..q_n)  (free z,w variables modulo the n quadrics)
+    rk      the free ring R_k on the k(k+1)/2 quadratic generators
+    sk      the free ring S_k
+    """
+    k, D = args.k, args.max_degree
+    tk = k * (k + 1) // 2
+    if args.model == "cminus":
+        return ci_hilbert((2,) * tk + (1,) * k, (3,) * k, D)
+    if args.model == "aquot":
+        n = args.n
+        return ci_hilbert((1,) * (n * k + k), (2,) * n, D)
+    if args.model == "rk":
+        return ci_hilbert((2,) * tk, (), D)
+    if args.model == "sk":
+        return ci_hilbert((2,) * tk + (1,) * k, (), D)
+    raise ValueError("unknown hilbert model %r" % args.model)
+
+
+@pytest.mark.parametrize("model", ["cminus", "aquot", "rk", "sk"])
+def test_hilbert_models_match_the_hand_typed_degrees(capsys, model):
+    # the oracle types each model's generator and relation degrees by
+    # hand; the CLI reads them off the named Koszul sequences
+    for n in range(1, 5):
+        for k in range(1, 5):
+            code, out = run_cli(capsys, "hilbert", "--model", model,
+                                "--n", str(n), "--k", str(k),
+                                "--max-degree", "12")
+            assert code == 0
+            cells = json.loads(out)["tables"][0]["cells"]
+            want = _hilbert_series(SimpleNamespace(
+                model=model, n=n, k=k, max_degree=12))
+            assert [c["dim"] for c in cells] == want, (n, k)
+            assert [c["degree"] for c in cells] == list(range(13))
 
 
 def test_csv_projection(capsys):

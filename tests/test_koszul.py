@@ -130,7 +130,7 @@ def stepwise_regular_sequence_check(spec, window):
     (deg g + deg f_alpha), not raised.
     """
     ring = spec.ring
-    cert = RegularityCertificate(window)
+    cert = RegularityCertificate()
     for a, f in enumerate(spec.sequence):
         prefix = spec.sequence[:a]
         df = f.degree()

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -259,3 +260,132 @@ def test_nested_caps_restore_the_outer_cap():
         assert MAX_ENTRIES.get() == 1000
         assert rank_of_rows(rows) == 3
     assert MAX_ENTRIES.get() == DEFAULT_MAX_ENTRIES
+
+
+# ---------------------------------------------------------------------------
+# oracle: the reduce of the previous design, which made the input primitive
+# in a helper and stripped each combination in a second place
+
+
+def _primitive(row):
+    """The nonzero entries of a {col: int} row divided by their gcd.
+
+    math.gcd rejects any entry that is not an int with TypeError.
+    """
+    out = {c: v for c, v in row.items() if v}
+    g = gcd(*out.values())
+    if g > 1:
+        for c in out:
+            out[c] //= g
+    return out
+
+
+class OldEliminator(Eliminator):
+    def reduce(self, row):
+        """Reduce a {col: int} row against the stored pivots.
+
+        Returns the residual row, primitive and possibly empty, without
+        storing it.
+        """
+        r = _primitive(row)
+        while r:
+            c = min(r)
+            if c not in self.pivots:
+                return r
+            p = self.pivots[c]
+            a, b = p[c], r[c]
+            g = gcd(a, b)
+            ma, mb = a // g, b // g
+            # r := ma*r - mb*p  (kills column c)
+            new = {}
+            for col, v in r.items():
+                new[col] = ma * v
+            for col, v in p.items():
+                nv = new.get(col, 0) - mb * v
+                if nv:
+                    new[col] = nv
+                elif col in new:
+                    del new[col]
+            self._check_cap(len(new))
+            g2 = gcd(*new.values())
+            if g2 > 1:
+                for col in new:
+                    new[col] //= g2
+            r = new
+        return r
+
+
+def oracle_rows(seed, label):
+    """Seeded rows over the labels label(0..7): random rows with zeros
+    and negative entries, copies scaled by 2..6 (not primitive), and
+    integer combinations of earlier rows (dependent)."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(24):
+        kind = rng.randrange(3)
+        if kind == 0 or not rows:
+            row = {label(j): rng.randint(-4, 4)
+                   for j in rng.sample(range(8), rng.randint(1, 5))}
+        elif kind == 1:
+            s = rng.randint(2, 6) * rng.choice((-1, 1))
+            row = {c: s * v for c, v in rng.choice(rows).items()}
+        else:
+            row = {}
+            for r in rng.sample(rows, min(len(rows), rng.randint(2, 3))):
+                x = rng.randint(-3, 3)
+                for c, v in r.items():
+                    row[c] = row.get(c, 0) + x * v
+        rows.append(row)
+    return rows
+
+
+LABELS = {"int": lambda j: j, "tuple": lambda j: (j % 2, (j, "x"))}
+
+
+def _insert_all(e, rows):
+    """add_row on each row in turn: the results, then the index of the
+    row that hit the cap and the entries it reported (or None)."""
+    out = []
+    for i, row in enumerate(rows):
+        try:
+            out.append(e.add_row(row))
+        except ResourceCapError as exc:
+            return out, (i, exc.entries)
+    return out, None
+
+
+@pytest.mark.parametrize("label", sorted(LABELS))
+@pytest.mark.parametrize("seed", range(12))
+def test_reduce_matches_the_previous_design(seed, label):
+    rows = oracle_rows(seed, LABELS[label])
+    probes = oracle_rows(seed + 100, LABELS[label])
+    new, old = Eliminator(), OldEliminator()
+    assert _insert_all(new, rows) == _insert_all(old, rows)
+    assert new.pivots == old.pivots
+    assert new._entries == old._entries
+    assert [new.reduce(r) for r in probes] == [old.reduce(r) for r in probes]
+    # the rows are the hard case: some are not primitive on entry, and
+    # some of those meet no pivot
+    assert any(gcd(*(v for v in r.values() if v)) > 1 for r in rows)
+
+
+@pytest.mark.parametrize("cap", [4, 9, 17, 22])
+@pytest.mark.parametrize("seed", range(6))
+def test_cap_aborts_match_the_previous_design(seed, cap):
+    rows = oracle_rows(seed, LABELS["int"])
+    with entry_cap(cap):
+        new, old = Eliminator(), OldEliminator()
+        got = _insert_all(new, rows)
+        assert got == _insert_all(old, rows)
+    assert new.pivots == old.pivots and new._entries == old._entries
+
+
+def test_previous_design_rejects_the_same_float_rows():
+    for row in ({0: 2, 1: 0.5}, {0: 2.0}):
+        for cls in (Eliminator, OldEliminator):
+            e = cls()
+            e.add_row({0: 1, 1: 1})
+            with pytest.raises(TypeError):
+                e.add_row(row)
+            with pytest.raises(TypeError):
+                e.reduce({1: 1.5, 2: 3})

@@ -1,8 +1,9 @@
 """Static guard on the package surface: every module-level import is used,
-every ``__all__`` entry names something the module defines, no module
-imports ``fractions`` (coefficients are ints end to end), and no module
-reads the process environment (the entry cap is --max-entries on the
-command line and weilcoh.linalg.entry_cap in the library).
+every ``__all__`` entry names something the module defines, every private
+function and class has a caller, no module imports ``fractions``
+(coefficients are ints end to end), and no module reads the process
+environment (the entry cap is --max-entries on the command line and
+weilcoh.linalg.entry_cap in the library).
 
 Only the standard-library ``ast`` module is used, so the check needs no
 linter and does not import the package.
@@ -98,6 +99,37 @@ def unresolved_all(source):
     return [name for name in _all_entries(tree) if name not in defined]
 
 
+def _private_defs(tree):
+    """(name, line) of each private function or class defined at module
+    level or in the body of a module-level class; dunders excluded."""
+    bodies = [tree.body] + [node.body for node in tree.body
+                            if isinstance(node, ast.ClassDef)]
+    return [(node.name, node.lineno) for body in bodies for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+
+
+def orphaned_private_names(sources):
+    """(module, name, line) of each private def in the {module: source}
+    map that no Name or Attribute in any of the sources refers to."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [(mod, name, line) for mod, tree in sorted(trees.items())
+            for name, line in _private_defs(tree) if name not in used]
+
+
+def test_private_names_have_a_caller():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert orphaned_private_names(sources) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -150,3 +182,26 @@ def test_checks_flag_what_they_guard():
         "def cap():\n"
         "    return os.environ.get('CAP') or o.getenv('CAP')\n"
         "os.environ['CAP'] = '5'\n") == [3, 5, 5, 6]
+    # _primitive is used while reduce calls it, and named once reduce
+    # stops; a private method that nothing calls is named as well
+    linalg = (
+        "def _primitive(row):\n"
+        "    return row\n"
+        "class Eliminator:\n"
+        "    def __init__(self):\n"
+        "        self._cap = 0\n"
+        "    def _check_cap(self):\n"
+        "        return self._cap\n"
+        "    def _unused(self):\n"
+        "        return 0\n"
+        "    def reduce(self, row):\n"
+        "        self._check_cap()\n"
+        "        return %s\n"
+    )
+    koszul = "from .linalg import Eliminator\nE = Eliminator()\n"
+    assert orphaned_private_names({
+        "linalg.py": linalg % "_primitive(row)", "koszul.py": koszul,
+    }) == [("linalg.py", "_unused", 8)]
+    assert orphaned_private_names({
+        "linalg.py": linalg % "row", "koszul.py": koszul,
+    }) == [("linalg.py", "_primitive", 1), ("linalg.py", "_unused", 8)]
