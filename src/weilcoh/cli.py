@@ -11,7 +11,7 @@ Subcommands map one-to-one onto library entry points:
              each model is the quotient by a koszul sequence, or the
              ring that sequence lives in --
                  cminus  S_k/(c_1..c_k)          (koszul model c)
-                 aquot   P_k/(q_1..q_n)          (koszul model q)
+                 aquot   P_k/(q_1..q_n)          (koszul model q; k >= n)
                  rk      S_k/(what_1..what_k)    (koszul model w)
                  sk      S_k                     (the ring of model w)
     verify   bundled exact-check suites
@@ -86,6 +86,11 @@ def _hilbert_series(args):
     """The complete-intersection series of a hilbert model (HILBERT_MODELS)
     through degree --max-degree."""
     model, quotient = HILBERT_MODELS[args.model]
+    if args.model == "aquot" and args.k < args.n:
+        # the q_alpha lie in (w_1..w_k), of height k < n
+        raise ValueError("hilbert --model aquot needs k >= n: q_1..q_n is "
+                         "not a regular sequence for k < n (koszul --model q "
+                         "computes its quotient dims)")
     spec = named_sequence(model, args.n, args.k)
     return ci_hilbert(spec.ring.weights, spec.degrees if quotient else (),
                       args.max_degree)

@@ -30,14 +30,19 @@ pairs, and the model (sk_model_basis) reads them as they are.
 Invariant dimensions come from an independent route, the joint kernel
 of the so(n) generators X_{i,i+1}, and serve as the oracle of the
 families.  Since the w variables are untouched by so(n) the computation
-factors through the z-part, and the z-part is further cut into small
-blocks preserved by the "torus" generators X_{12}, X_{34}, ...: such a
-rotation preserves, for every column, the total degree in its two rows,
-the exact exponents of all other rows, and the number of its two form
-indices present.  The invariants are then the kernel of the remaining
-consecutive generators restricted to the torus kernel.  (A vector killed
-by a generating set of a Lie algebra is killed by the whole algebra, so
-this joint kernel is exactly the space of SO(n)-invariants.)
+factors through the z-part.  SO(n) keeps every column degree, and a
+column permutation sigma in S_k (inside the GL(k) below) commutes with
+SO(n) and leaves the form indices alone, so it maps the invariants of
+column degrees c isomorphically onto those of sigma c: only the dominant
+c (polyring.dominant_monomials) are computed, each counted orbit_size(c)
+times.  Each c-part is cut into small blocks preserved by the "torus"
+generators X_{12}, X_{34}, ...: such a rotation preserves, for every
+column, the total degree in its two rows, the exact exponents of all
+other rows, and the number of its two form indices present.  The
+invariants are then the kernel of the remaining consecutive generators
+restricted to the torus kernel.  (A vector killed by a generating set of
+a Lie algebra is killed by the whole algebra, so this joint kernel is
+exactly the space of SO(n)-invariants.)
 
 Weight grading.  The differential commutes with the GL(k) of the Howe
 dual pair, z |-> z g and w |-> g^-1 w, and so does SO(n) and iota.  A
@@ -109,6 +114,7 @@ from .polyring import (
     FockRing,
     Polynomial,
     SkRing,
+    dominant_monomials,
     ideal_piece,
     is_dominant,
     minor,
@@ -428,76 +434,53 @@ def _torus_block_key(n, k, bits, ze):
 
 
 def _zform_invariant_rows(n, k, ell, dz):
-    """Basis rows {(bits, z-expo): int} of the SO(n)-invariants of
-    Lambda^ell (x) Pol_z(dz)."""
-    if ell < 0 or ell > n or dz < 0:
-        return []
+    """{c: basis rows {(bits, z-expo): int}} of the SO(n)-invariants of
+    Lambda^ell (x) Pol_z(dz) of column degrees c, for each dominant c;
+    those of sigma c are as many (module docstring)."""
+    out = {}
+    if not 0 <= ell <= n:
+        return out
     nz = n * k
-    zmons = [e[:nz] for e in monomials_of_degree(FockRing(n, k), dz,
-                                                  range(nz))]
-    basis = [
-        (bits_of(I), ze)
-        for I in itertools.combinations(range(1, n + 1), ell)
-        for ze in zmons
-    ]
-    if n == 1:
-        return [{be: 1} for be in basis]
-
+    forms = [bits_of(I) for I in itertools.combinations(range(1, n + 1), ell)]
     torus = [(2 * j + 1, 2 * j + 2) for j in range(n // 2)]
-    remaining = [(i, i + 1) for i in range(2, n) if i % 2 == 0]
-
-    blocks = {}
-    for be in basis:
-        blocks.setdefault(_torus_block_key(n, k, *be), []).append(be)
-
-    W = []  # list of {(bits, ze): int}
-    for members in blocks.values():
-        rows_by_target = {}
-        for t, (bits, ze) in enumerate(members):
-            for g, (a, b) in enumerate(torus):
-                for tgt, v in _gen_act_basis(n, k, a, b, bits, ze).items():
-                    rows_by_target.setdefault((g, tgt), {})[t] = v
-        if not rows_by_target:
-            for be in members:
-                W.append({be: 1})
-            continue
-        m = SparseRationalMatrix(len(rows_by_target), len(members))
-        for ri, row in enumerate(rows_by_target.values()):
-            for t, v in row.items():
-                m.set(ri, t, v)
-        for vec in kernel_basis(m):
-            W.append({members[t]: v for t, v in vec.items()})
-
-    if not remaining or not W:
-        return W
-
-    # X_{2,3}, X_{4,5}, ... keep every column degree, and the rows of W
-    # come from torus blocks, each of one column-degree vector, so the
-    # invariants are a direct sum over those vectors.  Per vector, the
-    # rows (v | X_g v), v in W, span the graph of the generators on
-    # span(W); the part of that span with no image is the invariants,
-    # read off in the (bits, ze) labels
-    groups = {}
-    for wvec in W:
-        _, ze = next(iter(wvec))
-        groups.setdefault(_col_degrees(n, k, ze), []).append(wvec)
-    out = []
-    for rows in groups.values():
+    remaining = [(i, i + 1) for i in range(2, n, 2)]
+    for c, mons in dominant_monomials(FockRing(n, k), dz).items():
+        if sum(c) < dz:
+            continue  # a w variable in every monomial
+        blocks = {}
+        for bits in forms:
+            for e in mons:
+                be = (bits, e[:nz])
+                blocks.setdefault(_torus_block_key(n, k, *be), []).append(be)
+        # the torus kernel of each block, then the part of its span that
+        # X_{2,3}, X_{4,5}, ... kill: the rows (v | X_g v) span the graph
+        # of the generators on it, read off in the (bits, ze) labels
         graph = []
-        for wvec in rows:
-            row = dict(wvec)
-            for g, (a, b) in enumerate(remaining):
-                for (bits, ze), coef in wvec.items():
+        for members in blocks.values():
+            rows_by_target = {}
+            for t, (bits, ze) in enumerate(members):
+                for g, (a, b) in enumerate(torus):
                     for tgt, v in _gen_act_basis(n, k, a, b, bits,
                                                  ze).items():
-                        key = (g, *tgt)
-                        nv = row.get(key, 0) + coef * v
-                        if nv:
-                            row[key] = nv
-                        elif key in row:
-                            del row[key]
-            graph.append(row)
-        out.extend(span_intersect_window(graph, lambda c: len(c) == 2))
+                        rows_by_target.setdefault((g, tgt), {})[t] = v
+            m = SparseRationalMatrix(len(rows_by_target), len(members))
+            for ri, row in enumerate(rows_by_target.values()):
+                for t, v in row.items():
+                    m.set(ri, t, v)
+            for vec in kernel_basis(m):
+                row = {members[t]: v for t, v in vec.items()}
+                for g, (a, b) in enumerate(remaining):
+                    for t, coef in vec.items():
+                        for tgt, v in _gen_act_basis(n, k, a, b,
+                                                     *members[t]).items():
+                            key = (g, *tgt)
+                            nv = row.get(key, 0) + coef * v
+                            if nv:
+                                row[key] = nv
+                            elif key in row:
+                                del row[key]
+                graph.append(row)
+        out[c] = span_intersect_window(graph, lambda key: len(key) == 2)
     return out
 
 
@@ -506,10 +489,12 @@ def invariant_dims(ring, ell, window):
 
     The w variables are inert, so each entry is a sum over the z-degree dz
     of the z-form invariant dimension, computed once per dz, times the
-    count of w-monomials of degree d - dz.
+    count of w-monomials of degree d - dz; each z-form dimension counts
+    the dominant column-degree blocks with their orbit sizes.
     """
     n, k = ring.n, ring.k
-    zdims = [len(_zform_invariant_rows(n, k, ell, dz))
+    zdims = [sum(orbit_size(c) * len(rows) for c, rows in
+                 _zform_invariant_rows(n, k, ell, dz).items())
              for dz in range(window + 1)]
     return [sum(zi * comb(d - dz + k - 1, k - 1)
                 for dz, zi in enumerate(zdims[:d + 1]))
@@ -519,11 +504,6 @@ def invariant_dims(ring, ell, window):
 # ---------------------------------------------------------------------------
 # torus weights (see the module docstring; the weight of a monomial is
 # its ring's weight, and is_dominant and orbit_size come from polyring)
-
-
-def _col_degrees(n, k, ze):
-    """z-degree in each column of a monomial (columns are contiguous)."""
-    return tuple(sum(ze[j * n:(j + 1) * n]) for j in range(k))
 
 
 def _check_weight(polys, mu):
@@ -701,8 +681,7 @@ def dominant_pairs(ring, part, ell, d):
 
 class CohomologyReport:
     def __init__(self):
-        self.dims = {}        # degree -> dim of gr_d H
-        self.filtration = {}  # degree -> dim F_d H
+        self.dims = {}  # degree -> dim of gr_d H
 
 
 def _block_filtration(coc, dom, D):
@@ -784,7 +763,6 @@ def direct_cohomology_dims(ring, part, ell, max_degree, store=None):
     rep = CohomologyReport()
     for t in range(D + 1):
         rep.dims[t] = F[t] - (F[t - 1] if t else 0)
-        rep.filtration[t] = F[t]
     return rep
 
 

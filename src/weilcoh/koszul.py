@@ -115,12 +115,11 @@ class RegularityCertificate:
     of the prefix table it was read off."""
 
     def __init__(self):
-        self.ok = []              # per element
         self.failure_degree = []  # per element, or None
 
     @property
     def regular(self):
-        return all(self.ok)
+        return all(fail is None for fail in self.failure_degree)
 
 
 def regular_sequence_check(spec, hilb):
@@ -140,7 +139,6 @@ def regular_sequence_check(spec, hilb):
         # dim ker(f_a : A_t -> A_{t+df}), A = R / I_{a-1}
         fail = next((t + df for t in range(window - df + 1)
                      if prev[t] - prev[t + df] + cur[t + df]), None)
-        cert.ok.append(fail is None)
         cert.failure_degree.append(fail)
     return cert
 

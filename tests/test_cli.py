@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from weilcoh.cli import main
+from weilcoh.cli import HILBERT_MODELS, main
 from weilcoh.koszul import ci_hilbert
 from weilcoh.linalg import DEFAULT_MAX_ENTRIES, MAX_ENTRIES
 
@@ -92,12 +92,50 @@ def test_hilbert_models_match_the_hand_typed_degrees(capsys, model):
             code, out = run_cli(capsys, "hilbert", "--model", model,
                                 "--n", str(n), "--k", str(k),
                                 "--max-degree", "12")
+            if model == "aquot" and k < n:
+                # q_1..q_n is not regular there: no closed form to print
+                assert (code, out) == (2, ""), (n, k)
+                continue
             assert code == 0
             cells = json.loads(out)["tables"][0]["cells"]
             want = _hilbert_series(SimpleNamespace(
                 model=model, n=n, k=k, max_degree=12))
             assert [c["dim"] for c in cells] == want, (n, k)
             assert [c["degree"] for c in cells] == list(range(13))
+
+
+def test_hilbert_quotients_match_the_koszul_tables(capsys):
+    # each quotient model the hilbert command accepts prints the quotient
+    # table that koszul eliminates for its sequence
+    for model, (seq, quotient) in HILBERT_MODELS.items():
+        if not quotient:
+            continue
+        for n in range(1, 5):
+            for k in range(1, 5):
+                if model == "aquot" and k < n:
+                    continue
+                dims = []
+                for cmd, m in (("hilbert", model), ("koszul", seq)):
+                    code, out = run_cli(capsys, cmd, "--model", m,
+                                        "--n", str(n), "--k", str(k),
+                                        "--max-degree", "6")
+                    assert code == 0, (cmd, n, k)
+                    dims.append([c["dim"] for c in
+                                 json.loads(out)["tables"][-1]["cells"]])
+                assert dims[0] == dims[1], (model, n, k)
+
+
+def test_hilbert_aquot_refuses_k_below_n(capsys):
+    # at (3, 1) the complete-intersection series would read 1, 4, 7, 8,
+    # 8, ..., but the quotient has dims 1, 4, 7, 11, 16, 22, 29
+    code = main(["hilbert", "--model", "aquot", "--n", "3", "--k", "1",
+                 "--max-degree", "6"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and "koszul --model q" in err
+    code, out = run_cli(capsys, "koszul", "--model", "q", "--n", "3",
+                        "--k", "1", "--max-degree", "6")
+    assert [c["dim"] for c in json.loads(out)["tables"][0]["cells"]] == \
+        [1, 4, 7, 11, 16, 22, 29]
 
 
 def test_csv_projection(capsys):

@@ -285,8 +285,7 @@ def test_shared_route_reads_its_whole_domain(n, k, part, D):
             want |= {(ell - 1, d) for d in range(D - 1)}
         assert rec.requests == want, ell
         alone = direct_cohomology_dims(R, part, ell, D)
-        assert (rep.dims, rep.filtration) == \
-            (alone.dims, alone.filtration), ell
+        assert rep.dims == alone.dims, ell
 
 
 def test_nonzero_d4_dies_at_e5():
