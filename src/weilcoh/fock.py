@@ -25,7 +25,8 @@ dependent, which the consumers, all rank-based, do not mind.  So the
 families are the S_k model pairs (J, m) evaluated in the Fock ring, as
 m . Phi_J or m . *Phi_J (*Phi_J the Hodge star of Phi_J), and they come
 from one enumeration, sk_model_pairs: pm_basis_vectors evaluates its
-pairs, and the model (sk_model_basis) reads them as they are.
+pairs, and the model's table (sk_model_table) groups the same pairs,
+made by the same loop, by weight.
 
 Invariant dimensions come from an independent route, the joint kernel
 of the so(n) generators X_{i,i+1}, and serve as the oracle of the
@@ -86,7 +87,7 @@ every (n, k) and part:
     summand.  So E_1 sits on level n, which is never a domain.
   - k < n: E_1 of the +1 part is the Koszul homology over S_k of the
     variables what_1..what_k, and of the -1 part that of c_1..c_k (the
-    d2 rows of sk_model_d2_row on the basis of sk_model_basis), whose
+    d2 rows of sk_model_d2_row on the basis of sk_model_table), whose
     leading terms under lex with rhat_11 > ... > rhat_kk first are
     rhat_jj what_j, pairwise coprime.  So E_1 sits on level k (+1 part)
     and level n (-1 part); level k of the +1 part is no domain either,
@@ -101,6 +102,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
+from operator import add
 
 from .exterior import bits_of, contract_bits, star_bits, tuple_of, wedge_bits
 from .linalg import (
@@ -137,7 +139,7 @@ __all__ = [
     "pm_basis_vectors",
     "invariant_family",
     "sk_model_pairs",
-    "sk_model_basis",
+    "sk_model_table",
     "sk_model_d2_row",
     "cochain_weight",
     "is_dominant",
@@ -444,9 +446,7 @@ def _zform_invariant_rows(n, k, ell, dz):
     forms = [bits_of(I) for I in itertools.combinations(range(1, n + 1), ell)]
     torus = [(2 * j + 1, 2 * j + 2) for j in range(n // 2)]
     remaining = [(i, i + 1) for i in range(2, n, 2)]
-    for c, mons in dominant_monomials(FockRing(n, k), dz).items():
-        if sum(c) < dz:
-            continue  # a w variable in every monomial
+    for c, mons in dominant_monomials(FockRing(n, k), dz, range(nz)).items():
         blocks = {}
         for bits in forms:
             for e in mons:
@@ -542,19 +542,26 @@ def sk_model_pairs(sk, n, part, ell, d, dominant):
     deg m = d - |J| and weight weight(m) + e_J; only the dominant weights
     if dominant is set.  m runs in monomial order and, for each m, J in
     combination order.  The one enumeration of the families: the Fock
-    builder evaluates these pairs, and the model reads them as they are."""
+    builder evaluates these pairs, and sk_model_table groups the same
+    pairs of every cell of a window, made by the same loop."""
     if part not in ("plus", "minus"):
         raise ValueError("part must be plus or minus")
-    k = sk.k
     jsize = ell if part == "plus" else n - ell
-    if ell < 0 or ell > n or not 0 <= jsize <= k or d < jsize:
+    if ell < 0 or ell > n or not 0 <= jsize <= sk.k or d < jsize:
         return
+    yield from _sized_pairs(sk.k, jsize, (
+        (expo, sk.weight(expo)) for expo in monomials_of_degree(sk, d - jsize)
+    ), dominant)
+
+
+def _sized_pairs(k, jsize, monomials, dominant):
+    """The triples (weight, J, m) of sk_model_pairs with |J| = jsize,
+    monomials the pairs (m, weight(m)) in monomial order."""
     Js = [(J, [int(j in J) for j in range(1, k + 1)])
           for J in itertools.combinations(range(1, k + 1), jsize)]
-    for expo in monomials_of_degree(sk, d - jsize):
-        mw = sk.weight(expo)
+    for expo, mw in monomials:
         for J, eJ in Js:
-            mu = tuple(a + b for a, b in zip(mw, eJ))
+            mu = tuple(map(add, mw, eJ))
             if not dominant or is_dominant(mu):
                 yield mu, J, expo
 
@@ -605,19 +612,37 @@ def invariant_family(ring, part, ell, degrees, dominant=False):
 # the S_k model of the invariant cochains, for k < n
 
 
-def sk_model_basis(sk, n, part, ell, d):
-    """{weight: [(J, m)]} of the dominant pairs of sk_model_pairs.  For
-    k < n these vectors are a basis of the dominant invariant cochains
-    (the paper's theorem), so nothing is evaluated."""
-    out = {}
-    for mu, J, expo in sk_model_pairs(sk, n, part, ell, d, True):
-        out.setdefault(mu, []).append((J, expo))
-    return out
+def sk_model_table(sk, max_degree):
+    """{(|J|, s): [(orbit size, [(J, m)])]} of the dominant pairs with
+    |J| <= k and deg m = s <= max_degree - |J|, one block per weight:
+    the blocks in the order of their first pair and each block in the
+    order of sk_model_pairs (m in monomial order, then J in combination
+    order).  For k < n these vectors are a basis of the dominant
+    invariant cochains (the paper's theorem), so nothing is evaluated.
+    The pairs of the plus part at level |J| and of the minus part at
+    level n - |J| are the same, so one entry serves both.  Each degree
+    is enumerated once, each monomial's weight computed once and each
+    orbit size once per weight."""
+    sizes = {}  # weight -> orbit size
+    table = {}
+    for s in range(max_degree + 1):
+        monomials = [(expo, sk.weight(expo))
+                     for expo in monomials_of_degree(sk, s)]
+        for jsize in range(min(sk.k, max_degree - s) + 1):
+            blocks = {}
+            for mu, J, expo in _sized_pairs(sk.k, jsize, monomials, True):
+                blocks.setdefault(mu, []).append((J, expo))
+            for mu in blocks:
+                if mu not in sizes:
+                    sizes[mu] = orbit_size(mu)
+            table[jsize, s] = [(sizes[mu], pairs)
+                               for mu, pairs in blocks.items()]
+    return table
 
 
 def sk_model_d2_row(sk, part, J, expo):
     """The d2 row {(J', m'): coef} of m . Phi_J (plus) or m . *Phi_J
-    (minus), m the S_k monomial expo, in the pairs of sk_model_basis:
+    (minus), m the S_k monomial expo, in the pairs of sk_model_table:
 
         d2(m Phi_J)  = -sum_{i not in J} (-1)^#{j in J : j < i}
                            (what_i m) Phi_{J + i}

@@ -332,11 +332,12 @@ def monomials_of_degree(ring, d, varset=None):
     return out
 
 
-def dominant_monomials(ring, d):
-    """{mu: [monomial]} of the degree-d monomials of dominant weight mu:
-    the blocks of monomials_of_degree(ring, d) whose weight is dominant,
-    each in its order there, the weights in the order of their first
-    monomial there.
+def dominant_monomials(ring, d, varset=None):
+    """{mu: [monomial]} of the degree-d monomials supported on varset
+    (default: every variable) of dominant weight mu: the blocks of
+    monomials_of_degree(ring, d, varset) whose weight is dominant, each
+    in its order there, the weights in the order of their first monomial
+    there.
 
     The variables fall into classes of equal degree and weight (on the
     Fock ring the n z's of one column, and each w_j).  Ring.weight is
@@ -352,7 +353,7 @@ def dominant_monomials(ring, d):
         return {}
     nvars = ring.nvars
     classes = {}  # (degree, weight) -> [variable]
-    for v in range(nvars):
+    for v in sorted(range(nvars) if varset is None else varset):
         unit = (0,) * v + (1,) + (0,) * (nvars - v - 1)
         classes.setdefault((ring.weights[v], ring.weight(unit)), []).append(v)
     keys = list(classes)

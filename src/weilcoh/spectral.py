@@ -29,9 +29,12 @@ closed form
 
 c_j = sum_i rhat(i,j) what(i) and p_j the 0-based position of j in J,
 so E_1 is the Koszul homology over S_k of what_1..what_k (+1 part) and
-of c_1..c_k (-1 part), computed with no Fock polynomial.  For k >= n
-the families are evaluated and differentiated in the Fock ring: they
-are dependent for k > n, and the theorem does not cover k = n.
+of c_1..c_k (-1 part), computed with no Fock polynomial.  One call
+enumerates each S_k degree once and groups the dominant pairs of each
+(|J|, deg m) once (fock.sk_model_table); the +1 part at level |J| and
+the -1 part at level n - |J| read the same pairs.  For k >= n the
+families are evaluated and differentiated in the Fock ring: they are
+dependent for k > n, and the theorem does not cover k = n.
 
 Truncation.  In polynomial degree, the cell (ell, t) is E_r^{p,q} with
 p = 2 ell - t; Z_r asks deg(dx) <= t + 2 - r, and the domain of B_r is
@@ -50,7 +53,9 @@ spans and kernels of block-diagonal maps.  So each page dimension is a
 sum over the weight blocks; column permutations make blocks in one
 S_k-orbit isomorphic as filtered complexes, so only the dominant blocks
 are computed, each counted orbit_size(mu) times.  The same holds for
-E_1 and d2.
+E_1 and d2; there the rows of a cell's blocks have disjoint columns, so
+e1_dims eliminates all the blocks of a cell in one Eliminator and counts
+each row that raises the rank with its block's orbit size.
 
 A pages call (einf_and_converge) keeps one store of rows, its
 SpectralComputer: the (row, image row) pairs of every dominant family,
@@ -63,9 +68,9 @@ per call.
 from __future__ import annotations
 
 from .fock import diff, direct_cohomology_dims, dominant_pairs, \
-    invariant_family, sk_model_basis, sk_model_d2_row, weight_blocks
-from .linalg import MAX_ENTRIES, ResourceCapError, SparseRationalMatrix, \
-    kernel_basis, rank_of_rows, span_intersect_window
+    invariant_family, sk_model_d2_row, sk_model_table, weight_blocks
+from .linalg import MAX_ENTRIES, Eliminator, ResourceCapError, \
+    SparseRationalMatrix, kernel_basis, rank_of_rows, span_intersect_window
 from .polyring import SkRing, orbit_size
 
 __all__ = [
@@ -218,28 +223,39 @@ def e1_dims(ring, part, max_degree):
     cell, from the dominant weight blocks counted with their orbit sizes.
 
     For k < n the cells are computed on the S_k model: the pairs (J, m)
-    of fock.sk_model_basis are a basis of the invariant cochains (the
-    paper's theorem), so the rank of a cell is their count, and the d2
-    rows of fock.sk_model_d2_row, one monomial per term, give its image
-    rank with no Fock polynomial.  For k >= n the families are evaluated
-    and differentiated in the Fock ring (_e1_fock): they are dependent
-    for k > n, and the basis theorem does not cover k = n.
+    of fock.sk_model_table, built once per call for the whole window,
+    are a basis of the invariant cochains (the paper's theorem), so the
+    rank of a cell is their count, and the d2 rows of
+    fock.sk_model_d2_row, one monomial per term, give its image rank
+    with no Fock polynomial.  For k >= n the families are evaluated and
+    differentiated in the Fock ring (_e1_fock): they are dependent for
+    k > n, and the basis theorem does not cover k = n.
+
+    Each cell and part eliminates the rows of all its dominant blocks in
+    one Eliminator, and a row that raises the rank adds its block's
+    orbit size.  This is the sum of the block ranks: d2 preserves the
+    torus weight, so the rows of different blocks, and their images,
+    have disjoint columns, and a row of one block is only ever reduced
+    against pivot rows of the same block.
     """
     if ring.k >= ring.n:
         return _e1_fock(ring, part, max_degree)
     n = ring.n
     sk = SkRing(ring.k)
     parts = ("plus", "minus") if part == "full" else (part,)
+    table = sk_model_table(sk, max_degree)
 
     def level_ranks(ell):
         for t in range(max_degree + 1):
             rv = ri = 0
             for p in parts:
-                for mu, basis in sk_model_basis(sk, n, p, ell, t).items():
-                    mult = orbit_size(mu)
-                    rv += mult * len(basis)
-                    ri += mult * rank_of_rows(sk_model_d2_row(sk, p, J, m)
-                                              for J, m in basis)
+                jsize = ell if p == "plus" else n - ell
+                e = Eliminator()
+                for mult, pairs in table.get((jsize, t - jsize), ()):
+                    rv += mult * len(pairs)
+                    for J, m in pairs:
+                        if e.add_row(sk_model_d2_row(sk, p, J, m)):
+                            ri += mult
             yield rv, ri
 
     return _e1_page(n, max_degree, level_ranks)
@@ -247,19 +263,21 @@ def e1_dims(ring, part, max_degree):
 
 def _e1_fock(ring, part, max_degree):
     """e1_dims on the Fock route, for every (n, k): the ranks of the rows
-    of the dominant families and of their d2 images.  One level is built
-    at a time."""
+    of the dominant families and of their d2 images, one Eliminator each
+    per cell (see e1_dims).  One level is built at a time."""
     def level_ranks(ell):
         blocks = weight_blocks(invariant_family(
             ring, part, ell, range(max_degree + 1), dominant=True))
         for t in range(max_degree + 1):
             rv = ri = 0
+            ev, ei = Eliminator(), Eliminator()
             for mu, block in blocks.items():
-                vecs = block.get(t, ())
                 mult = orbit_size(mu)
-                rv += mult * rank_of_rows(v.to_row() for v in vecs)
-                ri += mult * rank_of_rows(diff(v, "d2").to_row()
-                                          for v in vecs)
+                for v in block.get(t, ()):
+                    if ev.add_row(v.to_row()):
+                        rv += mult
+                    if ei.add_row(diff(v, "d2").to_row()):
+                        ri += mult
             yield rv, ri
 
     return _e1_page(ring.n, max_degree, level_ranks)

@@ -262,7 +262,8 @@ def test_calls_leave_no_module_state(capsys):
     for argv in (["pages", "--n", "2", "--k", "2", "--max-degree", "1"],
                  ["verify", "--suite", "bases", "--n", "3", "--k", "2"],
                  ["koszul", "--model", "q", "--n", "2", "--k", "2",
-                  "--max-degree", "4"]):
+                  "--max-degree", "4"],
+                 ["e1", "--n", "3", "--k", "2", "--max-degree", "4"]):
         code, _ = run_cli(capsys, *argv)
         assert code == 0
         assert _module_state() == before, argv

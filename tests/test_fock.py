@@ -26,7 +26,6 @@ from weilcoh.fock import (
     outer_product,
     phi1,
     pm_basis_vectors,
-    sk_model_basis,
     sk_model_d2_row,
     son_act_cochain,
     star_Phi_J,
@@ -51,6 +50,7 @@ from weilcoh.polyring import (
     sk_evaluate,
     son_act,
 )
+from test_spectral import sk_model_basis
 
 
 def tuple_sign(J, i, mode):

@@ -343,10 +343,10 @@ def test_dominant_monomials_leaves_no_cycle():
         gc.enable()
 
 
-def dominant_blocks(ring, d):
+def dominant_blocks(ring, d, varset=None):
     """The dominant-weight blocks of monomials_of_degree, by filtering."""
     out = {}
-    for m in monomials_of_degree(ring, d):
+    for m in monomials_of_degree(ring, d, varset):
         mu = ring.weight(m)
         if is_dominant(mu):
             out.setdefault(mu, []).append(m)
@@ -364,6 +364,19 @@ def test_dominant_monomials_are_the_dominant_blocks(ring):
     for d in range(-1, 7):
         got = dominant_monomials(ring, d)
         assert list(got.items()) == list(dominant_blocks(ring, d).items())
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (3, 3), (4, 3), (2, 4)])
+def test_dominant_z_monomials_are_the_dominant_z_blocks(n, k):
+    # on the z variables alone: the blocks whose monomials hold no w,
+    # in the same order, each in monomial order
+    ring = FockRing(n, k)
+    z = range(n * k)
+    for d in range(-1, 6):
+        got = dominant_monomials(ring, d, z)
+        assert list(got.items()) == list(dominant_blocks(ring, d, z).items())
+        assert got == {mu: mons for mu, mons in dominant_monomials(
+            ring, d).items() if sum(mu) == d}
 
 
 def test_sk_evaluate_memo_leaves_no_cycle():

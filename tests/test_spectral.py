@@ -13,8 +13,15 @@ from weilcoh.fock import (
     invariant_quotient_dims,
     orbit_size,
 )
-from weilcoh.linalg import Eliminator
-from weilcoh.polyring import FockRing, Polynomial, q_gen, sk_c_sequence
+from weilcoh.fock import sk_model_d2_row, sk_model_pairs, sk_model_table
+from weilcoh.linalg import Eliminator, rank_of_rows
+from weilcoh.polyring import (
+    FockRing,
+    Polynomial,
+    SkRing,
+    q_gen,
+    sk_c_sequence,
+)
 from weilcoh.spectral import (
     SpectralComputer,
     e1_dims,
@@ -88,6 +95,96 @@ def test_e1_model_matches_the_fock_route(n, k, part, D):
     # families and their Fock d2
     R = FockRing(n, k)
     assert e1_dims(R, part, D).dims == spectral._e1_fock(R, part, D).dims
+
+
+# The model E_1 as it was before one table per call and one Eliminator
+# per cell, verbatim apart from the names: sk_model_basis once per
+# (part, ell, t) and one rank_of_rows per weight block.  Kept as the
+# oracle of the one-pass route.
+
+
+def sk_model_basis(sk, n, part, ell, d):
+    """{weight: [(J, m)]} of the dominant pairs of sk_model_pairs.  For
+    k < n these vectors are a basis of the dominant invariant cochains
+    (the paper's theorem), so nothing is evaluated."""
+    out = {}
+    for mu, J, expo in sk_model_pairs(sk, n, part, ell, d, True):
+        out.setdefault(mu, []).append((J, expo))
+    return out
+
+
+def old_e1_model(ring, part, max_degree):
+    n = ring.n
+    sk = SkRing(ring.k)
+    parts = ("plus", "minus") if part == "full" else (part,)
+
+    def level_ranks(ell):
+        for t in range(max_degree + 1):
+            rv = ri = 0
+            for p in parts:
+                for mu, basis in sk_model_basis(sk, n, p, ell, t).items():
+                    mult = orbit_size(mu)
+                    rv += mult * len(basis)
+                    ri += mult * rank_of_rows(sk_model_d2_row(sk, p, J, m)
+                                              for J, m in basis)
+            yield rv, ri
+
+    return spectral._e1_page(n, max_degree, level_ranks)
+
+
+@pytest.mark.parametrize("n,k,D,parts", [
+    (2, 1, 8, ("full",)), (3, 1, 8, ("full",)),
+    (3, 2, 8, ("plus", "minus", "full")), (4, 2, 8, ("full",)),
+    (4, 3, 6, ("full",)), (5, 2, 8, ("full",)), (8, 3, 6, ("full",)),
+])
+def test_e1_model_matches_the_per_block_route(n, k, D, parts):
+    R = FockRing(n, k)
+    for part in parts:
+        assert e1_dims(R, part, D).dims == old_e1_model(R, part, D).dims, \
+            part
+
+
+@pytest.mark.parametrize("n,k,D", [(2, 1, 8), (3, 2, 8), (4, 3, 6),
+                                   (5, 4, 5)])
+def test_model_table_holds_the_pairs_of_every_cell(n, k, D):
+    # each entry is the dominant blocks of sk_model_basis, with their
+    # orbit sizes, in the same order; plus at level |J| and minus at
+    # level n - |J| read the same entry, and nothing else is in the table
+    sk = SkRing(k)
+    table = sk_model_table(sk, D)
+    read = set()
+    for part in ("plus", "minus"):
+        for ell in range(n + 1):
+            jsize = ell if part == "plus" else n - ell
+            for t in range(D + 1):
+                want = [(orbit_size(mu), pairs) for mu, pairs in
+                        sk_model_basis(sk, n, part, ell, t).items()]
+                assert table.get((jsize, t - jsize), []) == want, \
+                    (part, ell, t)
+                if (jsize, t - jsize) in table:
+                    read.add((jsize, t - jsize))
+    assert read == set(table)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_model_d2_preserves_the_weight(k):
+    # the lemma behind one Eliminator per cell: every label (J', m') of
+    # the d2 row of (J, m) has the weight of (J, m), so the rows of
+    # different weight blocks have disjoint columns
+    sk = SkRing(k)
+    n = k + 1
+
+    def weight(J, m):
+        return tuple(a + (j in J) for j, a in enumerate(sk.weight(m), 1))
+
+    for d in range(7):
+        for part in ("plus", "minus"):
+            for ell in range(n + 1):
+                for mu, J, m in sk_model_pairs(sk, n, part, ell, d, False):
+                    assert weight(J, m) == mu
+                    row = sk_model_d2_row(sk, part, J, m)
+                    assert all(weight(J2, m2) == mu for J2, m2 in row), \
+                        (part, J, m)
 
 
 def test_e1_model_builds_no_fock_polynomial(monkeypatch):
