@@ -128,7 +128,7 @@ def _cmd_pages(args, doc):
         "name": "Einf matches graded cohomology",
         "pass": rep.ok,
         "detail": "agreements %d, mismatches %s" % (
-            len(rep.agreements), rep.mismatches),
+            rep.agreements, rep.mismatches),
     })
 
 

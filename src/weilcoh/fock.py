@@ -145,7 +145,7 @@ __all__ = [
     "is_dominant",
     "orbit_size",
     "weight_blocks",
-    "dominant_pairs",
+    "dominant_rows",
     "direct_cohomology_dims",
     "CohomologyReport",
     "invariant_quotient_dims",
@@ -678,25 +678,19 @@ def sk_model_d2_row(sk, part, J, expo):
 # rows of the dominant families
 
 
-def _row_pairs(vecs):
-    """(row, full-d image row) of each cochain, built as it is read."""
-    for v in vecs:
-        yield v.to_row(), diff(v, "full").to_row()
+def dominant_rows(ring, part, ell, degrees, images):
+    """{weight: {degree: iterator of (row, full-d image row)}} of the
+    dominant invariant family at level ell, in family order: the rows
+    that the direct route and the spectral pages eliminate.  Each pair is
+    computed as it is read; with images set its row slot is None and no
+    row is built."""
+    def read(vecs):
+        for v in vecs:
+            yield None if images else v.to_row(), diff(v, "full").to_row()
 
-
-def _image_rows(vecs):
-    """The full-d image row of each cochain, built as it is read."""
-    for v in vecs:
-        yield diff(v, "full").to_row()
-
-
-def dominant_pairs(ring, part, ell, d):
-    """{weight: [(row, full-d image row)]} of the dominant invariant
-    family at bidegree (ell, d), in family order: the rows that the
-    direct route and the spectral pages eliminate."""
-    blocks = weight_blocks(
-        invariant_family(ring, part, ell, (d,), dominant=True))
-    return {mu: list(_row_pairs(block[d])) for mu, block in blocks.items()}
+    return {mu: {d: read(vecs) for d, vecs in block.items()}
+            for mu, block in weight_blocks(invariant_family(
+                ring, part, ell, degrees, dominant=True)).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -712,11 +706,12 @@ class CohomologyReport:
 def _block_filtration(coc, dom, D):
     """The filtration counts [F_t for t <= D] of one weight block.
 
-    coc is {degree: iterable of (row, image row)} for the cocycle level,
-    dom {degree: iterable of image row} for the level below, through
-    degree D - 2; each iterable is read once.  F_t = rank(family, deg <=
-    t) - rank(d of it) - rank(d(domain, deg <= t - 2)), the last term
-    being the coboundaries inside degree <= t by the descent lemma.
+    coc and dom are {degree: iterable of (row, image row)} for the
+    cocycle level and the level below; dom is read for its image rows
+    through degree D - 2 only; each iterable is read at most once.
+    F_t = rank(family, deg <= t) - rank(d of it) - rank(d(domain, deg <=
+    t - 2)), the last term being the coboundaries inside degree <= t by
+    the descent lemma.
     """
     ev, edv, eb = Eliminator(), Eliminator(), Eliminator()
     F = []
@@ -725,29 +720,11 @@ def _block_filtration(coc, dom, D):
             ev.add_row(row)
             if img:
                 edv.add_row(img)
-        for img in dom.get(t - 2, ()):
+        for _, img in dom.get(t - 2, ()):
             if img:
                 eb.add_row(img)
         F.append(ev.rank - edv.rank - eb.rank)
     return F
-
-
-def _weight_rows(ring, part, ell, degrees, store, images=False):
-    """{weight: {degree: iterable}} of the dominant families at level
-    ell: the (row, image row) pairs, or with images set the image rows
-    alone.  They are the store's cells, or without a store read off the
-    cochains built now, each row computed when it is read."""
-    if store is None:
-        read = _image_rows if images else _row_pairs
-        return {mu: {d: read(vecs) for d, vecs in block.items()}
-                for mu, block in weight_blocks(invariant_family(
-                    ring, part, ell, degrees, dominant=True)).items()}
-    out = {}
-    for d in degrees:
-        for mu, pairs in store.pairs(ell, d).items():
-            out.setdefault(mu, {})[d] = \
-                [img for _, img in pairs] if images else pairs
-    return out
 
 
 def direct_cohomology_dims(ring, part, ell, max_degree, store=None):
@@ -768,17 +745,21 @@ def direct_cohomology_dims(ring, part, ell, max_degree, store=None):
     block with no cocycle-level rows has zero images, so the blocks of
     the cocycle level are all there is to count.
 
-    store, if given, supplies the rows: store.pairs(ell, d) returns the
-    dominant_pairs of the cell, as a spectral.SpectralComputer of the
-    same ring and part does, so a pages call builds each family once.
-    Without a store the families are built here, and each row is computed
-    as it is read and then dropped: the domain level yields its image
-    rows only, and one weight block's rows are alive at a time.
+    The rows are those of dominant_rows.  store, if given, is a
+    spectral.SpectralComputer of the same ring and part through degree
+    max_degree at least, and its blocks[ell] and blocks[ell - 1] are read
+    as they stand, so a pages call builds each family once.  Without a
+    store dominant_rows streams them: each row is computed as it is read
+    and then dropped, the domain level yields its image rows only, and
+    one weight block's rows are alive at a time.
     """
     D = max_degree
-    coc = _weight_rows(ring, part, ell, range(D + 1), store)
-    dom = _weight_rows(ring, part, ell - 1, range(D - 1), store,
-                       images=True) if ell >= 1 else {}
+    if store is not None:
+        coc, dom = store.blocks[ell], store.blocks.get(ell - 1, {})
+    else:
+        coc = dominant_rows(ring, part, ell, range(D + 1), False)
+        dom = dominant_rows(ring, part, ell - 1, range(D - 1), True) \
+            if ell >= 1 else {}
     F = [0] * (D + 1)
     for mu, block in coc.items():
         mult = orbit_size(mu)

@@ -59,15 +59,15 @@ each row that raises the rank with its block's orbit size.
 
 A pages call (einf_and_converge) keeps one store of rows, its
 SpectralComputer: the (row, image row) pairs of every dominant family,
-one cell (ell, degree) at a time through degree D, built by
-fock.dominant_pairs.  The direct filtered cohomology it is compared
-with reads the same store, so each family and its image are built once
-per call.
+built one cell (ell, degree) at a time through degree D by
+fock.dominant_rows, the builder that also streams the rows of cohom.
+The direct filtered cohomology it is compared with reads the same store,
+so each family and its image are built once per call.
 """
 
 from __future__ import annotations
 
-from .fock import diff, direct_cohomology_dims, dominant_pairs, \
+from .fock import diff, direct_cohomology_dims, dominant_rows, \
     invariant_family, sk_model_d2_row, sk_model_table, weight_blocks
 from .linalg import MAX_ENTRIES, Eliminator, ResourceCapError, \
     SparseRationalMatrix, kernel_basis, rank_of_rows, span_intersect_window
@@ -105,11 +105,11 @@ def _row_degree(key):
 
 
 class SpectralComputer:
-    """The store of one pages call: the (row, image row) pairs of the
-    dominant invariant families through degree max_degree, each cell
-    built once by dominant_pairs.  It serves page dimensions for any r,
-    and the direct route of the same call reads its rows through
-    pairs."""
+    """The store of one pages call: blocks[ell][weight][degree], the
+    (row, image row) pairs of the dominant invariant families through
+    degree max_degree, each cell built once by fock.dominant_rows.  It
+    serves page dimensions for any r, and the direct route of the same
+    call reads its blocks as they stand."""
 
     def __init__(self, ring, part, max_degree):
         self.ring = ring
@@ -119,23 +119,16 @@ class SpectralComputer:
         # elimination does, so they share the entry cap
         cap = MAX_ENTRIES.get()
         stored = 0
-        # ell -> weight -> {deg: [(row, image row)]}, deg <= max_degree
         self.blocks = {}
         for ell in range(ring.n + 1):
             level = self.blocks[ell] = {}
             for d in range(max_degree + 1):
-                cell = dominant_pairs(ring, part, ell, d)
-                stored += sum(len(row) + len(img) for pairs in cell.values()
-                              for row, img in pairs)
-                if stored > cap:
-                    raise ResourceCapError(stored, cap)
-                for mu, pairs in cell.items():
-                    level.setdefault(mu, {})[d] = pairs
-
-    def pairs(self, ell, d):
-        """{weight: [(row, image row)]} of the stored cell (ell, d)."""
-        return {mu: block[d] for mu, block in self.blocks[ell].items()
-                if d in block}
+                cell = dominant_rows(ring, part, ell, (d,), False)
+                for mu, block in cell.items():
+                    pairs = level.setdefault(mu, {})[d] = list(block[d])
+                    stored += sum(len(row) + len(img) for row, img in pairs)
+                    if stored > cap:
+                        raise ResourceCapError(stored, cap)
 
     def _pairs_upto(self, ell, mu, t):
         """(row, image-row) pairs of the weight-mu family at level ell,
@@ -304,7 +297,7 @@ class ConvergenceReport:
         self.r_max = r_max
         self.einf = einf
         self.gr_dims = gr_dims  # (p, q) -> dim
-        self.agreements = []
+        self.agreements = 0  # the number of agreeing cells
         self.mismatches = []
 
     @property
@@ -342,7 +335,7 @@ def einf_and_converge(ring, part, max_degree):
             cell = regrade(ell, t)
             e, g = rep.einf.dims.get(cell, 0), gr.get(cell, 0)
             if e == g:
-                rep.agreements.append(cell)
+                rep.agreements += 1
             else:
                 rep.mismatches.append((cell, e, g))
     return rep

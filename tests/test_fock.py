@@ -17,7 +17,7 @@ from weilcoh.fock import (
     cochain_weight,
     diff,
     direct_cohomology_dims,
-    dominant_pairs,
+    dominant_rows,
     invariant_dims,
     invariant_family,
     involution,
@@ -50,6 +50,7 @@ from weilcoh.polyring import (
     sk_evaluate,
     son_act,
 )
+from weilcoh.spectral import SpectralComputer
 from test_spectral import sk_model_basis
 
 
@@ -760,9 +761,7 @@ def test_weight_blocks_symmetric_and_sum_to_slices(n, k, part):
                 assert fam_dom[d] == [v for v in vecs
                                       if is_dominant(cochain_weight(v))]
         coc = row_pair_blocks(coc_all)
-        dom = {mu: {d: [img for _, img in pairs]
-                    for d, pairs in block.items()}
-               for mu, block in row_pair_blocks(dom_all).items()}
+        dom = row_pair_blocks(dom_all)
         blocks = {mu: _block_filtration(coc.get(mu, {}), dom.get(mu, {}), D)
                   for mu in set(coc) | set(dom)}
         total = [0] * (D + 1)
@@ -795,18 +794,45 @@ def test_short_domain_matches_the_buffered_slices(n, k, part, D):
         assert rep.dims == oracle.dims, ell
 
 
+def ordered(blocks):
+    """{weight: {degree: pairs}} as nested lists in their order, every
+    iterator of dominant_rows read."""
+    return [(mu, [(d, list(pairs)) for d, pairs in block.items()])
+            for mu, block in blocks.items()]
+
+
 @pytest.mark.parametrize("n,k,part", [(2, 2, "full"), (3, 2, "minus"),
                                       (2, 3, "plus"), (1, 2, "full")])
-def test_dominant_pairs_are_the_dominant_blocks(n, k, part):
-    # one cell: the dominant weight blocks of the whole family, in family
-    # order, each cochain as its row and its full-d image row
-    R = FockRing(n, k)
+def test_dominant_rows_are_the_pages_store(n, k, part, monkeypatch):
+    # the one builder: the pages store, filled one cell at a time, is the
+    # window read at once, with the same weights, pairs and order; both
+    # are the dominant blocks of the whole family in family order, and
+    # the images-only stream gives the same image rows and builds no row
+    R, D = FockRing(n, k), 3
+    comp = SpectralComputer(R, part, D)
     for ell in range(n + 1):
-        for d in range(4):
-            blocks = row_pair_blocks(invariant_family(R, part, ell, (d,)))
-            assert dominant_pairs(R, part, ell, d) == {
-                mu: block[d] for mu, block in blocks.items()
-                if is_dominant(mu)}, (ell, d)
+        rows = ordered(dominant_rows(R, part, ell, range(D + 1), False))
+        assert ordered(comp.blocks[ell]) == rows, ell
+        blocks = row_pair_blocks(invariant_family(R, part, ell, range(D + 1)))
+        assert rows == ordered({mu: block for mu, block in blocks.items()
+                                if is_dominant(mu)}), ell
+        built = []
+        to_row = Cochain.to_row
+
+        def recorded(c):
+            built.append(c.ell)
+            return to_row(c)
+
+        monkeypatch.setattr(Cochain, "to_row", recorded)
+        images = ordered(dominant_rows(R, part, ell, range(D + 1), True))
+        monkeypatch.setattr(Cochain, "to_row", to_row)
+        assert images == [(mu, [(d, [(None, img) for _, img in pairs])
+                                for d, pairs in block])
+                          for mu, block in rows], ell
+        # one to_row per image (level ell + 1), none for a row
+        assert set(built) <= {ell + 1}, ell
+        assert len(built) == sum(len(pairs) for _, block in rows
+                                 for _, pairs in block), ell
 
 
 def test_orbit_size():

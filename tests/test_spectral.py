@@ -353,36 +353,49 @@ def test_pages_build_each_family_once(monkeypatch):
     assert alone and len(calls) == alone
 
 
-class RecordingStore:
-    """A SpectralComputer that records the cells the direct route asks
-    it for."""
+class LoggedCell:
+    """A stored cell of a SpectralComputer that logs its key each time it
+    is read."""
 
-    def __init__(self, comp):
-        self.comp = comp
-        self.requests = set()
+    def __init__(self, pairs, key, log):
+        self.pairs, self.key, self.log = pairs, key, log
 
-    def pairs(self, ell, d):
-        self.requests.add((ell, d))
-        return self.comp.pairs(ell, d)
+    def __iter__(self):
+        self.log.add(self.key)
+        return iter(self.pairs)
 
 
 @pytest.mark.parametrize("n,k,part,D", [(1, 1, "full", 2),
                                         (2, 2, "full", 1),
                                         (2, 2, "full", 3)])
 def test_shared_route_reads_its_whole_domain(n, k, part, D):
-    # the route asks the store for the cocycle level through degree D
-    # and the domain level through degree D - 2, and for nothing else
+    # the route reads the store's cocycle level through degree D and the
+    # blocks of the same weights at the domain level through degree
+    # D - 2, and nothing else
     R = FockRing(n, k)
     comp = SpectralComputer(R, part, D)
+    reads, unread = set(), set()
+    for ell, level in comp.blocks.items():
+        for mu, block in level.items():
+            for d in block:
+                block[d] = LoggedCell(block[d], (ell, mu, d), reads)
     for ell in range(n + 1):
-        rec = RecordingStore(comp)
-        rep = direct_cohomology_dims(R, part, ell, D, store=rec)
-        want = {(ell, d) for d in range(D + 1)}
+        reads.clear()
+        rep = direct_cohomology_dims(R, part, ell, D, store=comp)
+        want = {(ell, mu, d) for mu, block in comp.blocks[ell].items()
+                for d in block}
         if ell >= 1:
-            want |= {(ell - 1, d) for d in range(D - 1)}
-        assert rec.requests == want, ell
+            domain = {(ell - 1, mu, d)
+                      for mu, block in comp.blocks[ell - 1].items()
+                      for d in block}
+            want |= {(lvl, mu, d) for lvl, mu, d in domain
+                     if mu in comp.blocks[ell] and d <= D - 2}
+            unread |= domain - want
+        assert reads == want, ell
         alone = direct_cohomology_dims(R, part, ell, D)
         assert rep.dims == alone.dims, ell
+    # the store holds domain cells that the route must skip
+    assert unread
 
 
 def test_nonzero_d4_dies_at_e5():
@@ -394,8 +407,8 @@ def test_nonzero_d4_dies_at_e5():
     comp = object.__new__(SpectralComputer)
     comp.ring = FockRing(1, 1)
     comp.D = 4
-    x = {(0, (4,)): 1}
-    y = {(1, (2,)): 1}
+    x = {(0, (4, 0)): 1}
+    y = {(1, (2, 0)): 1}
     comp.blocks = {0: {(0,): {4: [(x, y)]}}, 1: {(0,): {2: [(y, {})]}}}
     for r in range(1, 5):
         assert comp.page(r).dims == {(-4, 4): 1, (0, 1): 1}, r
