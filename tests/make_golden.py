@@ -1,0 +1,115 @@
+"""Regenerate the byte-identity corpus in tests/golden/.
+
+For each argv of CASES the command line is run in process, as
+tests/test_golden.py runs it, and three things are kept:
+
+    golden/<id>.out   stdout without the "timing" line (the weilcoh/1
+                      document, or nothing for a usage error)
+    golden/<id>.err   the stderr text
+    golden/cases.json {id: {"argv": [...], "exit": code}}
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 tests/make_golden.py
+
+A change that alters a document on purpose regenerates the corpus with
+this script and names the changed cells, and why, in CHANGES.md.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from weilcoh.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _args(text):
+    return text.split()
+
+
+CASES = {
+    # the four benchmark workloads
+    "cohom-minus-n3k2": _args(
+        "cohom --n 3 --k 2 --part minus --ell 3 --max-degree 3"),
+    "pages-full-n2k2": _args("pages --n 2 --k 2 --max-degree 2"),
+    "e1-full-n3k2": _args("e1 --n 3 --k 2 --part full --max-degree 8"),
+    "koszul-q-n3k3": _args("koszul --model q --n 3 --k 3 --max-degree 7"),
+    # direct cohomology
+    "cohom-n3k3": _args("cohom --n 3 --k 3 --part full --ell 0..3 "
+                        "--max-degree 5"),
+    "cohom-n4k2": _args("cohom --n 4 --k 2 --part full --ell 0..4 "
+                        "--max-degree 7"),
+    "cohom-n2k2": _args("cohom --n 2 --k 2 --part full --ell 0..2 "
+                        "--max-degree 5"),
+    # E_infinity against the direct route
+    "pages-n2k2": _args("pages --n 2 --k 2 --max-degree 4"),
+    "pages-minus-n3k2": _args("pages --n 3 --k 2 --part minus "
+                              "--max-degree 4"),
+    "pages-n2k3": _args("pages --n 2 --k 3 --max-degree 3"),
+    "pages-n3k1": _args("pages --n 3 --k 1 --max-degree 6"),
+    # E_1, on the Fock route (k >= n) and the S_k model (k < n)
+    "e1-n2k3": _args("e1 --n 2 --k 3 --max-degree 5"),
+    "e1-n3k3": _args("e1 --n 3 --k 3 --max-degree 5"),
+    "e1-n8k3": _args("e1 --n 8 --k 3 --max-degree 8"),
+    # Koszul certificates (q at k < n is not regular: exit 1)
+    "koszul-c-k3": _args("koszul --model c --k 3 --max-degree 9"),
+    "koszul-w-k3": _args("koszul --model w --k 3 --max-degree 6"),
+    "koszul-q-n3k2": _args("koszul --model q --n 3 --k 2 --max-degree 8"),
+    # closed-form series
+    "hilbert-cminus-k3": _args("hilbert --model cminus --k 3 "
+                               "--max-degree 12"),
+    "hilbert-aquot-n3k3": _args("hilbert --model aquot --n 3 --k 3 "
+                                "--max-degree 10"),
+    # every verification suite
+    "verify-n2k2": _args("verify --suite all --n 2 --k 2"),
+    "verify-n3k1": _args("verify --suite all --n 3 --k 1"),
+    "verify-n4k2": _args("verify --suite all --n 4 --k 2"),
+    # capped runs (exit 3): the document and the abort text
+    "cohom-capped": _args("cohom --n 3 --k 2 --part minus --ell 0..3 "
+                          "--max-degree 4 --max-entries 80"),
+    "pages-capped": _args("pages --n 2 --k 2 --max-degree 3 "
+                          "--max-entries 60"),
+    "e1-fock-capped": _args("e1 --n 2 --k 3 --max-degree 4 "
+                            "--max-entries 30"),
+    "verify-bases-capped": _args("verify --suite bases --n 3 --k 2 "
+                                 "--max-entries 200"),
+    # a usage error (exit 2, argparse's message on stderr)
+    "usage-error": _args("cohom --part bogus"),
+}
+
+
+def strip_timing(text):
+    """The document without its top-level "timing" line."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith('  "timing": '))
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process call of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def regenerate():
+    GOLDEN.mkdir(exist_ok=True)
+    index = {}
+    for name, argv in CASES.items():
+        code, out, err = run(argv)
+        (GOLDEN / (name + ".out")).write_text(strip_timing(out))
+        (GOLDEN / (name + ".err")).write_text(err)
+        index[name] = {"argv": argv, "exit": code}
+        print("%-22s exit %s" % (name, code), file=sys.stderr)
+    (GOLDEN / "cases.json").write_text(json.dumps(index, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()
