@@ -99,10 +99,10 @@ def _hilbert_series(args):
 def _cmd_cohom(args, doc):
     ring = FockRing(args.n, args.k)
     for ell in _parse_ell(args.ell, args.n):
-        rep = direct_cohomology_dims(ring, args.part, ell, args.max_degree)
+        dims = direct_cohomology_dims(ring, args.part, ell, args.max_degree)
         doc["tables"].append({
             "name": "cohomology part=%s ell=%d" % (args.part, ell),
-            "cells": [_cell(ell, t, rep.dims[t])
+            "cells": [_cell(ell, t, dims[t])
                       for t in range(args.max_degree + 1)],
         })
 
@@ -110,7 +110,7 @@ def _cmd_cohom(args, doc):
 def _cmd_e1(args, doc):
     page = e1_dims(FockRing(args.n, args.k), args.part, args.max_degree)
     doc["tables"].append({"name": "E1 part=%s" % args.part,
-                          "cells": _page_cells(page.dims)})
+                          "cells": _page_cells(page)})
 
 
 def _cmd_pages(args, doc):
@@ -118,7 +118,7 @@ def _cmd_pages(args, doc):
                             args.max_degree)
     doc["tables"].append({
         "name": "Einf part=%s r=%d" % (args.part, rep.r_max),
-        "cells": _page_cells(rep.einf.dims),
+        "cells": _page_cells(rep.einf),
     })
     doc["tables"].append({
         "name": "graded cohomology part=%s" % args.part,

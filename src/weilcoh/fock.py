@@ -43,7 +43,12 @@ other rows, and the number of its two form indices present.  The
 invariants are then the kernel of the remaining consecutive generators
 restricted to the torus kernel.  (A vector killed by a generating set of
 a Lie algebra is killed by the whole algebra, so this joint kernel is
-exactly the space of SO(n)-invariants.)
+exactly the space of SO(n)-invariants.)  Every generator acts on a basis
+element omega_I (x) z^e through _gen_act_basis: the exponent shifts of
+polyring.son_act_monomial, then the rotation of the form indices of
+_rotate_forms, the same two pieces that son_act_cochain merges over a
+cochain.  Its terms come in that order, and that order numbers the rows
+of the torus matrices.
 
 Weight grading.  The differential commutes with the GL(k) of the Howe
 dual pair, z |-> z g and w |-> g^-1 w, and so does SO(n) and iota.  A
@@ -124,6 +129,8 @@ from .polyring import (
     orbit_size,
     sk_evaluate,
     son_act,
+    son_act_monomial,
+    z_index,
 )
 
 __all__ = [
@@ -147,7 +154,6 @@ __all__ = [
     "weight_blocks",
     "dominant_rows",
     "direct_cohomology_dims",
-    "CohomologyReport",
     "invariant_quotient_dims",
 ]
 
@@ -266,22 +272,14 @@ def diff(c, mode="full"):
 
 def _embed_poly(p, big, col_offset):
     """Reindex a FockRing(n, k) polynomial into FockRing(n, k1+k2),
-    shifting vector labels by col_offset."""
+    shifting vector labels by col_offset: the z-part and the w-part of each
+    exponent tuple padded by the columns around them (polyring.z_index)."""
     small = p.ring
-    n = small.n
-    terms = {}
-    for e, coef in p.terms.items():
-        ne = [0] * big.nvars
-        for i in range(1, small.k + 1):
-            for a in range(1, n + 1):
-                x = e[small.z(a, i)]
-                if x:
-                    ne[big.z(a, i + col_offset)] = x
-            x = e[small.w(i)]
-            if x:
-                ne[big.w(i + col_offset)] = x
-        terms[tuple(ne)] = coef
-    return Polynomial(big, terms)
+    n, nz = small.n, small.n * small.k
+    after = big.k - small.k - col_offset
+    left, mid = (0,) * (n * col_offset), (0,) * (n * after + col_offset)
+    return Polynomial(big, {left + e[:nz] + mid + e[nz:] + (0,) * after: coef
+                            for e, coef in p.terms.items()})
 
 
 def outer_product(a, b):
@@ -357,65 +355,48 @@ def involution(c, which):
 def son_act_cochain(a, b, c):
     """The generator X_ab acting as a derivation: the rotation of the form
     indices (X.omega_a = omega_b, X.omega_b = -omega_a) plus the polyring
-    action on coefficients.  Normalized so that X.phi_1 = 0."""
+    action on coefficients.  Normalized so that X.phi_1 = 0.  The merge of
+    _gen_act_basis over the terms of c."""
     if not a < b:
         raise ValueError("need a < b")
     ring = c.ring
-    out = Cochain(ring, c.ell)
+    acc = {}  # bits -> [(expo, coef)]
     for bits, f in c.parts.items():
-        pf = son_act(a, b, f)
-        if pf:
-            out = out + Cochain(ring, c.ell, {bits: pf})
-        for src, dst, sgn in ((a, b, 1), (b, a, -1)):
-            if bits & (1 << (src - 1)):
-                s1, rem = contract_bits(src, bits)
-                s2, nb = wedge_bits(1 << (dst - 1), rem)
-                if s2:
-                    out = out + Cochain(ring, c.ell, {nb: f.scale(sgn * s1 * s2)})
-    return out
+        for e, v in f.terms.items():
+            for (nb, ne), x in _gen_act_basis(ring.n, ring.k, a, b, bits,
+                                              e).items():
+                acc.setdefault(nb, []).append((ne, v * x))
+    return Cochain(ring, c.ell, {nb: Polynomial._merge(ring, items)
+                                 for nb, items in acc.items()})
+
+
+def _rotate_forms(a, b, bits):
+    """X_ab on the form omega_I, I the index set of bits: X.omega_a =
+    omega_b and X.omega_b = -omega_a, yielding (bits', sign).  At most one
+    term survives: with both a and b in I each rotation wedges onto an
+    index already there."""
+    for src, dst, sgn in ((a, b, 1), (b, a, -1)):
+        s1, rem = contract_bits(src, bits)
+        s2, nb = wedge_bits(1 << (dst - 1), rem)
+        if s1 and s2:
+            yield nb, sgn * s1 * s2
+
+
+def _gen_act_basis(n, k, a, b, bits, e):
+    """X_ab applied to the basis element omega_I (x) z^e, as a
+    {(bits, expo): int} row: per column the two shifts of
+    son_act_monomial, then the rotation of _rotate_forms.  The keys are
+    pairwise distinct (the shifts keep bits and change e, the rotation
+    keeps e and changes bits), so nothing is merged."""
+    row = {(bits, ne): x
+           for ne, x in son_act_monomial(n, k, a, b, e).items()}
+    for nb, s in _rotate_forms(a, b, bits):
+        row[nb, e] = s
+    return row
 
 
 # ---------------------------------------------------------------------------
 # invariants
-
-
-def _z_index(n, alpha, i):
-    return (i - 1) * n + (alpha - 1)
-
-
-def _gen_act_basis(n, k, a, b, bits, ze):
-    """X_ab applied to the basis element omega_I (x) z-monomial, as a
-    {(bits, expo): int} row."""
-    out = {}
-
-    def bump(key, v):
-        nv = out.get(key, 0) + v
-        if nv:
-            out[key] = nv
-        elif key in out:
-            del out[key]
-
-    for i in range(1, k + 1):
-        ia, ib = _z_index(n, a, i), _z_index(n, b, i)
-        e = ze[ia]
-        if e:
-            ne = list(ze)
-            ne[ia] -= 1
-            ne[ib] += 1
-            bump((bits, tuple(ne)), e)
-        e = ze[ib]
-        if e:
-            ne = list(ze)
-            ne[ib] -= 1
-            ne[ia] += 1
-            bump((bits, tuple(ne)), -e)
-    for src, dst, sgn in ((a, b, 1), (b, a, -1)):
-        if bits & (1 << (src - 1)):
-            s1, rem = contract_bits(src, bits)
-            s2, nb = wedge_bits(1 << (dst - 1), rem)
-            if s2:
-                bump((nb, ze), sgn * s1 * s2)
-    return out
 
 
 def _torus_block_key(n, k, bits, ze):
@@ -424,13 +405,13 @@ def _torus_block_key(n, k, bits, ze):
         a, b = 2 * j + 1, 2 * j + 2
         fcount = ((bits >> (a - 1)) & 1) + ((bits >> (b - 1)) & 1)
         degs = tuple(
-            ze[_z_index(n, a, i)] + ze[_z_index(n, b, i)] for i in range(1, k + 1)
+            ze[z_index(n, a, i)] + ze[z_index(n, b, i)] for i in range(1, k + 1)
         )
         parts.append((fcount, degs))
     if n % 2:
         parts.append((
             (bits >> (n - 1)) & 1,
-            tuple(ze[_z_index(n, n, i)] for i in range(1, k + 1)),
+            tuple(ze[z_index(n, n, i)] for i in range(1, k + 1)),
         ))
     return tuple(parts)
 
@@ -698,11 +679,6 @@ def dominant_rows(ring, part, ell, degrees, images):
 # module docstring)
 
 
-class CohomologyReport:
-    def __init__(self):
-        self.dims = {}  # degree -> dim of gr_d H
-
-
 def _block_filtration(coc, dom, D):
     """The filtration counts [F_t for t <= D] of one weight block.
 
@@ -728,7 +704,7 @@ def _block_filtration(coc, dom, D):
 
 
 def direct_cohomology_dims(ring, part, ell, max_degree, store=None):
-    """Graded dimensions of H^ell of the invariant complex.
+    """Graded dimensions {degree: dim} of H^ell of the invariant complex.
 
     The cohomology is filtered (not graded) by polynomial degree; the
     reported cell at degree t is gr_t = F_t - F_{t-1} where
@@ -766,10 +742,7 @@ def direct_cohomology_dims(ring, part, ell, max_degree, store=None):
         for t, f in enumerate(_block_filtration(block, dom.get(mu, {}), D)):
             F[t] += mult * f
 
-    rep = CohomologyReport()
-    for t in range(D + 1):
-        rep.dims[t] = F[t] - (F[t - 1] if t else 0)
-    return rep
+    return {t: F[t] - (F[t - 1] if t else 0) for t in range(D + 1)}
 
 
 def invariant_quotient_dims(ring, gens, window):

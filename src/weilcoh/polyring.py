@@ -52,6 +52,8 @@ __all__ = [
     "minor",
     "laplacian",
     "sk_evaluate",
+    "z_index",
+    "son_act_monomial",
     "son_act",
 ]
 
@@ -125,7 +127,7 @@ class FockRing(Ring):
     def z(self, alpha, i):
         if not (1 <= alpha <= self.n and 1 <= i <= self.k):
             raise ValueError("z(%d,%d) out of range" % (alpha, i))
-        return (i - 1) * self.n + (alpha - 1)
+        return z_index(self.n, alpha, i)
 
     def w(self, i):
         if not (1 <= i <= self.k):
@@ -546,14 +548,38 @@ def _rhat_image(ring, sk, rexpo):
     return memo[rexpo]
 
 
+def z_index(n, alpha, i):
+    """The index of z(alpha, i) in the exponent tuples of FockRing(n, k),
+    unchecked: the columns are contiguous and the n k z's come first."""
+    return (i - 1) * n + (alpha - 1)
+
+
+def son_act_monomial(n, k, a, b, e):
+    """{exponent tuple: int}: X_ab of son_act on the monomial with exponent
+    tuple e, whose first n k entries are the z's (z_index).  Per column i
+    the shift z(a,i) -> z(b,i), then z(b,i) -> z(a,i); the two shifts of a
+    column differ because a != b, and shifts of different columns move
+    different entries, so the terms are distinct and nothing is merged."""
+    out = {}
+    for i in range(1, k + 1):
+        ia, ib = z_index(n, a, i), z_index(n, b, i)
+        for src, dst, sign in ((ia, ib, 1), (ib, ia, -1)):
+            x = e[src]
+            if x:
+                ne = list(e)
+                ne[src] -= 1
+                ne[dst] += 1
+                out[tuple(ne)] = sign * x
+    return out
+
+
 def son_act(a, b, p):
     """The so(n) generator X_ab acting as the derivation
-    sum_i ( z(b,i) d/dz(a,i) - z(a,i) d/dz(b,i) ); w variables fixed."""
+    sum_i ( z(b,i) d/dz(a,i) - z(a,i) d/dz(b,i) ); w variables fixed.
+    The merge of son_act_monomial over the terms of p."""
     if not a < b:
         raise ValueError("need a < b")
     ring = p.ring
-    out = ring.zero()
-    for i in range(1, ring.k + 1):
-        out = out + ring.z_var(b, i) * p.partial(ring.z(a, i))
-        out = out - ring.z_var(a, i) * p.partial(ring.z(b, i))
-    return out
+    return Polynomial._merge(ring, (
+        (ne, c * x) for e, c in p.terms.items()
+        for ne, x in son_act_monomial(ring.n, ring.k, a, b, e).items()))

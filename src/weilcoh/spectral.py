@@ -76,7 +76,6 @@ from .polyring import SkRing, orbit_size
 __all__ = [
     "regrade",
     "unregrade",
-    "PageData",
     "SpectralComputer",
     "e1_dims",
     "einf_and_converge",
@@ -92,11 +91,6 @@ def regrade(ell, polydeg):
 def unregrade(p, q):
     """(p, q) -> (ell, polynomial degree)."""
     return p + q, p + 2 * q
-
-
-class PageData:
-    def __init__(self):
-        self.dims = {}  # (p, q) -> dim
 
 
 def _row_degree(key):
@@ -201,19 +195,21 @@ class SpectralComputer:
         return total
 
     def page(self, r):
-        data = PageData()
+        """{(p, q): dim} of the nonzero cells of E_r."""
+        data = {}
         for ell in range(self.ring.n + 1):
             for t in range(self.D + 1):
                 p, q = regrade(ell, t)
                 dim = self.cell_dim(p, q, r)
                 if dim:
-                    data.dims[(p, q)] = dim
+                    data[(p, q)] = dim
         return data
 
 
 def e1_dims(ring, part, max_degree):
-    """The E_1 page: cohomology of the graded differential d' = -d2 per
-    cell, from the dominant weight blocks counted with their orbit sizes.
+    """The E_1 page {(p, q): dim} of its nonzero cells: cohomology of the
+    graded differential d' = -d2 per cell, from the dominant weight
+    blocks counted with their orbit sizes.  part is plus, minus or full.
 
     For k < n the cells are computed on the S_k model: the pairs (J, m)
     of fock.sk_model_table, built once per call for the whole window,
@@ -231,6 +227,8 @@ def e1_dims(ring, part, max_degree):
     have disjoint columns, and a row of one block is only ever reduced
     against pivot rows of the same block.
     """
+    if part not in ("plus", "minus", "full"):
+        raise ValueError("part must be plus, minus or full")
     if ring.k >= ring.n:
         return _e1_fock(ring, part, max_degree)
     n = ring.n
@@ -282,20 +280,20 @@ def _e1_page(n, max_degree, level_ranks):
     cell (ell, t) loses the image of the cell (ell - 1, t - 2) below it,
     which is kept."""
     img_rank = {}  # (ell, t) -> orbit-weighted rank of the d2-image
-    data = PageData()
+    data = {}
     for ell in range(n + 1):
         for t, (rv, ri) in enumerate(level_ranks(ell)):
             img_rank[ell, t] = ri
             dim = rv - ri - img_rank.get((ell - 1, t - 2), 0)
             if dim:
-                data.dims[regrade(ell, t)] = dim
+                data[regrade(ell, t)] = dim
     return data
 
 
 class ConvergenceReport:
     def __init__(self, r_max, einf, gr_dims):
         self.r_max = r_max
-        self.einf = einf
+        self.einf = einf  # (p, q) -> dim
         self.gr_dims = gr_dims  # (p, q) -> dim
         self.agreements = 0  # the number of agreeing cells
         self.mismatches = []
@@ -324,8 +322,8 @@ def einf_and_converge(ring, part, max_degree):
     for ell in range(n + 1):
         dc = direct_cohomology_dims(ring, part, ell, D, store=comp)
         for t in range(D + 1):
-            if dc.dims[t]:
-                gr[regrade(ell, t)] = dc.dims[t]
+            if dc[t]:
+                gr[regrade(ell, t)] = dc[t]
 
     p_min = regrade(0, D)[0]
     r_max = max(2, 2 * n - p_min + 1)
@@ -333,7 +331,7 @@ def einf_and_converge(ring, part, max_degree):
     for ell in range(n + 1):
         for t in range(D + 1):
             cell = regrade(ell, t)
-            e, g = rep.einf.dims.get(cell, 0), gr.get(cell, 0)
+            e, g = rep.einf.get(cell, 0), gr.get(cell, 0)
             if e == g:
                 rep.agreements += 1
             else:

@@ -261,9 +261,9 @@ def suite_spectral(n, k, seed):
         if k < n:
             e1 = e1_dims(R, part, max_degree)
             _verdict(results, "degeneration at E_1 (%s)" % part,
-                     e1.dims == rep.einf.dims,
-                     "E_1 %s vs E_inf %s" % (sorted(e1.dims.items()),
-                                             sorted(rep.einf.dims.items())))
+                     e1 == rep.einf,
+                     "E_1 %s vs E_inf %s" % (sorted(e1.items()),
+                                             sorted(rep.einf.items())))
     return results
 
 

@@ -539,17 +539,17 @@ def test_zform_rows_are_invariant(n, k):
 def test_direct_cohomology_31():
     R = FockRing(3, 1)
     rep = direct_cohomology_dims(R, "plus", 0, 6)
-    assert all(v == 0 for v in rep.dims.values())
+    assert all(v == 0 for v in rep.values())
 
     rep = direct_cohomology_dims(R, "plus", 1, 6)
-    assert [rep.dims[t] for t in range(7)] == [0, 1, 0, 1, 0, 1, 0]
+    assert [rep[t] for t in range(7)] == [0, 1, 0, 1, 0, 1, 0]
 
     rep = direct_cohomology_dims(R, "full", 2, 4)
-    assert all(v == 0 for v in rep.dims.values())
+    assert all(v == 0 for v in rep.values())
 
     # H^3(C_-) carries S_1/(c_1): dims 1,1,2,1,2 up to degree 4
     rep = direct_cohomology_dims(R, "minus", 3, 4)
-    assert [rep.dims[t] for t in range(5)] == [1, 1, 2, 1, 2]
+    assert [rep[t] for t in range(5)] == [1, 1, 2, 1, 2]
 
 
 def test_cohom_builds_no_domain_row(monkeypatch):
@@ -778,7 +778,7 @@ def test_weight_blocks_symmetric_and_sum_to_slices(n, k, part):
         assert all(oracle.stabilized.values())
         assert [oracle.filtration[t] for t in range(D + 1)] == total
         rep = direct_cohomology_dims(R, part, ell, D)
-        assert rep.dims == oracle.dims
+        assert rep == oracle.dims
 
 
 @pytest.mark.parametrize("n,k,part,D", [(3, 1, "plus", 6), (3, 1, "minus", 6),
@@ -791,7 +791,7 @@ def test_short_domain_matches_the_buffered_slices(n, k, part, D):
         oracle = slice_direct_cohomology_dims(R, part, ell, D)
         assert all(oracle.stabilized.values()), ell
         rep = direct_cohomology_dims(R, part, ell, D)
-        assert rep.dims == oracle.dims, ell
+        assert rep == oracle.dims, ell
 
 
 def ordered(blocks):

@@ -5,29 +5,17 @@ byte.  tests/make_golden.py regenerates the corpus and explains its
 layout."""
 
 import json
-from pathlib import Path
 
 import pytest
+from make_golden import GOLDEN, run, strip_timing
 
-from weilcoh.cli import main
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
-def strip_timing(text):
-    return "".join(line for line in text.splitlines(keepends=True)
-                   if not line.startswith('  "timing": '))
-
-
 @pytest.mark.parametrize("name", CASES)
-def test_golden_document(capsys, name):
+def test_golden_document(name):
     case = CASES[name]
-    try:
-        code = main(list(case["argv"]))
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
+    code, out, err = run(case["argv"])
     assert code == case["exit"]
     assert err == (GOLDEN / (name + ".err")).read_text()
     assert strip_timing(out) == (GOLDEN / (name + ".out")).read_text()

@@ -1,12 +1,16 @@
 """Tests for polynomial rings, generators and the so(n) action."""
 
 import gc
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from test_fock import monomial_weight
 
+import weilcoh.fock as fock
+from weilcoh.exterior import bits_of, tuple_of
+from weilcoh.fock import Cochain, son_act_cochain
 from weilcoh.polyring import (
     FockRing,
     Polynomial,
@@ -252,6 +256,85 @@ def test_son_act_derivation():
         lhs = son_act(a, b, p * q)
         rhs = son_act(a, b, p) * q + p * son_act(a, b, q)
         assert lhs == rhs
+
+
+def son_act_oracle(a, b, p):
+    """The so(n) generator X_ab acting as the derivation
+    sum_i ( z(b,i) d/dz(a,i) - z(a,i) d/dz(b,i) ); w variables fixed."""
+    if not a < b:
+        raise ValueError("need a < b")
+    ring = p.ring
+    out = ring.zero()
+    for i in range(1, ring.k + 1):
+        out = out + ring.z_var(b, i) * p.partial(ring.z(a, i))
+        out = out - ring.z_var(a, i) * p.partial(ring.z(b, i))
+    return out
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 3)])
+def test_son_act_matches_the_product_form(n, k):
+    # son_act merges son_act_monomial over the terms; the oracle is the
+    # derivation written with Polynomial products
+    rng = random.Random(11 * n + k)
+    R = FockRing(n, k)
+    for _ in range(8):
+        p = random_poly(R, rng, max_deg=4, nterms=6)
+        for a in range(1, n + 1):
+            for b in range(a + 1, n + 1):
+                assert son_act(a, b, p) == son_act_oracle(a, b, p), (a, b)
+
+
+def rotate_oracle(a, b, bits):
+    """X_ab on omega_I with X.omega_a = omega_b, X.omega_b = -omega_a,
+    each index replaced in place and the result sorted: {bits: sign}."""
+    I = tuple_of(bits)
+    out = {}
+    for src, dst, sign in ((a, b, 1), (b, a, -1)):
+        if src in I and dst not in I:
+            J = [dst if x == src else x for x in I]
+            inversions = sum(x > y for t, x in enumerate(J) for y in J[t + 1:])
+            out[bits_of(sorted(J))] = sign * (-1) ** inversions
+    return out
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 1)])
+def test_gen_act_basis_matches_son_act_cochain(n, k):
+    # on every basis cochain omega_I (x) z^e (w's included, degree <= 3),
+    # the row of fock._gen_act_basis equals son_act_cochain(...).to_row()
+    # and the product form of the action plus the in-place rotation of
+    # the form indices; a key collision in _gen_act_basis would lose a
+    # term that the merged forms keep
+    R = FockRing(n, k)
+    mons = [e for d in range(4) for e in monomials_of_degree(R, d)]
+    for ell in range(n + 1):
+        for I in itertools.combinations(range(1, n + 1), ell):
+            bits = bits_of(I)
+            for e in mons:
+                mono = Polynomial(R, {e: 1})
+                c = Cochain(R, ell, {bits: mono})
+                for a in range(1, n + 1):
+                    for b in range(a + 1, n + 1):
+                        want = {(bits, f): v for f, v in
+                                son_act_oracle(a, b, mono).terms.items()}
+                        for nb, sign in rotate_oracle(a, b, bits).items():
+                            want[nb, e] = sign
+                        row = fock._gen_act_basis(n, k, a, b, bits, e)
+                        assert row == want, (I, e, a, b)
+                        assert son_act_cochain(a, b, c).to_row() == want
+
+
+def test_gen_act_basis_emission_order():
+    # per column the z(a,i) shift, then the z(b,i) shift, then the
+    # rotation of the form indices: this order numbers the rows of the
+    # joint kernel's torus matrices.  FockRing(2, 2) has the index layout
+    # z(1,1), z(2,1), z(1,2), z(2,2), w(1), w(2); X_12 on omega_1 (x) e
+    e = (1, 1, 1, 0, 0, 1)
+    assert list(fock._gen_act_basis(2, 2, 1, 2, 0b01, e).items()) == [
+        ((0b01, (0, 2, 1, 0, 0, 1)), 1),
+        ((0b01, (2, 0, 1, 0, 0, 1)), -1),
+        ((0b01, (1, 1, 0, 1, 0, 1)), 1),
+        ((0b10, e), 1),
+    ]
 
 
 def test_son_act_kills_all_r():
