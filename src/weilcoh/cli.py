@@ -46,7 +46,7 @@ from .koszul import (
 from .linalg import DEFAULT_MAX_ENTRIES, ResourceCapError, entry_cap
 from .polyring import FockRing
 from .spectral import e1_dims, einf_and_converge, unregrade
-from .verify import SUITES, run_suite
+from .verify import SUITES
 
 __all__ = ["main"]
 
@@ -160,7 +160,9 @@ def _cmd_hilbert(args, doc):
 
 
 def _cmd_verify(args, doc):
-    doc["verdicts"].extend(run_suite(args.suite, args.n, args.k, args.seed))
+    names = SUITES if args.suite == "all" else (args.suite,)
+    for name in names:
+        doc["verdicts"].extend(SUITES[name](args.n, args.k, args.seed))
 
 
 def _emit(doc, fmt, elapsed):
@@ -186,11 +188,9 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n=True, k=True, part=False, degree=False):
-        if n:
-            p.add_argument("--n", type=int, default=2)
-        if k:
-            p.add_argument("--k", type=int, default=1)
+    def common(p, part=False, degree=False):
+        p.add_argument("--n", type=int, default=2)
+        p.add_argument("--k", type=int, default=1)
         if part:
             p.add_argument("--part", choices=("plus", "minus", "full"),
                            default="full")

@@ -107,7 +107,6 @@ class SpectralComputer:
 
     def __init__(self, ring, part, max_degree):
         self.ring = ring
-        self.part = part
         self.D = max_degree
         # the stored rows alone can exhaust memory long before any single
         # elimination does, so they share the entry cap

@@ -2,8 +2,16 @@
 
 Each suite runs a batch of exact checks at the requested (n, k) and
 returns a list of verdicts {"name", "pass", "detail"}.  Randomized
-checks draw integer coefficients uniformly from {-3..3} with the stated
-seed, so any failure is replayable from the command line.
+checks draw integer coefficients uniformly from {-3..3} from a generator
+that the suite seeds itself with the stated seed, so any failure is
+replayable from the command line, and a suite gives the same verdicts
+alone as within `--suite all`.
+
+SUITES maps each suite name to its function, in the order `--suite all`
+runs them.  The command line adds a suite's verdicts to the document as
+soon as that suite returns, so a run stopped by the entry cap keeps the
+verdicts of every suite that finished; the suite that hit the cap adds
+none.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .linalg import rank_of_rows
 from .polyring import FockRing, laplacian, minor
 from .spectral import e1_dims, einf_and_converge
 
-__all__ = ["SUITES", "run_suite"]
+__all__ = ["SUITES"]
 
 TRIALS = 10  # random draws per randomized check
 WINDOW = 4   # degree window of the bases and koszul suites
@@ -275,15 +283,3 @@ SUITES = {
     "koszul": suite_koszul,
     "spectral": suite_spectral,
 }
-
-
-def run_suite(name, n, k, seed=0):
-    """Run one named suite (or `all`) and return its verdicts."""
-    if name == "all":
-        out = []
-        for s in SUITES:
-            out.extend(run_suite(s, n, k, seed))
-        return out
-    if name not in SUITES:
-        raise ValueError("unknown suite %r" % name)
-    return SUITES[name](n, k, seed)

@@ -77,6 +77,9 @@ CASES = {
                             "--max-entries 30"),
     "verify-bases-capped": _args("verify --suite bases --n 3 --k 2 "
                                  "--max-entries 200"),
+    # the suites that finished before the cap keep their verdicts
+    "verify-all-capped": _args("verify --suite all --n 3 --k 2 "
+                               "--max-entries 200"),
     # a usage error (exit 2, argparse's message on stderr)
     "usage-error": _args("cohom --part bogus"),
 }

@@ -10,6 +10,7 @@ import pytest
 from weilcoh.cli import HILBERT_MODELS, main
 from weilcoh.koszul import ci_hilbert
 from weilcoh.linalg import DEFAULT_MAX_ENTRIES, MAX_ENTRIES
+from weilcoh.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +155,20 @@ def test_verify_signs_passes(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["verdicts"] and all(v["pass"] for v in doc["verdicts"])
+
+
+def test_verify_all_joins_the_single_suites(capsys):
+    # each suite seeds its own generator, so within --suite all it gives
+    # the verdicts it gives alone, and the run joins them in SUITES order
+    common = ("--n", "2", "--k", "2", "--seed", "3")
+    code, out = run_cli(capsys, "verify", "--suite", "all", *common)
+    assert code == 0
+    joined = []
+    for name in SUITES:
+        code, single = run_cli(capsys, "verify", "--suite", name, *common)
+        assert code == 0
+        joined.extend(json.loads(single)["verdicts"])
+    assert json.loads(out)["verdicts"] == joined
 
 
 def test_pages_verdict(capsys):

@@ -2,14 +2,30 @@
 tests/golden/ is re-run in process, and its stdout (without the "timing"
 line), its stderr and its exit code must equal the recorded ones byte for
 byte.  tests/make_golden.py regenerates the corpus and explains its
-layout."""
+layout.
+
+The corpus is checked as well: every recorded table that a closed form
+of the paper covers is compared with that form, cell by cell, so the
+corpus cannot freeze a wrong table.  The forms are written here in plain
+Python, apart from the package."""
 
 import json
+from math import comb
 
 import pytest
+from make_golden import CASES as ARGVS
 from make_golden import GOLDEN, run, strip_timing
 
 CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+# (case, table) pairs that no closed form covers: k > n on the Fock
+# route, and the q quotient at k < n, where q_1..q_n is not regular
+UNCOVERED = {
+    ("pages-n2k3", "Einf part=full r=8"),
+    ("pages-n2k3", "graded cohomology part=full"),
+    ("e1-n2k3", "E1 part=full"),
+    ("koszul-q-n3k2", "quotient dims model=q"),
+}
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -19,3 +35,111 @@ def test_golden_document(name):
     assert code == case["exit"]
     assert err == (GOLDEN / (name + ".err")).read_text()
     assert strip_timing(out) == (GOLDEN / (name + ".out")).read_text()
+
+
+def test_corpus_matches_its_generator():
+    # a case edited in make_golden.py but not regenerated, or a file
+    # left behind by a dropped case, fails here
+    assert [(name, case["argv"]) for name, case in CASES.items()] == \
+        list(ARGVS.items())
+    assert {path.name for path in GOLDEN.iterdir()} == {"cases.json"} | {
+        name + ext for name in CASES for ext in (".out", ".err")}
+
+
+def ci_series(weights, degrees, window):
+    """Coefficients through t^window of prod_d (1 - t^d) / prod_w (1 - t^w):
+    the Hilbert series of a complete intersection of the given degrees in
+    variables of the given weights."""
+    s = [1] + [0] * window
+    for w in weights:
+        for t in range(w, window + 1):
+            s[t] += s[t - w]
+    for d in degrees:
+        for t in range(window, d - 1, -1):
+            s[t] -= s[t - d]
+    return s
+
+
+def sk_weights(k):
+    """The variables of S_k: the k(k+1)/2 rhat_ij of degree 2, the k
+    what_j of degree 1."""
+    return (2,) * (k * (k + 1) // 2) + (1,) * k
+
+
+def cohomology_form(n, k, part, window):
+    """{(ell, degree): dim} for k <= n at every level through the window:
+    the +1 part is comb(j + k(k+1)/2 - 1, j) at level k and degree k + 2j,
+    the -1 part the series of S_k/(c_1..c_k) at level n, and every other
+    cell 0 (for k = n both series sit on level n)."""
+    cells = {(ell, t): 0 for ell in range(n + 1) for t in range(window + 1)}
+    if part != "minus":
+        for j in range((window - k) // 2 + 1):
+            cells[k, k + 2 * j] += comb(j + k * (k + 1) // 2 - 1, j)
+    if part != "plus":
+        for t, dim in enumerate(ci_series(sk_weights(k), (3,) * k, window)):
+            cells[n, t] += dim
+    return cells
+
+
+def quotient_form(n, k, model):
+    """(weights, relation degrees) of the quotient a koszul model names,
+    or None for q at k < n."""
+    if model in ("c", "cminus"):
+        return sk_weights(k), (3,) * k
+    if model in ("w", "rk"):
+        return sk_weights(k), (1,) * k
+    if model == "sk":
+        return sk_weights(k), ()
+    if k < n:
+        return None
+    return (1,) * (n * k + k), (2,) * n
+
+
+def closed_form(params, table):
+    """{(ell, degree): dim} over every cell the table can hold, or None
+    when no closed form covers it."""
+    n, k, window = params["n"], params["k"], params["max_degree"]
+    command = params["command"]
+    if command in ("cohom", "e1", "pages"):
+        if k > n:
+            return None
+        cells = cohomology_form(n, k, params["part"], window)
+        if command == "cohom":
+            ell = int(table["name"].rsplit("ell=", 1)[1])
+            cells = {key: dim for key, dim in cells.items() if key[0] == ell}
+        return cells
+    form = quotient_form(n, k, params["model"])
+    if form is None:
+        return None
+    # koszul puts its table on the level of the sequence's length,
+    # hilbert on level 0
+    ell = len(form[1]) if command == "koszul" else 0
+    return {(ell, t): dim for t, dim in enumerate(ci_series(*form, window))}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_corpus_tables_equal_the_closed_forms(name):
+    text = (GOLDEN / (name + ".out")).read_text()
+    doc = json.loads(text) if text else {"tables": []}
+    for table in doc["tables"]:
+        want = closed_form(doc["params"], table)
+        if (name, table["name"]) in UNCOVERED:
+            assert want is None, table["name"]
+            continue
+        assert want is not None, "cover or list %s" % table["name"]
+        got = {(c["ell"], c["degree"]): c["dim"] for c in table["cells"]}
+        # every cell shown is right, and no nonzero cell is missing (the
+        # pages show their nonzero cells only)
+        assert got == {key: want.get(key) for key in got}, table["name"]
+        assert {key for key, dim in want.items() if dim} <= set(got), \
+            table["name"]
+
+
+def test_uncovered_tables_are_in_the_corpus():
+    recorded = set()
+    for name in CASES:
+        text = (GOLDEN / (name + ".out")).read_text()
+        if text:
+            recorded.update((name, t["name"])
+                            for t in json.loads(text)["tables"])
+    assert UNCOVERED <= recorded
