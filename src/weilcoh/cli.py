@@ -25,8 +25,10 @@ always reads true: the truncation of the degree window is exact by the
 descent lemma of weilcoh.fock, so no cell rests on a sampled
 truncation.  The key stays so that the weilcoh/1 schema is unchanged.
 
-Exit codes: 0 success, 1 a verdict failed, 2 invalid arguments,
-3 resource-cap abort.  A document is emitted even on failure.
+Exit codes: 0 success, 1 a verdict failed, 2 invalid arguments (a usage
+error or a ValueError), 3 resource-cap abort.  Exits 0, 1 and 3 emit a
+document, a capped run with the tables and verdicts that finished before
+the cap; exit 2 emits none, and its message goes to stderr.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .koszul import (
 )
 from .linalg import DEFAULT_MAX_ENTRIES, ResourceCapError, entry_cap
 from .polyring import FockRing
-from .spectral import e1_dims, einf_and_converge, unregrade
+from .spectral import e1_dims, einf_and_converge, regrade
 from .verify import SUITES
 
 __all__ = ["main"]
@@ -56,17 +58,19 @@ def _cell(ell, degree, dim):
 
 
 def _page_cells(dims):
-    """The cells of a {(p, q): dim} page, in (p, q) order."""
-    return [_cell(*unregrade(p, q), dim)
-            for (p, q), dim in sorted(dims.items())]
+    """The cells of an {(ell, degree): dim} page, in the (p, q) order of
+    the paper's bigrading."""
+    return [_cell(ell, t, dims[ell, t])
+            for ell, t in sorted(dims, key=lambda cell: regrade(*cell))]
 
 
 def _parse_ell(text, n):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(text)
+    lo, dots, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise ValueError("--ell must be a level or a range a..b: %s"
+                         % text) from None
     if not (0 <= lo <= hi <= n):
         raise ValueError("--ell out of range 0..%d: %s" % (n, text))
     return range(lo, hi + 1)

@@ -47,7 +47,6 @@ __all__ = [
     "orbit_size",
     "r_gen",
     "q_gen",
-    "c_gen",
     "sk_c_sequence",
     "minor",
     "laplacian",
@@ -295,9 +294,6 @@ class Polynomial:
         degs = {self.ring.monomial_degree(e) for e in self.terms}
         return len(degs) <= 1
 
-    def coefficient(self, expo):
-        return self.terms.get(tuple(expo), 0)
-
     def sign_flip(self, vidxs):
         """Substitute x |-> -x for each variable index in vidxs (cheap)."""
         vidxs = set(vidxs)
@@ -444,17 +440,10 @@ def q_gen(ring, alpha):
     return out
 
 
-def c_gen(ring, j):
-    """c(j) = sum_i r(i,j) w(i), degree 3."""
-    out = ring.zero()
-    for i in range(1, ring.k + 1):
-        out = out + r_gen(ring, i, j) * ring.w_var(i)
-    return out
-
-
 def sk_c_sequence(k):
     """(S_k, [c_1, ..., c_k]) with c_j = sum_i rhat(i,j) what(i), the
-    abstract cubics that sk_evaluate sends to c_gen."""
+    abstract cubics that sk_evaluate sends to the Fock cubics
+    c(j) = sum_i r(i,j) w(i)."""
     S = SkRing(k)
     seq = []
     for j in range(1, k + 1):

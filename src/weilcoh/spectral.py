@@ -1,10 +1,13 @@
 """The spectral sequence of the polynomial-degree filtration.
 
-After the regrading p = 2*ell - polydeg, q = polydeg - ell, the filtration
+The paper writes its cells E_r^{p,q} after the regrading p = 2*ell - t,
+q = t - ell (t the polynomial degree, regrade): the filtration
 F^p C^ell = {polynomial degree <= 2*ell - p} is decreasing, preserved by
 d, and bounded above (each F^p C^ell is finite dimensional once the
-invariant complex is used).  The differential splits into bidegrees (0,1)
-and (4,-3).
+invariant complex is used), and the differential splits into bidegrees
+(0,1) and (4,-3).  Every page here is keyed by the cell's (ell, t)
+instead, the coordinates of the tables; the weilcoh/1 documents list the
+cells in (p, q) order.
 
 Pages are computed from the subspace formulas
 
@@ -36,15 +39,15 @@ the -1 part at level n - |J| read the same pairs.  For k >= n the
 families are evaluated and differentiated in the Fock ring: they are
 dependent for k > n, and the theorem does not cover k = n.
 
-Truncation.  In polynomial degree, the cell (ell, t) is E_r^{p,q} with
-p = 2 ell - t; Z_r asks deg(dx) <= t + 2 - r, and the domain of B_r is
-level ell - 1 through degree t - 3 + r.  The descent lemma of fock
-(every coboundary inside degree <= t is d of a cochain of degree
-<= t - 2, because E_1 vanishes at every domain level, by the
-leading-term certificate stated there) gives B_r = B_1 for every
-r >= 1, and Z_r is the full cocycle space of the cell once r > t + 2.
-So the pages of a window through degree D need the cells through
-degree D only, and E_r for r > D + 2 is E_infinity.
+Truncation.  In polynomial degree, Z_r of the cell (ell, t) asks
+deg(dx) <= t + 2 - r, and the domain of B_r is level ell - 1 through
+degree t - 3 + r.  The descent lemma of fock (every coboundary inside
+degree <= t is d of a cochain of degree <= t - 2, because E_1 vanishes
+at every domain level, by the leading-term certificate stated there)
+gives B_r = B_1 for every r >= 1, and Z_r is the full cocycle space of
+the cell once r > t + 2.  So the pages of a window through degree D
+need the cells through degree D only, and E_r for r > D + 2 is
+E_infinity.
 
 Every space above is the direct sum of its parts in the torus weight
 blocks of the complex (see fock), because d, the filtration and the
@@ -75,7 +78,6 @@ from .polyring import SkRing, orbit_size
 
 __all__ = [
     "regrade",
-    "unregrade",
     "SpectralComputer",
     "e1_dims",
     "einf_and_converge",
@@ -86,11 +88,6 @@ __all__ = [
 def regrade(ell, polydeg):
     """(ell, polynomial degree) -> (p, q) in the filtration bigrading."""
     return 2 * ell - polydeg, polydeg - ell
-
-
-def unregrade(p, q):
-    """(p, q) -> (ell, polynomial degree)."""
-    return p + q, p + 2 * q
 
 
 def _row_degree(key):
@@ -175,38 +172,34 @@ class SpectralComputer:
                 if img]
         return span_intersect_window(imgs, lambda k: _row_degree(k) <= t)
 
-    def cell_dim(self, p, q, r):
-        """dim E_r^{p,q} by the Z/B formula, summed over the dominant
-        weight blocks with their orbit sizes."""
-        ell, t = unregrade(p, q)
-        if ell < 0 or ell > self.ring.n or t < 0:
-            return 0
+    def cell_dim(self, ell, t, r):
+        """dim E_r of the cell (ell, t) by the Z/B formula, summed over the
+        dominant weight blocks with their orbit sizes."""
         total = 0
         for mu in self.blocks[ell]:
             z = self.z_rows(ell, mu, t, t + 2 - r)
             if not z:
                 continue
-            # B_r and Z_{r-1} of the cell (p+1, q-1) (degree <= t-1, same
-            # dx bound) both lie in Z_r
+            # B_r and Z_{r-1} of the cell (ell, t - 1) (E_{r-1}^{p+1,q-1};
+            # same dx bound) both lie in Z_r
             denom = self.b_rows(ell, mu, t, t - 3 + r) \
                 + self.z_rows(ell, mu, t - 1, t + 2 - r)
             total += orbit_size(mu) * (rank_of_rows(z) - rank_of_rows(denom))
         return total
 
     def page(self, r):
-        """{(p, q): dim} of the nonzero cells of E_r."""
+        """{(ell, t): dim} of the nonzero cells of E_r."""
         data = {}
         for ell in range(self.ring.n + 1):
             for t in range(self.D + 1):
-                p, q = regrade(ell, t)
-                dim = self.cell_dim(p, q, r)
+                dim = self.cell_dim(ell, t, r)
                 if dim:
-                    data[(p, q)] = dim
+                    data[ell, t] = dim
         return data
 
 
 def e1_dims(ring, part, max_degree):
-    """The E_1 page {(p, q): dim} of its nonzero cells: cohomology of the
+    """The E_1 page {(ell, t): dim} of its nonzero cells: cohomology of the
     graded differential d' = -d2 per cell, from the dominant weight
     blocks counted with their orbit sizes.  part is plus, minus or full.
 
@@ -285,15 +278,15 @@ def _e1_page(n, max_degree, level_ranks):
             img_rank[ell, t] = ri
             dim = rv - ri - img_rank.get((ell - 1, t - 2), 0)
             if dim:
-                data[regrade(ell, t)] = dim
+                data[ell, t] = dim
     return data
 
 
 class ConvergenceReport:
     def __init__(self, r_max, einf, gr_dims):
         self.r_max = r_max
-        self.einf = einf  # (p, q) -> dim
-        self.gr_dims = gr_dims  # (p, q) -> dim
+        self.einf = einf  # (ell, t) -> dim
+        self.gr_dims = gr_dims  # (ell, t) -> dim
         self.agreements = 0  # the number of agreeing cells
         self.mismatches = []
 
@@ -320,16 +313,13 @@ def einf_and_converge(ring, part, max_degree):
     gr = {}
     for ell in range(n + 1):
         dc = direct_cohomology_dims(ring, part, ell, D, store=comp)
-        for t in range(D + 1):
-            if dc[t]:
-                gr[regrade(ell, t)] = dc[t]
+        gr.update(((ell, t), dim) for t, dim in dc.items() if dim)
 
-    p_min = regrade(0, D)[0]
-    r_max = max(2, 2 * n - p_min + 1)
+    r_max = 2 * n + D + 1
     rep = ConvergenceReport(r_max, einf=comp.page(r_max), gr_dims=gr)
     for ell in range(n + 1):
         for t in range(D + 1):
-            cell = regrade(ell, t)
+            cell = ell, t
             e, g = rep.einf.get(cell, 0), gr.get(cell, 0)
             if e == g:
                 rep.agreements += 1

@@ -4,7 +4,8 @@ For each argv of CASES the command line is run in process, as
 tests/test_golden.py runs it, and three things are kept:
 
     golden/<id>.out   stdout without the "timing" line (the weilcoh/1
-                      document, or nothing for a usage error)
+                      document or its CSV projection, or nothing for a
+                      usage error)
     golden/<id>.err   the stderr text
     golden/cases.json {id: {"argv": [...], "exit": code}}
 
@@ -38,6 +39,9 @@ CASES = {
     "pages-full-n2k2": _args("pages --n 2 --k 2 --max-degree 2"),
     "e1-full-n3k2": _args("e1 --n 3 --k 2 --part full --max-degree 8"),
     "koszul-q-n3k3": _args("koszul --model q --n 3 --k 3 --max-degree 7"),
+    # the CSV projection of the e1 workload's document
+    "e1-full-n3k2-csv": _args("e1 --n 3 --k 2 --part full --max-degree 8 "
+                              "--format csv"),
     # direct cohomology
     "cohom-n3k3": _args("cohom --n 3 --k 3 --part full --ell 0..3 "
                         "--max-degree 5"),

@@ -201,6 +201,15 @@ def test_invalid_arguments_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("ell", ["x", "1..y", "2..", "1..2..3"])
+def test_ell_that_is_not_a_level_names_the_option(capsys, ell):
+    code = main(["cohom", "--n", "3", "--ell", ell])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == \
+        "error: --ell must be a level or a range a..b: %s\n" % ell
+
+
 # one capped call of every subcommand that eliminates: id -> (argv, cap)
 ELIMINATING = {
     "cohom": (("cohom", "--n", "3", "--k", "2", "--part", "minus",

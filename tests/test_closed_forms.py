@@ -18,7 +18,7 @@ from weilcoh.koszul import (
     regular_sequence_check,
 )
 from weilcoh.polyring import FockRing, q_gen
-from weilcoh.spectral import e1_dims, regrade
+from weilcoh.spectral import e1_dims
 
 
 def level_dims(n, k, part, window):
@@ -86,8 +86,8 @@ def test_e1_k_less_n_theorem_across_n(n, k, window):
             if t >= k and (t - k) % 2 == 0 else 0 for t in range(window + 1)]
     cquo = ci_hilbert((2,) * (k * (k + 1) // 2) + (1,) * k, (3,) * k,
                       window)
-    want = {regrade(k, t): d for t, d in enumerate(plus) if d}
-    want.update((regrade(n, t), d) for t, d in enumerate(cquo) if d)
+    want = {(k, t): d for t, d in enumerate(plus) if d}
+    want.update(((n, t), d) for t, d in enumerate(cquo) if d)
     assert e1_dims(FockRing(n, k), "full", window) == want
 
 

@@ -42,7 +42,6 @@ from weilcoh.polyring import (
     FockRing,
     Polynomial,
     SkRing,
-    c_gen,
     minor,
     monomials_of_degree,
     q_gen,
@@ -162,7 +161,10 @@ def test_dprime_on_PhiJ():
 
 def test_dprime_on_starPhiJ():
     # d'(*Phi_J) = (-1)^(|J|-1) sum_{j in J} (-1)^{J(j)} c_j *Phi_{J - j},
-    # with d' = -d2
+    # with d' = -d2; test_polyring imports this module, so c_gen is
+    # imported here
+    from test_polyring import c_gen
+
     for n in range(2, 5):
         for k in range(1, 3):
             R = FockRing(n, k)

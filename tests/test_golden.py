@@ -7,7 +7,8 @@ layout.
 The corpus is checked as well: every recorded table that a closed form
 of the paper covers is compared with that form, cell by cell, so the
 corpus cannot freeze a wrong table.  The forms are written here in plain
-Python, apart from the package."""
+Python, apart from the package.  A --format csv case is checked against
+its JSON twin, the case with the same argv but the format, row by row."""
 
 import json
 from math import comb
@@ -17,6 +18,18 @@ from make_golden import CASES as ARGVS
 from make_golden import GOLDEN, run, strip_timing
 
 CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+def json_argv(argv):
+    """argv without its "--format csv", or None if it has none."""
+    for i in range(len(argv) - 1):
+        if argv[i:i + 2] == ["--format", "csv"]:
+            return argv[:i] + argv[i + 2:]
+    return None
+
+
+CSV_CASES = [name for name in CASES if json_argv(CASES[name]["argv"])]
+JSON_CASES = [name for name in CASES if name not in CSV_CASES]
 
 # (case, table) pairs that no closed form covers: k > n on the Fock
 # route, and the q quotient at k < n, where q_1..q_n is not regular
@@ -117,7 +130,21 @@ def closed_form(params, table):
     return {(ell, t): dim for t, dim in enumerate(ci_series(*form, window))}
 
 
-@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("name", CSV_CASES)
+def test_csv_rows_equal_the_json_tables(name):
+    twin = next(other for other in JSON_CASES
+                if CASES[other]["argv"] == json_argv(CASES[name]["argv"]))
+    doc = json.loads((GOLDEN / (twin + ".out")).read_text())
+    want = ["table,ell,degree,dim,stabilized"] + [
+        "%s,%d,%d,%d,%s" % (table["name"].replace(",", ";"), c["ell"],
+                            c["degree"], c["dim"],
+                            str(c["stabilized"]).lower())
+        for table in doc["tables"] for c in table["cells"]]
+    assert CASES[name]["exit"] == CASES[twin]["exit"]
+    assert (GOLDEN / (name + ".out")).read_text().splitlines() == want
+
+
+@pytest.mark.parametrize("name", JSON_CASES)
 def test_corpus_tables_equal_the_closed_forms(name):
     text = (GOLDEN / (name + ".out")).read_text()
     doc = json.loads(text) if text else {"tables": []}
@@ -137,7 +164,7 @@ def test_corpus_tables_equal_the_closed_forms(name):
 
 def test_uncovered_tables_are_in_the_corpus():
     recorded = set()
-    for name in CASES:
+    for name in JSON_CASES:
         text = (GOLDEN / (name + ".out")).read_text()
         if text:
             recorded.update((name, t["name"])

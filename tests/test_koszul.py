@@ -15,6 +15,7 @@ from operator import add
 
 import pytest
 from test_fock import monomial_weight
+from test_polyring import c_gen
 
 from weilcoh import cli, koszul, verify
 from weilcoh.exterior import wedge_bits
@@ -32,7 +33,6 @@ from weilcoh.polyring import (
     Polynomial,
     Ring,
     SkRing,
-    c_gen,
     ideal_piece,
     is_dominant,
     minor,

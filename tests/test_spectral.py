@@ -27,7 +27,6 @@ from weilcoh.spectral import (
     e1_dims,
     einf_and_converge,
     regrade,
-    unregrade,
 )
 
 
@@ -60,7 +59,7 @@ def page_oracle(comp, r):
                     denom.add_row(row)
                 total += orbit_size(mu) * (zdim - denom.rank)
             if total:
-                dims[regrade(ell, t)] = total
+                dims[ell, t] = total
     return dims
 
 
@@ -205,9 +204,6 @@ def test_e1_rejects_an_unknown_part(n, k):
 
 
 def test_regrade_round_trip():
-    for ell in range(-1, 6):
-        for t in range(0, 12):
-            assert unregrade(*regrade(ell, t)) == (ell, t)
     # the diagonal cochain classes sit at q = 0, the volume row at q = -n
     assert regrade(3, 3) == (3, 0)
     assert regrade(4, 0) == (8, -4)
@@ -219,9 +215,9 @@ def test_e1_concentration_k_less_n():
     # quotient dims 1, 2, 6, 8, 16 at degrees 0..4
     R = FockRing(3, 2)
     plus = e1_dims(R, "plus", 4)
-    assert plus == {regrade(2, 2): 1, regrade(2, 4): 3}
+    assert plus == {(2, 2): 1, (2, 4): 3}
     minus = e1_dims(R, "minus", 4)
-    expect = {regrade(3, t): d for t, d in enumerate([1, 2, 6, 8, 16])}
+    expect = {(3, t): d for t, d in enumerate([1, 2, 6, 8, 16])}
     assert minus == expect
 
 
@@ -230,10 +226,10 @@ def test_e1_top_row_is_invariant_quotient():
     R = FockRing(2, 2)
     got = e1_dims(R, "full", 4)
     quo = invariant_quotient_dims(R, [q_gen(R, 1), q_gen(R, 2)], 4)
-    expect = {regrade(2, t): d for t, d in quo.items() if d}
+    expect = {(2, t): d for t, d in quo.items() if d}
     assert got == expect
     # and nothing below the top row
-    assert all(unregrade(p, q)[0] == 2 for (p, q) in got)
+    assert all(ell == 2 for ell, t in got)
 
 
 # the hypothesis of the descent lemma (fock module docstring): E_1 = 0
@@ -262,7 +258,7 @@ def test_e1_vanishes_at_every_domain_level(n, k, part, D):
     routes = (e1_dims, spectral._e1_fock) if k < n else (e1_dims,)
     for p in parts:
         for route in routes:
-            levels = {unregrade(*cell)[0] for cell in route(R, p, D)}
+            levels = {ell for ell, t in route(R, p, D)}
             assert levels <= ({k} if p == "plus" and k < n else {n}), \
                 (p, route.__name__)
     if k < n and "plus" in parts:
@@ -338,8 +334,7 @@ def test_converge_n2_k2_small_window():
     rep = einf_and_converge(FockRing(2, 2), "full", 2)
     assert rep.ok
     assert rep.einf == rep.gr_dims
-    assert rep.gr_dims == {regrade(2, t): d for t, d in
-                           enumerate([1, 2, 7])}
+    assert rep.gr_dims == {(2, t): d for t, d in enumerate([1, 2, 7])}
 
 
 def test_pages_build_each_family_once(monkeypatch):
@@ -408,8 +403,8 @@ def test_shared_route_reads_its_whole_domain(n, k, part, D):
 def test_nonzero_d4_dies_at_e5():
     # a hand-built filtered complex: x at level 0, degree 4, and y at
     # level 1, degree 2, with d x = y.  d lowers the degree by 2, so it
-    # is a d_4 from (-4, 4) to (0, 1): both cells live through E_4 and
-    # die at E_5.  Shifting the B_r domain bound t - 3 + r either way
+    # is a d_4 from the cell (0, 4) to the cell (1, 2) (E^{-4,4} to
+    # E^{0,1}): both cells live through E_4 and die at E_5.  Shifting the B_r domain bound t - 3 + r either way
     # changes E_4.
     comp = object.__new__(SpectralComputer)
     comp.ring = FockRing(1, 1)
@@ -418,6 +413,6 @@ def test_nonzero_d4_dies_at_e5():
     y = {(1, (2, 0)): 1}
     comp.blocks = {0: {(0,): {4: [(x, y)]}}, 1: {(0,): {2: [(y, {})]}}}
     for r in range(1, 5):
-        assert comp.page(r) == {(-4, 4): 1, (0, 1): 1}, r
+        assert comp.page(r) == {(0, 4): 1, (1, 2): 1}, r
     for r in range(5, 8):
         assert comp.page(r) == {}, r

@@ -1,6 +1,8 @@
 """Static guard on the package surface: every module-level import is used,
-every ``__all__`` entry names something the module defines, every private
-function and class has a caller, no module imports ``fractions``
+every ``__all__`` entry names something the module defines, every
+function, class and method, private or public, has a caller in the
+package (the public names of PUBLIC_WITHOUT_A_CALLER excepted, each with
+its reason), no module imports ``fractions``
 (coefficients are ints end to end), and no module reads the process
 environment (the entry cap is --max-entries on the command line and
 weilcoh.linalg.entry_cap in the library).
@@ -99,20 +101,20 @@ def unresolved_all(source):
     return [name for name in _all_entries(tree) if name not in defined]
 
 
-def _private_defs(tree):
-    """(name, line) of each private function or class defined at module
-    level or in the body of a module-level class; dunders excluded."""
+def _defs(tree, private):
+    """(name, line) of each private (or each public) function or class
+    defined at module level or in the body of a module-level class;
+    dunders excluded."""
     bodies = [tree.body] + [node.body for node in tree.body
                             if isinstance(node, ast.ClassDef)]
     return [(node.name, node.lineno) for body in bodies for node in body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef))
-            and node.name.startswith("_") and not node.name.endswith("__")]
+            and node.name.startswith("_") == private
+            and not node.name.endswith("__")]
 
 
-def orphaned_private_names(sources):
-    """(module, name, line) of each private def in the {module: source}
-    map that no Name or Attribute in any of the sources refers to."""
+def _orphaned(sources, private):
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     used = set()
     for tree in trees.values():
@@ -122,12 +124,38 @@ def orphaned_private_names(sources):
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     return [(mod, name, line) for mod, tree in sorted(trees.items())
-            for name, line in _private_defs(tree) if name not in used]
+            for name, line in _defs(tree, private) if name not in used]
+
+
+def orphaned_private_names(sources):
+    """(module, name, line) of each private def in the {module: source}
+    map that no Name or Attribute in any of the sources refers to."""
+    return _orphaned(sources, private=True)
+
+
+def orphaned_public_names(sources):
+    """(module, name, line) of each public def in the {module: source}
+    map that no Name or Attribute in any of the sources refers to; an
+    ``__all__`` entry is not a reference."""
+    return _orphaned(sources, private=False)
+
+
+# {public name: why it stays} for the names no module of the package
+# refers to; an entry that gains a caller is dropped from here
+PUBLIC_WITHOUT_A_CALLER = {
+    "invariant_quotient_dims": "perfbench/test_perfbench.py imports it",
+}
 
 
 def test_private_names_have_a_caller():
     sources = {path.name: path.read_text() for path in MODULES}
     assert orphaned_private_names(sources) == []
+
+
+def test_public_names_have_a_caller():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert sorted(name for _, name, _ in orphaned_public_names(sources)) \
+        == sorted(PUBLIC_WITHOUT_A_CALLER)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -205,3 +233,13 @@ def test_checks_flag_what_they_guard():
     assert orphaned_private_names({
         "linalg.py": linalg % "row", "koszul.py": koszul,
     }) == [("linalg.py", "_primitive", 1), ("linalg.py", "_unused", 8)]
+    # the public twin: reduce has no caller in either source, and an
+    # __all__ entry does not count as one; Eliminator is called in koszul
+    assert orphaned_public_names({
+        "linalg.py": "__all__ = ['Eliminator']\n" + linalg % "row",
+        "koszul.py": koszul,
+    }) == [("linalg.py", "reduce", 11)]
+    assert orphaned_public_names({
+        "linalg.py": linalg % "row",
+        "koszul.py": koszul + "E.reduce({})\n",
+    }) == []
