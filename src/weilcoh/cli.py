@@ -71,7 +71,9 @@ def _parse_ell(text, n):
     except ValueError:
         raise ValueError("--ell must be a level or a range a..b: %s"
                          % text) from None
-    if not (0 <= lo <= hi <= n):
+    if lo > hi:
+        raise ValueError("--ell range a..b needs a <= b: %s" % text)
+    if not (0 <= lo and hi <= n):
         raise ValueError("--ell out of range 0..%d: %s" % (n, text))
     return range(lo, hi + 1)
 

@@ -113,6 +113,7 @@ from .exterior import bits_of, contract_bits, star_bits, tuple_of, wedge_bits
 from .linalg import (
     Eliminator,
     SparseRationalMatrix,
+    combination,
     kernel_basis,
     rank_of_rows,
     span_intersect_window,
@@ -416,6 +417,13 @@ def _torus_block_key(n, k, bits, ze):
     return tuple(parts)
 
 
+def _images(n, k, gens, be):
+    """{(g, bits, ze): v}: X_g of the basis element be = (bits, ze) for
+    each generator g = (a, b) of gens."""
+    return {(g, *tgt): v for g, (a, b) in enumerate(gens)
+            for tgt, v in _gen_act_basis(n, k, a, b, *be).items()}
+
+
 def _zform_invariant_rows(n, k, ell, dz):
     """{c: basis rows {(bits, z-expo): int}} of the SO(n)-invariants of
     Lambda^ell (x) Pol_z(dz) of column degrees c, for each dominant c;
@@ -435,32 +443,18 @@ def _zform_invariant_rows(n, k, ell, dz):
                 blocks.setdefault(_torus_block_key(n, k, *be), []).append(be)
         # the torus kernel of each block, then the part of its span that
         # X_{2,3}, X_{4,5}, ... kill: the rows (v | X_g v) span the graph
-        # of the generators on it, read off in the (bits, ze) labels
+        # of the generators on it, read off in the (bits, ze) labels.
+        # Column t of the torus map is the images of member t; the row
+        # (e_t | X_g e_t) of a member is built for each kernel vector
+        # that uses it
         graph = []
         for members in blocks.values():
-            rows_by_target = {}
-            for t, (bits, ze) in enumerate(members):
-                for g, (a, b) in enumerate(torus):
-                    for tgt, v in _gen_act_basis(n, k, a, b, bits,
-                                                 ze).items():
-                        rows_by_target.setdefault((g, tgt), {})[t] = v
-            m = SparseRationalMatrix(len(rows_by_target), len(members))
-            for ri, row in enumerate(rows_by_target.values()):
-                for t, v in row.items():
-                    m.set(ri, t, v)
+            m = SparseRationalMatrix([_images(n, k, torus, be)
+                                      for be in members])
             for vec in kernel_basis(m):
-                row = {members[t]: v for t, v in vec.items()}
-                for g, (a, b) in enumerate(remaining):
-                    for t, coef in vec.items():
-                        for tgt, v in _gen_act_basis(n, k, a, b,
-                                                     *members[t]).items():
-                            key = (g, *tgt)
-                            nv = row.get(key, 0) + coef * v
-                            if nv:
-                                row[key] = nv
-                            elif key in row:
-                                del row[key]
-                graph.append(row)
+                graph.append(combination(vec, {
+                    t: {members[t]: 1, **_images(n, k, remaining, members[t])}
+                    for t in vec}))
         out[c] = span_intersect_window(graph, lambda key: len(key) == 2)
     return out
 
@@ -581,8 +575,11 @@ def invariant_family(ring, part, ell, degrees, dominant=False):
     consumer that needs ranks only.  Every vector is a weight vector.
     With dominant set, only the vectors of dominant weight are built:
     they span the dominant weight blocks, which is all the cohomology
-    routes need.  Returns {degree: list of Cochain}.
+    routes need.  Returns {degree: list of Cochain}.  part is plus,
+    minus or full, checked first: every Fock route starts here.
     """
+    if part not in ("plus", "minus", "full"):
+        raise ValueError("part must be plus, minus or full")
     parts = ("plus", "minus") if part == "full" else (part,)
     return {d: [v for p in parts
                 for v in pm_basis_vectors(ring, p, ell, d, dominant)]

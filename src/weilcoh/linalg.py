@@ -13,6 +13,13 @@ Input rows hold ints only; a row with any other entry type is a TypeError.
 Column labels may be any mutually comparable hashable values -- integers for
 plain matrices, or structured keys such as (form-index, monomial) tuples
 when a matrix is assembled directly over an ambient basis.
+
+Kernels are read off columns, as the callers hold their maps: one
+{row label: int} column per family vector or basis member, the list of
+them a SparseRationalMatrix.  kernel_basis numbers the row labels (any
+hashable values) itself and returns each kernel vector as {j: int}
+coefficients on the columns, and combination(coefs, rows) turns such a
+vector into the combination of the family rows it stands for.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ __all__ = [
     "ResourceCapError",
     "Eliminator",
     "SparseRationalMatrix",
+    "combination",
     "kernel_basis",
     "rank_of_rows",
     "span_intersect_window",
@@ -130,30 +138,14 @@ class Eliminator:
         self._entries += len(r)
         return True
 
-    def echelon_rows(self):
-        """Stored pivot rows in increasing pivot order."""
-        return [self.pivots[c] for c in sorted(self.pivots)]
-
 
 class SparseRationalMatrix:
-    """Coordinate-sparse matrix, the input of kernel_basis.
+    """Column-sparse matrix, the argument of kernel_basis: column j is a
+    {row label: int} dict, and cols is the number of columns."""
 
-    entries maps (row, col) -> nonzero value as given (an int in every
-    caller); zeros are never stored.
-    """
-
-    def __init__(self, rows, cols):
-        self.rows = rows
-        self.cols = cols
-        self.entries = {}
-
-    def set(self, i, j, v):
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("entry (%d,%d) out of bounds" % (i, j))
-        if v:
-            self.entries[(i, j)] = v
-        else:
-            self.entries.pop((i, j), None)
+    def __init__(self, columns):
+        self.columns = columns
+        self.cols = len(columns)
 
 
 def rank_of_rows(rows):
@@ -170,13 +162,29 @@ def kernel_basis(m):
     Row j of [m^T | I] is (column j of m, e_j), so a combination with
     coefficients v is (m v, v): the span meets the identity block exactly
     in the kernel, and the basis has cols - rank(m) rows.  The identity
-    block holds columns 0..cols-1 and m^T is shifted past it.
+    block holds columns 0..cols-1, and the row labels of m are numbered
+    past it, cols + i for the i-th label met when the columns are read in
+    order.
     """
     cols = m.cols
-    rows = [{j: 1} for j in range(cols)]
-    for (i, j), v in m.entries.items():
-        rows[j][cols + i] = v
+    index = {}
+    rows = []
+    for j, column in enumerate(m.columns):
+        row = {j: 1}
+        for label, v in column.items():
+            row[cols + index.setdefault(label, len(index))] = v
+        rows.append(row)
     return span_intersect_window(rows, lambda c: c < cols)
+
+
+def combination(coefs, rows):
+    """sum of coefs[j] * rows[j] over the {j: int} coefs, as a {col: int}
+    row without zeros; rows is indexed by j (a list or a dict)."""
+    out = {}
+    for j, coef in coefs.items():
+        for c, v in rows[j].items():
+            out[c] = out.get(c, 0) + coef * v
+    return {c: v for c, v in out.items() if v}
 
 
 def span_intersect_window(vectors, in_window):
@@ -185,15 +193,12 @@ def span_intersect_window(vectors, in_window):
     Works by re-sorting columns so that out-of-window labels come first;
     echelon rows whose pivot is in-window then have no out-of-window
     support at all.  Their number is rank(V) minus the rank of the
-    projection of V onto the out-of-window coordinates.
+    projection of V onto the out-of-window coordinates.  The rows come in
+    increasing pivot order.
     """
     e = Eliminator()
     for v in vectors:
         e.add_row({((0, c) if not in_window(c) else (1, c)): x
                    for c, x in v.items()})
-    out = []
-    for r in e.echelon_rows():
-        flag, _ = min(r)
-        if flag == 1:
-            out.append({c: x for (_, c), x in r.items()})
-    return out
+    return [{c: x for (_, c), x in e.pivots[p].items()}
+            for p in sorted(e.pivots) if p[0] == 1]

@@ -73,7 +73,8 @@ from __future__ import annotations
 from .fock import diff, direct_cohomology_dims, dominant_rows, \
     invariant_family, sk_model_d2_row, sk_model_table, weight_blocks
 from .linalg import MAX_ENTRIES, Eliminator, ResourceCapError, \
-    SparseRationalMatrix, kernel_basis, rank_of_rows, span_intersect_window
+    SparseRationalMatrix, combination, kernel_basis, rank_of_rows, \
+    span_intersect_window
 from .polyring import SkRing, orbit_size
 
 __all__ = [
@@ -134,34 +135,18 @@ class SpectralComputer:
     def z_rows(self, ell, mu, t, dx_bound):
         """Spanning rows of { x in span(weight-mu family at ell, deg <= t) :
         deg(dx) <= dx_bound }, the combinations of the family by a kernel
-        basis of the out-of-bound part of d; they span the space also
-        when the family is dependent (k > n)."""
+        basis of the out-of-bound part of d, whose column j is the part of
+        pair j's image above the bound; they span the space also when the
+        family is dependent (k > n)."""
         pairs = self._pairs_upto(ell, mu, t)
         if not pairs:
             return []
-        # coefficient-space kernel of the out-of-bound projection of d
-        coords = {}
-        for j, (_, img) in enumerate(pairs):
-            for k, v in img.items():
-                if _row_degree(k) > dx_bound:
-                    coords.setdefault(k, {})[j] = v
-        m = SparseRationalMatrix(len(coords), len(pairs))
-        for ri, row in enumerate(coords.values()):
-            for j, v in row.items():
-                m.set(ri, j, v)
-        out = []
-        for c in kernel_basis(m):
-            combined = {}
-            for j, coef in c.items():
-                for k, v in pairs[j][0].items():
-                    nv = combined.get(k, 0) + coef * v
-                    if nv:
-                        combined[k] = nv
-                    elif k in combined:
-                        del combined[k]
-            if combined:
-                out.append(combined)
-        return out
+        m = SparseRationalMatrix([
+            {key: v for key, v in img.items() if _row_degree(key) > dx_bound}
+            for _, img in pairs])
+        rows = [row for row, _ in pairs]
+        return [x for x in (combination(c, rows) for c in kernel_basis(m))
+                if x]
 
     def b_rows(self, ell, mu, t, dom_bound):
         """Basis rows of d(weight-mu family at ell-1, deg <= dom_bound)

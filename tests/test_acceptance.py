@@ -29,7 +29,6 @@ from weilcoh.fock import (
 )
 from weilcoh.koszul import (
     KoszulSpec,
-    ci_hilbert,
     ideal_quotient_dims,
     regular_sequence_check,
 )
@@ -46,6 +45,7 @@ from weilcoh.spectral import e1_dims, einf_and_converge
 
 # the quotient class rank is a test-side probe, kept in test_koszul
 from test_koszul import quotient_class_independence
+from series import ci_series, sk_weights
 
 
 def report(ok, line):
@@ -173,9 +173,8 @@ def test_regular_sequences_and_hilbert_series():
         if not regular_sequence_check(ws, hilb).regular:
             bad.append(("w", k))
         quo = hilb[-1]
-        tk = k * (k + 1) // 2
-        if [quo[t] for t in range(7)] != ci_hilbert(
-                (2,) * tk + (1,) * k, (1,) * k, 6):
+        if [quo[t] for t in range(7)] != ci_series(
+                sk_weights(k), (1,) * k, 6):
             bad.append(("w-quotient", k))
 
         S, cs = sk_c_sequence(k)
@@ -184,8 +183,8 @@ def test_regular_sequences_and_hilbert_series():
         if not regular_sequence_check(cspec, hilb).regular:
             bad.append(("c", k))
         quo = hilb[-1]
-        if [quo[t] for t in range(7)] != ci_hilbert(
-                (2,) * tk + (1,) * k, (3,) * k, 6):
+        if [quo[t] for t in range(7)] != ci_series(
+                sk_weights(k), (3,) * k, 6):
             bad.append(("c-quotient", k))
 
     for n, k in [(1, 1), (1, 2), (2, 2), (2, 3)]:
@@ -195,7 +194,7 @@ def test_regular_sequences_and_hilbert_series():
         if not regular_sequence_check(qs, hilb).regular:
             bad.append(("q", n, k))
         quo = hilb[-1]
-        if [quo[t] for t in range(7)] != ci_hilbert(
+        if [quo[t] for t in range(7)] != ci_series(
                 (1,) * R.nvars, (2,) * n, 6):
             bad.append(("q-quotient", n, k))
 

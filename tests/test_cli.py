@@ -6,9 +6,9 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from series import ci_series, sk_weights
 
 from weilcoh.cli import HILBERT_MODELS, main
-from weilcoh.koszul import ci_hilbert
 from weilcoh.linalg import DEFAULT_MAX_ENTRIES, MAX_ENTRIES
 from weilcoh.verify import SUITES
 
@@ -71,16 +71,15 @@ def _hilbert_series(args):
     sk      the free ring S_k
     """
     k, D = args.k, args.max_degree
-    tk = k * (k + 1) // 2
     if args.model == "cminus":
-        return ci_hilbert((2,) * tk + (1,) * k, (3,) * k, D)
+        return ci_series(sk_weights(k), (3,) * k, D)
     if args.model == "aquot":
         n = args.n
-        return ci_hilbert((1,) * (n * k + k), (2,) * n, D)
+        return ci_series((1,) * (n * k + k), (2,) * n, D)
     if args.model == "rk":
-        return ci_hilbert((2,) * tk, (), D)
+        return ci_series((2,) * (k * (k + 1) // 2), (), D)
     if args.model == "sk":
-        return ci_hilbert((2,) * tk + (1,) * k, (), D)
+        return ci_series(sk_weights(k), (), D)
     raise ValueError("unknown hilbert model %r" % args.model)
 
 
@@ -208,6 +207,24 @@ def test_ell_that_is_not_a_level_names_the_option(capsys, ell):
     assert code == 2 and captured.out == ""
     assert captured.err == \
         "error: --ell must be a level or a range a..b: %s\n" % ell
+
+
+# --ell at n = 2 -> its error
+ELL_ERRORS = {
+    "2..1": "--ell range a..b needs a <= b: 2..1",
+    "5..0": "--ell range a..b needs a <= b: 5..0",
+    "1..3": "--ell out of range 0..2: 1..3",
+    "3": "--ell out of range 0..2: 3",
+}
+
+
+@pytest.mark.parametrize("ell", ELL_ERRORS)
+def test_ell_reversed_or_out_of_range(capsys, ell):
+    # a reversed range is named as such, even when both ends are levels
+    code = main(["cohom", "--n", "2", "--ell", ell])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: %s\n" % ELL_ERRORS[ell]
 
 
 # one capped call of every subcommand that eliminates: id -> (argv, cap)

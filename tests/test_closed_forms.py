@@ -8,12 +8,12 @@ import json
 from math import comb
 
 import pytest
+from series import ci_series, sk_weights
 
 from weilcoh import cli
 from weilcoh.fock import direct_cohomology_dims, invariant_quotient_dims
 from weilcoh.koszul import (
     KoszulSpec,
-    ci_hilbert,
     ideal_quotient_dims,
     regular_sequence_check,
 )
@@ -64,7 +64,7 @@ def test_n4k2_minus_part_is_the_c_quotient():
     # k < n: the -1 part sits on level n with the dims of S_k / (c), a
     # complete intersection of k cubics in k(k+1)/2 generators of degree
     # 2 and k of degree 1
-    cquo = ci_hilbert((2,) * 3 + (1,) * 2, (3,) * 2, 10)
+    cquo = ci_series(sk_weights(2), (3,) * 2, 10)
     assert level_dims(4, 2, "minus", 10) == concentrated(4, 10, 4, cquo)
 
 
@@ -84,8 +84,7 @@ def test_e1_k_less_n_theorem_across_n(n, k, window):
     # k and the c-quotient of the -1 part on level n, and nothing else
     plus = [comb((t - k) // 2 + k * (k + 1) // 2 - 1, (t - k) // 2)
             if t >= k and (t - k) % 2 == 0 else 0 for t in range(window + 1)]
-    cquo = ci_hilbert((2,) * (k * (k + 1) // 2) + (1,) * k, (3,) * k,
-                      window)
+    cquo = ci_series(sk_weights(k), (3,) * k, window)
     want = {(k, t): d for t, d in enumerate(plus) if d}
     want.update(((n, t), d) for t, d in enumerate(cquo) if d)
     assert e1_dims(FockRing(n, k), "full", window) == want
@@ -115,7 +114,7 @@ def test_q_quotient_is_the_complete_intersection(n, k, window):
     hilb = ideal_quotient_dims(spec, window)
     assert regular_sequence_check(spec, hilb).regular
     assert hilb[-1] == dict(enumerate(
-        ci_hilbert((1,) * (n * k + k), (2,) * n, window)))
+        ci_series((1,) * (n * k + k), (2,) * n, window)))
 
 
 @pytest.mark.parametrize("n,k,window", [(4, 4, 6), (3, 3, 8)])
@@ -130,4 +129,4 @@ def test_koszul_q_command_is_the_complete_intersection(n, k, window, capsys):
     assert verdict["pass"]
     (table,) = doc["tables"]
     assert [c["dim"] for c in table["cells"]] == \
-        ci_hilbert((1,) * (n * k + k), (2,) * n, window)
+        ci_series((1,) * (n * k + k), (2,) * n, window)

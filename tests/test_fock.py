@@ -444,21 +444,16 @@ def full_zform_invariant_rows(n, k, ell, dz):
 
     W = []  # list of {(bits, ze): int}
     for members in blocks.values():
-        rows_by_target = {}
-        for t, (bits, ze) in enumerate(members):
-            for g, (a, b) in enumerate(torus):
-                for tgt, v in fock._gen_act_basis(n, k, a, b, bits,
-                                                  ze).items():
-                    rows_by_target.setdefault((g, tgt), {})[t] = v
-        if not rows_by_target:
+        # column t: the torus images of member t
+        columns = [{(g, tgt): v for g, (a, b) in enumerate(torus)
+                    for tgt, v in fock._gen_act_basis(n, k, a, b, bits,
+                                                      ze).items()}
+                   for bits, ze in members]
+        if not any(columns):
             for be in members:
                 W.append({be: 1})
             continue
-        m = SparseRationalMatrix(len(rows_by_target), len(members))
-        for ri, row in enumerate(rows_by_target.values()):
-            for t, v in row.items():
-                m.set(ri, t, v)
-        for vec in kernel_basis(m):
+        for vec in kernel_basis(SparseRationalMatrix(columns)):
             W.append({members[t]: v for t, v in vec.items()})
 
     if not remaining or not W:

@@ -6,9 +6,10 @@ layout.
 
 The corpus is checked as well: every recorded table that a closed form
 of the paper covers is compared with that form, cell by cell, so the
-corpus cannot freeze a wrong table.  The forms are written here in plain
-Python, apart from the package.  A --format csv case is checked against
-its JSON twin, the case with the same argv but the format, row by row."""
+corpus cannot freeze a wrong table.  The forms are written in plain
+Python, here and in tests/series.py, apart from the package.  A --format
+csv case is checked against its JSON twin, the case with the same argv
+but the format, row by row."""
 
 import json
 from math import comb
@@ -16,6 +17,7 @@ from math import comb
 import pytest
 from make_golden import CASES as ARGVS
 from make_golden import GOLDEN, run, strip_timing
+from series import ci_series, sk_weights
 
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
@@ -57,26 +59,6 @@ def test_corpus_matches_its_generator():
         list(ARGVS.items())
     assert {path.name for path in GOLDEN.iterdir()} == {"cases.json"} | {
         name + ext for name in CASES for ext in (".out", ".err")}
-
-
-def ci_series(weights, degrees, window):
-    """Coefficients through t^window of prod_d (1 - t^d) / prod_w (1 - t^w):
-    the Hilbert series of a complete intersection of the given degrees in
-    variables of the given weights."""
-    s = [1] + [0] * window
-    for w in weights:
-        for t in range(w, window + 1):
-            s[t] += s[t - w]
-    for d in degrees:
-        for t in range(window, d - 1, -1):
-            s[t] -= s[t - d]
-    return s
-
-
-def sk_weights(k):
-    """The variables of S_k: the k(k+1)/2 rhat_ij of degree 2, the k
-    what_j of degree 1."""
-    return (2,) * (k * (k + 1) // 2) + (1,) * k
 
 
 def cohomology_form(n, k, part, window):

@@ -12,6 +12,7 @@ from weilcoh.linalg import (
     Eliminator,
     ResourceCapError,
     SparseRationalMatrix,
+    combination,
     entry_cap,
     kernel_basis,
     rank_of_rows,
@@ -64,20 +65,19 @@ def dense_rank_oracle(rows, ncols):
 
 
 def times(m, v):
-    """m v for a sparse {col: value} vector, as {row: value} without zeros."""
+    """m v for a sparse {col: value} vector, as {row: value} without zeros:
+    the columns of m scaled by v and summed."""
     out = {}
-    for (i, j), x in m.entries.items():
-        if j in v:
-            out[i] = out.get(i, 0) + x * v[j]
+    for j, x in v.items():
+        for i, y in m.columns[j].items():
+            out[i] = out.get(i, 0) + x * y
     return {i: x for i, x in out.items() if x}
 
 
-def from_dense(rows):
-    m = SparseRationalMatrix(len(rows), len(rows[0]) if rows else 0)
-    for i, r in enumerate(rows):
-        for j, v in enumerate(r):
-            m.set(i, j, v)
-    return m
+def from_dense(columns):
+    """The matrix of the dense columns (lists of entries)."""
+    return SparseRationalMatrix([{i: v for i, v in enumerate(c) if v}
+                                 for c in columns])
 
 
 def sparse_rows(rows):
@@ -129,12 +129,12 @@ def test_kernel_identity_empty():
 
 
 def test_kernel_zero_matrix():
-    vs = kernel_basis(SparseRationalMatrix(2, 3))
-    assert len(vs) == 3
+    vs = kernel_basis(SparseRationalMatrix([{}, {}, {}]))
+    assert vs == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_kernel_multiply_back():
-    m = from_dense([[1, 1, 0]])
+    m = from_dense([[1], [1], [0]])
     vs = kernel_basis(m)
     assert len(vs) == 2
     for v in vs:
@@ -146,17 +146,142 @@ def test_kernel_multiply_back():
 def test_kernel_random_rank_nullity():
     rng = random.Random(4)
     for trial in range(15):
-        rows = [[rng.randint(-4, 4) for _ in range(7)] for _ in range(5)]
+        columns = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(7)]
         if trial % 3 == 0:  # force a rank drop
-            rows[4] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
-        m = from_dense(rows)
+            for c in columns:
+                c[4] = c[0] - 2 * c[1]
+        m = from_dense(columns)
         vs = kernel_basis(m)
-        assert len(vs) == 7 - rank_of_rows(sparse_rows(rows))
+        # the rank of the columns is the rank of the matrix
+        assert len(vs) == 7 - rank_of_rows(sparse_rows(columns))
         for v in vs:
             assert all(0 <= j < 7 for j in v)
             assert times(m, v) == {}
         # independence of the kernel vectors themselves
         assert dense_rank_oracle(vs, 7) == len(vs)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the coordinate-sparse kernel_basis of the previous design, fed
+# the way its callers fed it
+
+
+class CoordinateMatrix:
+    """Coordinate-sparse matrix, the input of kernel_basis.
+
+    entries maps (row, col) -> nonzero value as given (an int in every
+    caller); zeros are never stored.
+    """
+
+    def __init__(self, rows, cols):
+        self.rows = rows
+        self.cols = cols
+        self.entries = {}
+
+    def set(self, i, j, v):
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError("entry (%d,%d) out of bounds" % (i, j))
+        if v:
+            self.entries[(i, j)] = v
+        else:
+            self.entries.pop((i, j), None)
+
+
+def coordinate_kernel_basis(m):
+    """A basis of {v : m v = 0} as sparse {col: int} rows.
+
+    Row j of [m^T | I] is (column j of m, e_j), so a combination with
+    coefficients v is (m v, v): the span meets the identity block exactly
+    in the kernel, and the basis has cols - rank(m) rows.  The identity
+    block holds columns 0..cols-1 and m^T is shifted past it.
+    """
+    cols = m.cols
+    rows = [{j: 1} for j in range(cols)]
+    for (i, j), v in m.entries.items():
+        rows[j][cols + i] = v
+    return span_intersect_window(rows, lambda c: c < cols)
+
+
+def coordinate_matrix(columns):
+    """The CoordinateMatrix of {label: int} columns as the callers built
+    it: one row per label, numbered in order of first appearance, set row
+    by row."""
+    coords = {}
+    for j, column in enumerate(columns):
+        for label, v in column.items():
+            coords.setdefault(label, {})[j] = v
+    m = CoordinateMatrix(len(coords), len(columns))
+    for i, row in enumerate(coords.values()):
+        for j, v in row.items():
+            m.set(i, j, v)
+    return m
+
+
+def random_columns(rng):
+    """{label: int} columns over a few tuple labels, which several columns
+    share: some columns empty, some entries zero, some columns copies or
+    sums of earlier ones, and the labels met in a shuffled order."""
+    labels = [(rng.randrange(3), "x%d" % i) for i in range(rng.randint(1, 7))]
+    columns = []
+    for _ in range(rng.randint(1, 9)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            column = {}
+        elif kind == 1 and columns:
+            a, b = rng.choice(columns), rng.choice(columns)
+            x = rng.randint(-3, 3)
+            column = {c: a.get(c, 0) + x * b.get(c, 0) for c in {*a, *b}}
+        else:
+            column = {c: rng.randint(-3, 3)
+                      for c in rng.sample(labels, rng.randint(1, len(labels)))}
+        columns.append(column)
+    return columns
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kernel_basis_matches_the_coordinate_form(seed):
+    columns = random_columns(random.Random(seed))
+    got = kernel_basis(SparseRationalMatrix(columns))
+    assert got == coordinate_kernel_basis(coordinate_matrix(columns))
+    m = SparseRationalMatrix(columns)
+    assert all(times(m, v) == {} for v in got)
+
+
+def test_kernel_basis_test_matrices_are_the_hard_case():
+    # across the seeds the columns include empty ones, zero entries and
+    # labels that several columns share
+    cases = [random_columns(random.Random(seed)) for seed in range(40)]
+    assert any({} in columns for columns in cases)
+    assert any(0 in c.values() for columns in cases for c in columns)
+    assert any(len(set(c) & set(d)) > 1 for columns in cases
+               for c in columns for d in columns if c is not d)
+
+
+def dense_combination(coefs, rows, ncols):
+    """sum coefs[j] rows[j] over the dense columns 0..ncols-1, zeros
+    dropped."""
+    total = [sum(x * rows[j].get(c, 0) for j, x in coefs.items())
+             for c in range(ncols)]
+    return {c: v for c, v in enumerate(total) if v}
+
+
+def test_combination_against_dense():
+    rng = random.Random(8)
+    for _ in range(30):
+        rows = [{c: rng.randint(-3, 3) for c in range(6)
+                 if rng.random() < 0.5} for _ in range(5)]
+        # a row and its negative make cancellations
+        rows.append({c: -v for c, v in rows[0].items()})
+        coefs = {j: rng.randint(-4, 4) for j in range(6) if rng.random() < 0.7}
+        if rng.random() < 0.3:
+            coefs[0] = coefs[5] = 1
+        got = combination(coefs, rows)
+        assert got == dense_combination(coefs, rows, 6)
+        assert 0 not in got.values()
+        # rows indexed by a dict serve too
+        assert combination(coefs, dict(enumerate(rows))) == got
+    assert combination({}, []) == {}
+    assert combination({0: 1, 1: 1}, [{3: 2}, {3: -2}]) == {}
 
 
 def test_windowed_span_trivial():

@@ -196,11 +196,34 @@ def test_e1_model_builds_no_fock_polynomial(monkeypatch):
     assert e1_dims(FockRing(3, 2), "full", 6)
 
 
+PART_ERROR = "part must be plus, minus or full"
+
+
 @pytest.mark.parametrize("n,k", [(3, 2), (2, 2)])
 def test_e1_rejects_an_unknown_part(n, k):
     # the S_k model route (k < n) and the Fock route (k >= n) alike
-    with pytest.raises(ValueError, match="part"):
+    with pytest.raises(ValueError) as exc:
         e1_dims(FockRing(n, k), "bogus", 3)
+    assert str(exc.value) == PART_ERROR
+
+
+# the other entry points that take a part
+PART_ENTRY_POINTS = {
+    "invariant_family": lambda R: invariant_family(R, "bogus", 1, ()),
+    "direct_cohomology_dims": lambda R: direct_cohomology_dims(
+        R, "bogus", 1, 3),
+    "einf_and_converge": lambda R: einf_and_converge(R, "bogus", 2),
+}
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (2, 2)])
+@pytest.mark.parametrize("entry", sorted(PART_ENTRY_POINTS))
+def test_unknown_part_is_rejected_first(entry, n, k):
+    # invariant_family, where every Fock route starts, checks the part
+    # before anything else, also when it is asked for no degree at all
+    with pytest.raises(ValueError) as exc:
+        PART_ENTRY_POINTS[entry](FockRing(n, k))
+    assert str(exc.value) == PART_ERROR
 
 
 def test_regrade_round_trip():
