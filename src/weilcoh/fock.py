@@ -191,11 +191,7 @@ class Cochain:
             raise ValueError("cochain mismatch")
         parts = dict(self.parts)
         for bits, p in other.parts.items():
-            s = parts.get(bits, self.ring.zero()) + p
-            if s:
-                parts[bits] = s
-            elif bits in parts:
-                del parts[bits]
+            parts[bits] = parts.get(bits, self.ring.zero()) + p
         return Cochain(self.ring, self.ell, parts)
 
     def __neg__(self):
@@ -222,6 +218,17 @@ class Cochain:
                 row[(bits, e)] = c
         return row
 
+    @classmethod
+    def from_terms(cls, ring, ell, terms):
+        """The inverse of to_row: the ((bits, exponent tuple), coef) terms
+        grouped by index set (first appearance first), each group merged
+        once by Polynomial._merge, so repeated keys add and zeros drop."""
+        groups = {}
+        for (bits, e), c in terms:
+            groups.setdefault(bits, []).append((e, c))
+        return cls(ring, ell, {bits: Polynomial._merge(ring, items)
+                               for bits, items in groups.items()})
+
     def __repr__(self):
         if not self.parts:
             return "0"
@@ -232,43 +239,30 @@ class Cochain:
 
 
 def diff(c, mode="full"):
-    """The differential (or one of its pieces) applied to a cochain.
-
-    mode: full = d2 + dm2; d2 = the -z_{alpha j} w_j term; dm2 = the
-    second-derivative term.  The graded differential d' is -d2, and its
-    consumers take ranks only, which ignore the sign, so it has no mode
-    of its own.
+    """The differential (or one of its pieces) applied to a cochain, term
+    by term: each term lands on one index set, and Cochain.from_terms
+    merges the row terms once.  mode: full = d2 + dm2; d2 = the
+    -z_{alpha j} w_j term; dm2 = the second-derivative term.  The graded
+    differential d' is -d2, and its consumers take ranks only, which
+    ignore the sign, so it has no mode of its own.
     """
     if mode not in ("full", "d2", "dm2"):
         raise ValueError("unknown mode %r" % mode)
     ring = c.ring
-    n, k = ring.n, ring.k
-    acc = {}  # bits -> {expo: coef}
-
-    def bump(bits, poly, sign):
-        if not poly:
-            return
-        tgt = acc.setdefault(bits, {})
-        for e, v in poly.terms.items():
-            nv = tgt.get(e, 0) + sign * v
-            if nv:
-                tgt[e] = nv
-            elif e in tgt:
-                del tgt[e]
-
+    terms = []
     for bits, f in c.parts.items():
-        for alpha in range(1, n + 1):
+        for alpha in range(1, ring.n + 1):
             s, nb = wedge_bits(1 << (alpha - 1), bits)
             if not s:
                 continue
-            for j in range(1, k + 1):
+            for j in range(1, ring.k + 1):
                 if mode in ("full", "dm2"):
-                    bump(nb, f.partial(ring.z(alpha, j)).partial(ring.w(j)), s)
+                    g = f.partial(ring.z(alpha, j)).partial(ring.w(j))
+                    terms += [((nb, e), s * v) for e, v in g.terms.items()]
                 if mode in ("full", "d2"):
-                    bump(nb, ring.z_var(alpha, j) * ring.w_var(j) * f, -s)
-
-    parts = {b: Polynomial(ring, t) for b, t in acc.items() if t}
-    return Cochain(ring, c.ell + 1, parts)
+                    g = ring.z_var(alpha, j) * ring.w_var(j) * f
+                    terms += [((nb, e), -s * v) for e, v in g.terms.items()]
+    return Cochain.from_terms(ring, c.ell + 1, terms)
 
 
 def _embed_poly(p, big, col_offset):
@@ -285,22 +279,20 @@ def _embed_poly(p, big, col_offset):
 
 def outer_product(a, b):
     """(omega_I (x) f) ^ (omega_J (x) g) = (omega_I ^ omega_J) (x) f g',
-    with g' the polynomial g relabeled to the fresh vector slots."""
+    with g' the polynomial g relabeled to the fresh vector slots; the
+    terms of all pairs of parts are merged once (Cochain.from_terms)."""
     if a.ring.n != b.ring.n:
         raise ValueError("mismatched n")
-    n = a.ring.n
-    k1, k2 = a.ring.k, b.ring.k
-    big = FockRing(n, k1 + k2)
-    out = Cochain(big, a.ell + b.ell)
-    for bi, f in a.parts.items():
-        fe = _embed_poly(f, big, 0)
-        for bj, g in b.parts.items():
-            s, nb = wedge_bits(bi, bj)
-            if not s:
-                continue
-            ge = _embed_poly(g, big, k1)
-            out = out + Cochain(big, a.ell + b.ell, {nb: (fe * ge).scale(s)})
-    return out
+    k1 = a.ring.k
+    big = FockRing(a.ring.n, k1 + b.ring.k)
+    left = [(bi, _embed_poly(f, big, 0)) for bi, f in a.parts.items()]
+    right = [(bj, _embed_poly(g, big, k1)) for bj, g in b.parts.items()]
+    terms = []
+    for (bi, fe), (bj, ge) in itertools.product(left, right):
+        s, nb = wedge_bits(bi, bj)
+        if s:
+            terms += [((nb, e), s * v) for e, v in (fe * ge).terms.items()]
+    return Cochain.from_terms(big, a.ell + b.ell, terms)
 
 
 def phi1(ring, slot=1):
@@ -357,18 +349,13 @@ def son_act_cochain(a, b, c):
     """The generator X_ab acting as a derivation: the rotation of the form
     indices (X.omega_a = omega_b, X.omega_b = -omega_a) plus the polyring
     action on coefficients.  Normalized so that X.phi_1 = 0.  The merge of
-    _gen_act_basis over the terms of c."""
+    _gen_act_basis over the row terms of c (Cochain.from_terms)."""
     if not a < b:
         raise ValueError("need a < b")
     ring = c.ring
-    acc = {}  # bits -> [(expo, coef)]
-    for bits, f in c.parts.items():
-        for e, v in f.terms.items():
-            for (nb, ne), x in _gen_act_basis(ring.n, ring.k, a, b, bits,
-                                              e).items():
-                acc.setdefault(nb, []).append((ne, v * x))
-    return Cochain(ring, c.ell, {nb: Polynomial._merge(ring, items)
-                                 for nb, items in acc.items()})
+    return Cochain.from_terms(ring, c.ell, [
+        (key, v * x) for (bits, e), v in c.to_row().items()
+        for key, x in _gen_act_basis(ring.n, ring.k, a, b, bits, e).items()])
 
 
 def _rotate_forms(a, b, bits):

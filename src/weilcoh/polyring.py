@@ -72,9 +72,6 @@ class Ring:
             and self.weights == other.weights
         )
 
-    def __hash__(self):
-        return hash((self.names, self.weights))
-
     def zero(self):
         return Polynomial(self, {})
 
@@ -234,9 +231,6 @@ class Polynomial:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
-
     def __add__(self, other):
         self._check(other)
         return Polynomial._merge(
@@ -275,14 +269,15 @@ class Polynomial:
     __rmul__ = __mul__
 
     def partial(self, vidx):
-        """Formal partial derivative with respect to variable vidx."""
-        items = []
+        """Formal partial derivative with respect to variable vidx.  e |->
+        e - unit(vidx) is injective, so there is nothing to merge."""
+        terms = {}
         for e, c in self.terms.items():
             if e[vidx]:
                 ne = list(e)
                 ne[vidx] -= 1
-                items.append((tuple(ne), c * e[vidx]))
-        return Polynomial._merge(self.ring, items)
+                terms[tuple(ne)] = c * e[vidx]
+        return Polynomial(self.ring, terms)
 
     def degree(self):
         """Weighted total degree; -1 for the zero polynomial."""

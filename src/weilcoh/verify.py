@@ -50,25 +50,25 @@ WINDOW = 4   # degree window of the bases and koszul suites
 
 def _random_cochain(ring, rng, ell):
     """Three random terms, each a monomial of degree <= 3."""
-    c = Cochain(ring, ell)
+    terms = []
     for _ in range(3):
-        I = tuple(sorted(rng.sample(range(1, ring.n + 1), ell)))
-        p = ring.one().scale(rng.randint(-3, 3))
+        bits = bits_of(sorted(rng.sample(range(1, ring.n + 1), ell)))
+        coef = rng.randint(-3, 3)
+        e = [0] * ring.nvars
         for _ in range(rng.randint(0, 3)):
-            p = p * ring.var(rng.randrange(ring.nvars))
-        c = c + Cochain(ring, ell, {bits_of(I): p} if p else {})
-    return c
+            e[rng.randrange(ring.nvars)] += 1
+        terms.append(((bits, tuple(e)), coef))
+    return Cochain.from_terms(ring, ell, terms)
 
 
 def _random_invariant_cochain(ring, rng, ell):
     """A random combination of the invariant families of degree <= 3."""
-    c = Cochain(ring, ell)
+    terms = []
     for vecs in invariant_family(ring, "full", ell, range(4)).values():
         for v in vecs:
             x = rng.randint(-3, 3)
-            if x:
-                c = c + v.scale(x)
-    return c
+            terms += [(key, x * c) for key, c in v.to_row().items()]
+    return Cochain.from_terms(ring, ell, terms)
 
 
 def _verdict(results, name, ok, detail=""):

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from weilcoh import verify
 from weilcoh.exterior import bits_of, star_bits
 import weilcoh.fock as fock
 from weilcoh.fock import (
@@ -1024,3 +1025,214 @@ def test_sk_model_basis_is_the_dominant_family(n, k):
                         for mu, pairs in model.items()} == \
                     {mu: block[d] for mu, block in fam.items()}, \
                     (part, ell, d)
+
+
+# The merges that Cochain.from_terms replaced, and verify's two random
+# builders before it, verbatim apart from their names and the module's
+# helpers read as fock.<name>: the oracles of the one merge.
+
+
+def old_diff(c, mode="full"):
+    """The differential (or one of its pieces) applied to a cochain.
+
+    mode: full = d2 + dm2; d2 = the -z_{alpha j} w_j term; dm2 = the
+    second-derivative term.  The graded differential d' is -d2, and its
+    consumers take ranks only, which ignore the sign, so it has no mode
+    of its own.
+    """
+    if mode not in ("full", "d2", "dm2"):
+        raise ValueError("unknown mode %r" % mode)
+    ring = c.ring
+    n, k = ring.n, ring.k
+    acc = {}  # bits -> {expo: coef}
+
+    def bump(bits, poly, sign):
+        if not poly:
+            return
+        tgt = acc.setdefault(bits, {})
+        for e, v in poly.terms.items():
+            nv = tgt.get(e, 0) + sign * v
+            if nv:
+                tgt[e] = nv
+            elif e in tgt:
+                del tgt[e]
+
+    for bits, f in c.parts.items():
+        for alpha in range(1, n + 1):
+            s, nb = fock.wedge_bits(1 << (alpha - 1), bits)
+            if not s:
+                continue
+            for j in range(1, k + 1):
+                if mode in ("full", "dm2"):
+                    bump(nb, f.partial(ring.z(alpha, j)).partial(ring.w(j)), s)
+                if mode in ("full", "d2"):
+                    bump(nb, ring.z_var(alpha, j) * ring.w_var(j) * f, -s)
+
+    parts = {b: Polynomial(ring, t) for b, t in acc.items() if t}
+    return Cochain(ring, c.ell + 1, parts)
+
+
+def old_outer_product(a, b):
+    """(omega_I (x) f) ^ (omega_J (x) g) = (omega_I ^ omega_J) (x) f g',
+    with g' the polynomial g relabeled to the fresh vector slots."""
+    if a.ring.n != b.ring.n:
+        raise ValueError("mismatched n")
+    n = a.ring.n
+    k1, k2 = a.ring.k, b.ring.k
+    big = FockRing(n, k1 + k2)
+    out = Cochain(big, a.ell + b.ell)
+    for bi, f in a.parts.items():
+        fe = fock._embed_poly(f, big, 0)
+        for bj, g in b.parts.items():
+            s, nb = fock.wedge_bits(bi, bj)
+            if not s:
+                continue
+            ge = fock._embed_poly(g, big, k1)
+            out = out + Cochain(big, a.ell + b.ell, {nb: (fe * ge).scale(s)})
+    return out
+
+
+def old_son_act_cochain(a, b, c):
+    """The generator X_ab acting as a derivation: the rotation of the form
+    indices (X.omega_a = omega_b, X.omega_b = -omega_a) plus the polyring
+    action on coefficients.  Normalized so that X.phi_1 = 0.  The merge of
+    _gen_act_basis over the terms of c."""
+    if not a < b:
+        raise ValueError("need a < b")
+    ring = c.ring
+    acc = {}  # bits -> [(expo, coef)]
+    for bits, f in c.parts.items():
+        for e, v in f.terms.items():
+            for (nb, ne), x in fock._gen_act_basis(ring.n, ring.k, a, b, bits,
+                                                   e).items():
+                acc.setdefault(nb, []).append((ne, v * x))
+    return Cochain(ring, c.ell, {nb: Polynomial._merge(ring, items)
+                                 for nb, items in acc.items()})
+
+
+def old_random_cochain(ring, rng, ell):
+    """Three random terms, each a monomial of degree <= 3."""
+    c = Cochain(ring, ell)
+    for _ in range(3):
+        I = tuple(sorted(rng.sample(range(1, ring.n + 1), ell)))
+        p = ring.one().scale(rng.randint(-3, 3))
+        for _ in range(rng.randint(0, 3)):
+            p = p * ring.var(rng.randrange(ring.nvars))
+        c = c + Cochain(ring, ell, {bits_of(I): p} if p else {})
+    return c
+
+
+def old_random_invariant_cochain(ring, rng, ell):
+    """A random combination of the invariant families of degree <= 3."""
+    c = Cochain(ring, ell)
+    for vecs in invariant_family(ring, "full", ell, range(4)).values():
+        for v in vecs:
+            x = rng.randint(-3, 3)
+            if x:
+                c = c + v.scale(x)
+    return c
+
+
+MERGE_SHAPES = [(1, 1), (2, 2), (3, 2), (2, 3)]
+
+
+def merge_inputs(R, rng):
+    """Random cochains at every level, their full d (whose d is zero, so
+    every term of d d cancels) and a random invariant cochain."""
+    out = []
+    for ell in range(R.n + 1):
+        c = random_cochain(R, rng, ell, nterms=6)
+        out += [c, diff(c)] if ell < R.n else [c]
+    out.append(random_invariant_cochain(R, rng, 1, max_deg=2))
+    return out
+
+
+@pytest.mark.parametrize("n,k", MERGE_SHAPES)
+def test_diff_matches_the_previous_merge(n, k):
+    # the same terms in the same order: the rows of the direct route and
+    # the pages are labeled in that order
+    R = FockRing(n, k)
+    for c in merge_inputs(R, random.Random(100 * n + k)):
+        for mode in ("full", "d2", "dm2"):
+            got, want = diff(c, mode), old_diff(c, mode)
+            assert got == want, (c, mode)
+            assert list(got.to_row().items()) == \
+                list(want.to_row().items()), (c, mode)
+
+
+@pytest.mark.parametrize("n,k", MERGE_SHAPES)
+def test_son_act_cochain_matches_the_previous_merge(n, k):
+    R = FockRing(n, k)
+    for c in merge_inputs(R, random.Random(200 * n + k)):
+        for a, b in itertools.combinations(range(1, n + 1), 2):
+            got, want = son_act_cochain(a, b, c), old_son_act_cochain(a, b, c)
+            assert got == want, (c, a, b)
+            assert list(got.to_row().items()) == \
+                list(want.to_row().items()), (c, a, b)
+
+
+@pytest.mark.parametrize("n,k", MERGE_SHAPES)
+def test_outer_product_matches_the_previous_sum(n, k):
+    # k splits as k1 + k2 with k2 >= 1; for k = 1 both factors take k = 1
+    rng = random.Random(300 * n + k)
+    k1 = max(1, k - 1)
+    R1, R2 = FockRing(n, k1), FockRing(n, max(1, k - k1))
+    for _ in range(6):
+        a = random_cochain(R1, rng, rng.randint(0, n), nterms=5)
+        b = random_cochain(R2, rng, rng.randint(0, n), nterms=5)
+        for x, y in ((a, b), (diff(a), b), (a, diff(b)), (b, a)):
+            assert outer_product(x, y) == old_outer_product(x, y), (x, y)
+
+
+@pytest.mark.parametrize("n,k", MERGE_SHAPES)
+def test_verify_random_cochains_match_the_previous_sums(n, k):
+    # the same cochains from the same draws, leaving the generator in the
+    # same state, so the verify documents do not change
+    R = FockRing(n, k)
+    for new, old in ((verify._random_cochain, old_random_cochain),
+                     (verify._random_invariant_cochain,
+                      old_random_invariant_cochain)):
+        r1, r2 = random.Random(n * k), random.Random(n * k)
+        for _ in range(8):
+            ell = r1.randint(0, n)
+            assert ell == r2.randint(0, n)
+            assert new(R, r1, ell) == old(R, r2, ell), (new, ell)
+            assert r1.getstate() == r2.getstate()
+
+
+def test_from_terms_inverts_to_row():
+    rng = random.Random(7)
+    for n, k in MERGE_SHAPES:
+        R = FockRing(n, k)
+        for c in merge_inputs(R, rng):
+            assert Cochain.from_terms(R, c.ell, c.to_row().items()) == c
+        assert Cochain.from_terms(R, 1, []) == Cochain(R, 1)
+
+
+def test_from_terms_merges_repeated_and_cancelling_keys():
+    R = FockRing(2, 2)
+    x, y = R.z_var(1, 1), R.w_var(2) * R.z_var(2, 1)
+    (ex,), (ey,) = x.terms, y.terms
+    got = Cochain.from_terms(R, 1, [
+        ((0b01, ex), 2), ((0b10, ey), 1), ((0b01, ex), 3),
+        ((0b10, ey), -1), ((0b01, ey), 4), ((0b10, ex), 0)])
+    assert got == Cochain(R, 1, {0b01: x.scale(5) + y.scale(4)})
+    assert list(got.parts) == [0b01]
+    # a key that cancels and comes back is added again
+    got = Cochain.from_terms(R, 1, [((0b10, ex), 1), ((0b10, ex), -1),
+                                    ((0b10, ex), 6)])
+    assert got == Cochain(R, 1, {0b10: x.scale(6)})
+    # on random terms with many collisions: the sum of the one-term
+    # cochains
+    rng = random.Random(8)
+    mons = [e for d in range(3) for e in monomials_of_degree(R, d)][:6]
+    for _ in range(20):
+        terms = [((rng.choice((0b01, 0b10)), rng.choice(mons)),
+                  rng.randint(-2, 2)) for _ in range(12)]
+        want = Cochain(R, 1)
+        for (bits, e), v in terms:
+            want = want + Cochain(R, 1, {bits: Polynomial(R, {e: v} if v
+                                                          else {})})
+        assert Cochain.from_terms(R, 1, terms) == want
+    with pytest.raises(ValueError, match="bad index set"):
+        Cochain.from_terms(R, 2, [((0b01, ex), 1)])

@@ -14,6 +14,7 @@ from math import comb
 from operator import add
 
 import pytest
+from series import ci_series
 from test_fock import monomial_weight
 from test_polyring import c_gen
 
@@ -257,6 +258,10 @@ def test_ci_hilbert():
     assert ci_hilbert((1,), (), -1) == []
     with pytest.raises(ValueError):
         ci_hilbert((1,), (1, 1), 3)
+    # the plain form the oracles read agrees, the empty window included
+    for args in (((2, 1), (3,), 6), ((1, 1), (2,), 6), ((1, 1, 1), (), 4),
+                 ((1,), (), -1)):
+        assert ci_series(*args) == ci_hilbert(*args), args
 
 
 def test_empty_window():
@@ -276,20 +281,20 @@ def test_ideal_quotient_dims():
     S, cs = sk_c_sequence(2)
     got = ideal_quotient_dims(KoszulSpec(S, cs), 6)[-1]
     # (1-t^3)^2 / ((1-t^2)^3 (1-t)^2)
-    expect = ci_hilbert((2, 2, 2, 1, 1), (3, 3), 6)
+    expect = ci_series((2, 2, 2, 1, 1), (3, 3), 6)
     assert [got[t] for t in range(7)] == expect
 
     R23 = FockRing(2, 3)
     spec = KoszulSpec(R23, [q_gen(R23, 1), q_gen(R23, 2)])
     got = ideal_quotient_dims(spec, 4)[-1]
-    expect = ci_hilbert((1,) * 9, (2, 2), 4)
+    expect = ci_series((1,) * 9, (2, 2), 4)
     assert [got[t] for t in range(5)] == expect
 
 
 def test_empty_sequence_free_ring():
     S = SkRing(2)
     got = ideal_quotient_dims(KoszulSpec(S, ()), 5)[-1]
-    expect = ci_hilbert(S.weights, (), 5)
+    expect = ci_series(S.weights, (), 5)
     assert [got[t] for t in range(6)] == expect
 
 
@@ -453,7 +458,7 @@ def plain_ideal_quotient_dims(spec, window):
     product, in one Eliminator per degree."""
     ring = spec.ring
     # H_0(t) = dim R_t, the coefficients of 1 / prod(1 - t^w_v)
-    hilb = [dict(enumerate(ci_hilbert(ring.weights, (), window)))]
+    hilb = [dict(enumerate(ci_series(ring.weights, (), window)))]
     hilb += [{} for _ in spec.sequence]
     for t, dim_rt in hilb[0].items():
         e = Eliminator()
@@ -580,12 +585,13 @@ def test_one_elimination_per_degree(monkeypatch, capsys):
 def tuple_key_ideal_quotient_dims(spec, window):
     """The prefix table with exponent-tuple column labels and every
     monomial enumerated and weighed, as ideal_quotient_dims built it
-    before its labels were packed ints (kept verbatim but for the name)."""
+    before its labels were packed ints (kept verbatim but for the name
+    and its H_0 row, which tests/series.ci_series gives)."""
     ring = spec.ring
     weight = ring.weight if all(map(_symmetric, spec.sequence)) \
         else _no_weight
     # H_0(t) = dim R_t, the coefficients of 1 / prod(1 - t^w_v)
-    hilb = [dict(enumerate(ci_hilbert(ring.weights, (), window)))]
+    hilb = [dict(enumerate(ci_series(ring.weights, (), window)))]
     hilb += [{} for _ in spec.sequence]
     for t, dim_rt in hilb[0].items():
         e = Eliminator()

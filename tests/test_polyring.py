@@ -107,6 +107,30 @@ def test_partial():
     assert q1.partial(R2.z(1, 1)).partial(R2.w(1)) == R2.one()
 
 
+def old_partial(self, vidx):
+    """Formal partial derivative with respect to variable vidx (the
+    merged form Polynomial.partial had, verbatim but for the name)."""
+    items = []
+    for e, c in self.terms.items():
+        if e[vidx]:
+            ne = list(e)
+            ne[vidx] -= 1
+            items.append((tuple(ne), c * e[vidx]))
+    return Polynomial._merge(self.ring, items)
+
+
+@pytest.mark.parametrize("ring", [FockRing(2, 2), FockRing(3, 1), SkRing(2)],
+                         ids=["fock22", "fock31", "sk2"])
+def test_partial_matches_the_merged_form(ring):
+    # same terms in the same order, for every variable
+    rng = random.Random(ring.nvars)
+    for _ in range(30):
+        p = random_poly(ring, rng, max_deg=4, nterms=8)
+        for v in range(ring.nvars):
+            got, want = p.partial(v), old_partial(p, v)
+            assert list(got.terms.items()) == list(want.terms.items()), (p, v)
+
+
 def test_monomials_of_degree():
     R = FockRing(1, 1)
     assert len(monomials_of_degree(R, 1)) == 2

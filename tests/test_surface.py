@@ -3,9 +3,10 @@ every ``__all__`` entry names something the module defines, every
 function, class and method, private or public, has a caller in the
 package (the public names of PUBLIC_WITHOUT_A_CALLER excepted, each with
 its reason), no module imports ``fractions``
-(coefficients are ints end to end), and no module reads the process
+(coefficients are ints end to end), no module reads the process
 environment (the entry cap is --max-entries on the command line and
-weilcoh.linalg.entry_cap in the library).
+weilcoh.linalg.entry_cap in the library), and every module parses as
+Python 3.10, the floor that pyproject.toml declares.
 
 Only the standard-library ``ast`` module is used, so the check needs no
 linter and does not import the package.
@@ -18,6 +19,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "weilcoh"
 MODULES = sorted(SRC.glob("*.py"))
+PYTHON_FLOOR = (3, 10)  # the oldest Python the package supports
 
 
 def _imported_names(tree):
@@ -185,6 +187,12 @@ def test_no_environment_reads(path):
     assert environment_reads(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_parses_as_python_3_10(path):
+    # pyproject.toml declares requires-python = ">=3.10"
+    ast.parse(path.read_text(), feature_version=PYTHON_FLOOR)
+
+
 def test_checks_flag_what_they_guard():
     src = (
         "from __future__ import annotations\n"
@@ -203,6 +211,10 @@ def test_checks_flag_what_they_guard():
         "def f():\n    from fractions import Fraction\n")
     assert "fractions" in imported_modules("import fractions as fr\n")
     assert environment_reads(src) == []
+    ast.parse(src, feature_version=PYTHON_FLOOR)
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=PYTHON_FLOOR)
     assert environment_reads(
         "import os\n"
         "import os as o\n"
