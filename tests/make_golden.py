@@ -20,8 +20,10 @@ this script and names the changed cells, and why, in CHANGES.md.
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 from weilcoh.cli import main
 
@@ -84,8 +86,13 @@ CASES = {
     # the suites that finished before the cap keep their verdicts
     "verify-all-capped": _args("verify --suite all --n 3 --k 2 "
                                "--max-entries 200"),
-    # a usage error (exit 2, argparse's message on stderr)
+    # usage errors (exit 2, argparse's message on stderr): a bad choice,
+    # and a command the top-level parser does not know
     "usage-error": _args("cohom --part bogus"),
+    "usage-error-command": _args("bogus"),
+    # a flag abbreviated to a unique prefix, which argparse accepts
+    "abbrev-flag": _args("cohom --n 3 --k 2 --part minus --ell 3 "
+                         "--max-deg 3"),
 }
 
 
@@ -96,9 +103,13 @@ def strip_timing(text):
 
 
 def run(argv):
-    """(exit code, stdout, stderr) of one in-process call of main."""
+    """(exit code, stdout, stderr) of one in-process call of main.
+
+    argparse wraps its usage text at the terminal width, which it reads
+    from COLUMNS, so the call runs at a fixed width of 80."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         try:
             code = main(list(argv))
         except SystemExit as exc:
