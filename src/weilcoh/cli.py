@@ -25,6 +25,12 @@ always reads true: the truncation of the degree window is exact by the
 descent lemma of weilcoh.fock, so no cell rests on a sampled
 truncation.  The key stays so that the weilcoh/1 schema is unchanged.
 
+The options of each subcommand are rows of one table, COMMANDS.  A
+well-formed line, <command> (--flag value)* with exact flags, is read
+from that table alone; argparse is imported and its parser built from
+the same table only for help and for any other line, so it writes every
+help and usage-error text.
+
 Exit codes: 0 success, 1 a verdict failed, 2 invalid arguments (a usage
 error or a ValueError), 3 resource-cap abort.  Exits 0, 1 and 3 emit a
 document, a capped run with the tables and verdicts that finished before
@@ -33,10 +39,10 @@ the cap; exit 2 emits none, and its message goes to stderr.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 from .fock import direct_cohomology_dims
 from .koszul import (
@@ -186,59 +192,89 @@ def _emit(doc, fmt, elapsed):
                     c["dim"], str(c["stabilized"]).lower()))
 
 
+_N = ("--n", int, None, 2, None)
+_K = ("--k", int, None, 1, None)
+_PART = ("--part", str, ("plus", "minus", "full"), "full", None)
+_MAX_DEGREE = ("--max-degree", int, None, 4, None)
+_OUTPUT = (
+    ("--format", str, ("json", "csv"), "json", None),
+    ("--max-entries", int, None, DEFAULT_MAX_ENTRIES,
+     "entry cap of each elimination (default %(default)s)"),
+)
+
+# subcommand -> (help, handler, options), each option a (flag, type,
+# choices, default, help) row in the order --help lists them; _parse and
+# _build_parser both read it
+COMMANDS = {
+    "cohom": ("direct graded cohomology dims", _cmd_cohom,
+              (_N, _K, _PART, _MAX_DEGREE) + _OUTPUT + (
+                  ("--ell", str, None, "0..0",
+                   "single level or range a..b"),)),
+    "e1": ("first spectral page", _cmd_e1,
+           (_N, _K, _PART, _MAX_DEGREE) + _OUTPUT),
+    "pages": ("E-infinity and convergence report", _cmd_pages,
+              (_N, _K, _PART, _MAX_DEGREE) + _OUTPUT),
+    "koszul": ("regularity and quotient dims", _cmd_koszul,
+               (_N, _K, _MAX_DEGREE) + _OUTPUT + (
+                   ("--model", str, ("q", "c", "w"), "q", None),)),
+    "hilbert": ("closed-form Hilbert series", _cmd_hilbert,
+                (_N, _K, _MAX_DEGREE) + _OUTPUT + (
+                    ("--model", str, tuple(HILBERT_MODELS), "cminus",
+                     None),)),
+    "verify": ("bundled exact-check suites", _cmd_verify,
+               (_N, _K) + _OUTPUT + (
+                   ("--suite", str, tuple(SUITES) + ("all",), "all", None),
+                   ("--seed", int, None, 0, None))),
+}
+
+
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+def _parse(argv):
+    """The arguments of a command line of the form <command> (--flag
+    value)*, read from COMMANDS as argparse would read them, or None for
+    any other line: help, an unknown or abbreviated flag, --flag=value, a
+    value that starts with "-", a bad value.  argparse then reads the
+    line and writes its help or error text."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    rows = {flag: (kind, choices) for flag, kind, choices, _, _ in options}
+    args = {_dest(flag): default for flag, _, _, default, _ in options}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if flag not in rows or text.startswith("-"):
+            return None
+        kind, choices = rows[flag]
+        try:
+            value = kind(text)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        args[_dest(flag)] = value  # the last occurrence wins
+    return SimpleNamespace(command=argv[0], func=func, **args)
+
+
 def _build_parser():
+    """The argparse parser of COMMANDS, for the lines _parse leaves."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="weilcoh",
         description="Exact cohomology tables for the relative cochain "
                     "complex of so(n,1) with polynomial coefficients.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, part=False, degree=False):
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--k", type=int, default=1)
-        if part:
-            p.add_argument("--part", choices=("plus", "minus", "full"),
-                           default="full")
-        if degree:
-            p.add_argument("--max-degree", type=int, default=4)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--max-entries", type=int,
-                       default=DEFAULT_MAX_ENTRIES,
-                       help="entry cap of each elimination "
-                            "(default %(default)s)")
-
-    p = sub.add_parser("cohom", help="direct graded cohomology dims")
-    common(p, part=True, degree=True)
-    p.add_argument("--ell", default="0..0",
-                   help="single level or range a..b")
-    p.set_defaults(func=_cmd_cohom)
-
-    p = sub.add_parser("e1", help="first spectral page")
-    common(p, part=True, degree=True)
-    p.set_defaults(func=_cmd_e1)
-
-    p = sub.add_parser("pages", help="E-infinity and convergence report")
-    common(p, part=True, degree=True)
-    p.set_defaults(func=_cmd_pages)
-
-    p = sub.add_parser("koszul", help="regularity and quotient dims")
-    common(p, degree=True)
-    p.add_argument("--model", choices=("q", "c", "w"), default="q")
-    p.set_defaults(func=_cmd_koszul)
-
-    p = sub.add_parser("hilbert", help="closed-form Hilbert series")
-    common(p, degree=True)
-    p.add_argument("--model", choices=tuple(HILBERT_MODELS),
-                   default="cminus")
-    p.set_defaults(func=_cmd_hilbert)
-
-    p = sub.add_parser("verify", help="bundled exact-check suites")
-    common(p)
-    p.add_argument("--suite", choices=tuple(SUITES) + ("all",),
-                   default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify)
+    for name, (text, func, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, kind, choices, default, flag_help in options:
+            p.add_argument(flag, type=kind, choices=choices,
+                           default=default, help=flag_help)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -255,8 +291,9 @@ def _validate(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     doc = {
         "schema": "weilcoh/1",
         "command": args.command,

@@ -1,14 +1,19 @@
-"""Tests for the command-line front end: schemas, formats, exit codes
-and determinism."""
+"""Tests for the command-line front end: schemas, formats, exit codes,
+determinism, and the argument parsing (help, the console script, and the
+table-driven reading that leaves argparse out of well-formed calls)."""
 
 import json
+import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
+import make_golden
 import pytest
 from series import ci_series, sk_weights
 
-from weilcoh.cli import HILBERT_MODELS, main
+from weilcoh import cli
+from weilcoh.cli import COMMANDS, HILBERT_MODELS, main
 from weilcoh.linalg import DEFAULT_MAX_ENTRIES, MAX_ENTRIES
 from weilcoh.verify import SUITES
 
@@ -308,3 +313,112 @@ def test_calls_leave_no_module_state(capsys):
         code, _ = run_cli(capsys, *argv)
         assert code == 0
         assert _module_state() == before, argv
+
+
+def _exit_code(call, *args):
+    with pytest.raises(SystemExit) as exc:
+        call(*args)
+    return exc.value.code
+
+
+def test_help_lists_every_command(capsys):
+    assert _exit_code(main, ["--help"]) == 0
+    out = capsys.readouterr().out
+    assert tuple(COMMANDS) == ("cohom", "e1", "pages", "koszul", "hilbert",
+                               "verify")
+    for name, (text, _, _) in COMMANDS.items():
+        assert "\n    %s " % name in out and text in out, name
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_names_every_flag(capsys, command):
+    assert _exit_code(main, [command, "--help"]) == 0
+    out = capsys.readouterr().out
+    for flag, *_ in COMMANDS[command][2]:
+        assert "\n  %s " % flag in out, flag
+
+
+GOLDEN_CASES = json.loads((make_golden.GOLDEN / "cases.json").read_text())
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    # the weilcoh console script calls main() with no argv
+    case = GOLDEN_CASES["cohom-minus-n3k2"]
+    monkeypatch.setattr(sys, "argv", ["weilcoh"] + case["argv"])
+    assert main() == case["exit"] == 0
+    assert make_golden.strip_timing(capsys.readouterr().out) == \
+        (make_golden.GOLDEN / "cohom-minus-n3k2.out").read_text()
+    monkeypatch.setattr(sys, "argv", ["weilcoh", "--help"])
+    assert _exit_code(main) == 0
+    assert "{cohom,e1,pages,koszul,hilbert,verify}" in \
+        capsys.readouterr().out
+
+
+# the golden case that abbreviates a flag, which only argparse reads
+ABBREVIATED = "abbrev-flag"
+# golden argvs that emit a document and that _parse reads alone
+FAST_GOLDEN = [case["argv"] for name, case in GOLDEN_CASES.items()
+               if case["exit"] in (0, 1, 3) and name != ABBREVIATED]
+# lines _parse reads: repeated flags (the last wins), defaults only
+FAST_EXTRA = [
+    ["cohom", "--n", "3", "--n", "4", "--ell", "1", "--ell", "0..2"],
+    ["verify", "--suite", "signs", "--seed", "5", "--suite", "bases"],
+    ["koszul", "--model", "c", "--model", "w", "--max-entries", "9"],
+] + [[name] for name in COMMANDS]
+# lines _parse leaves to argparse, each of them accepted or refused there
+SLOW = [
+    GOLDEN_CASES[ABBREVIATED]["argv"],
+    ["koszul", "--mod", "c"],
+    ["cohom", "--n=3", "--k", "2"],
+    ["-h"],
+    ["e1", "-h"],
+    ["pages", "--help"],
+    ["cohom", "--n", "-3"],
+    ["cohom", "--ell", "-1"],
+    ["cohom", "--n", "3", "--k"],
+    ["cohom", "3"],
+    ["cohom", "--n", "x"],
+    ["e1", "--part", "bogus"],
+    ["hilbert", "--model", "q"],
+    ["verify", "--ell", "1"],
+    ["--n", "3", "cohom"],
+    [],
+] + [case["argv"] for case in GOLDEN_CASES.values() if case["exit"] == 2]
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None if it refuses."""
+    try:
+        return vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@pytest.mark.parametrize("argv", FAST_GOLDEN + FAST_EXTRA + SLOW,
+                         ids=" ".join)
+def test_parse_agrees_with_argparse(capsys, argv):
+    fast = cli._parse(argv)
+    assert (fast is None) == (argv in SLOW)
+    if fast is not None:
+        assert vars(fast) == _argparse_vars(argv)
+
+
+def test_well_formed_calls_never_import_argparse():
+    # every golden document of a subcommand is written without argparse,
+    # in a fresh interpreter
+    assert {argv[0] for argv in FAST_GOLDEN} == set(COMMANDS)
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from weilcoh.cli import main\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) in (0, 1, 3), argv\n"
+        "print('argparse' in sys.modules)\n"
+    )
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(src), json.dumps(FAST_GOLDEN)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -3,7 +3,9 @@ every ``__all__`` entry names something the module defines, every
 function, class and method, private or public, has a caller in the
 package (the public names of PUBLIC_WITHOUT_A_CALLER excepted, each with
 its reason), no module imports ``fractions``
-(coefficients are ints end to end), no module reads the process
+(coefficients are ints end to end), no module imports ``dataclasses``
+or, outside a function, ``argparse`` (each costs every cold CLI call its
+import), no module reads the process
 environment (the entry cap is --max-entries on the command line and
 weilcoh.linalg.entry_cap in the library), and every module parses as
 Python 3.10, the floor that pyproject.toml declares.
@@ -60,16 +62,35 @@ def _defined_names(tree):
     return out
 
 
-def imported_modules(source):
-    """Top-level names of the modules imported anywhere in source,
-    including imports inside functions; relative imports are skipped."""
+def _module_names(nodes):
+    """Top-level names of the modules the import nodes among nodes
+    import; relative imports are skipped."""
     out = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in nodes:
         if isinstance(node, ast.Import):
             out.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             out.add(node.module.split(".")[0])
     return out
+
+
+def imported_modules(source):
+    """Top-level names of the modules imported anywhere in source,
+    including imports inside functions; relative imports are skipped."""
+    return _module_names(ast.walk(ast.parse(source)))
+
+
+def import_time_modules(source):
+    """Top-level names of the modules that importing source imports:
+    those imported anywhere outside a function body."""
+    nodes, stack = [], list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            nodes.append(node)
+            stack.extend(ast.iter_child_nodes(node))
+    return _module_names(nodes)
 
 
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
@@ -183,6 +204,14 @@ def test_no_dataclasses_import(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_argparse_import_at_module_level(path):
+    # argparse and the gettext and locale lookups of its parser cost a
+    # cold CLI call more than a small table; weilcoh.cli imports it inside
+    # the function that builds the parser for help and usage errors
+    assert "argparse" not in import_time_modules(path.read_text())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_environment_reads(path):
     assert environment_reads(path.read_text()) == []
 
@@ -210,6 +239,13 @@ def test_checks_flag_what_they_guard():
     assert "fractions" in imported_modules(
         "def f():\n    from fractions import Fraction\n")
     assert "fractions" in imported_modules("import fractions as fr\n")
+    assert import_time_modules(src) == imported_modules(src)
+    assert import_time_modules(
+        "def parser():\n    import argparse\n") == set()
+    assert import_time_modules(
+        "try:\n    import argparse\nexcept ImportError:\n    pass\n"
+        "class C:\n    from argparse import Namespace\n"
+        "    def f(self):\n        import json\n") == {"argparse"}
     assert environment_reads(src) == []
     ast.parse(src, feature_version=PYTHON_FLOOR)
     with pytest.raises(SyntaxError, match="3.11"):
