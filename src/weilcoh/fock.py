@@ -150,8 +150,6 @@ __all__ = [
     "sk_model_table",
     "sk_model_d2_row",
     "cochain_weight",
-    "is_dominant",
-    "orbit_size",
     "weight_blocks",
     "dominant_rows",
     "direct_cohomology_dims",
@@ -296,9 +294,9 @@ def outer_product(a, b):
 
 
 def phi1(ring, slot=1):
-    """phi_1 in slot j: sum_alpha omega_alpha (x) z(alpha, j)."""
-    return Cochain(ring, 1,
-                   {1 << (a - 1): ring.z_var(a, slot) for a in range(1, ring.n + 1)})
+    """phi_1 in slot j: sum_alpha omega_alpha (x) z(alpha, j), the
+    Phi_J of J = (j,)."""
+    return Phi_J(ring, (slot,))
 
 
 def Phi_J(ring, J):
@@ -328,21 +326,23 @@ def star_Phi_J(ring, J):
 def involution(c, which):
     """iota flips e_1: omega_1 and the variables z(1,i) change sign.
     iota_prime flips e_{n+1}: every omega_alpha and the variables w(i)
-    change sign, so an ell-form picks up (-1)^ell."""
+    change sign, so an ell-form picks up (-1)^ell.  A row term's sign is
+    the parity of its flipped degrees plus the form bit of omega_1 (iota)
+    or ell (iota_prime); the terms are merged by Cochain.from_terms."""
     ring = c.ring
+    cols = range(1, ring.k + 1)
     if which == "iota":
-        zvars = [ring.z(1, i) for i in range(1, ring.k + 1)]
-        parts = {}
-        for bits, p in c.parts.items():
-            s = -1 if bits & 1 else 1
-            parts[bits] = p.sign_flip(zvars).scale(s)
-        return Cochain(ring, c.ell, parts)
-    if which == "iota_prime":
-        wvars = [ring.w(i) for i in range(1, ring.k + 1)]
-        s = (-1) ** c.ell
-        return Cochain(ring, c.ell,
-                       {b: p.sign_flip(wvars).scale(s) for b, p in c.parts.items()})
-    raise ValueError("unknown involution %r" % which)
+        flipped = [ring.z(1, i) for i in cols]
+    elif which == "iota_prime":
+        flipped = [ring.w(i) for i in cols]
+    else:
+        raise ValueError("unknown involution %r" % which)
+    terms = []
+    for (bits, e), v in c.to_row().items():
+        odd = (bits & 1 if which == "iota" else c.ell) + \
+            sum(e[i] for i in flipped)
+        terms.append(((bits, e), -v if odd % 2 else v))
+    return Cochain.from_terms(ring, c.ell, terms)
 
 
 def son_act_cochain(a, b, c):
@@ -587,8 +587,7 @@ def sk_model_table(sk, max_degree):
     The pairs of the plus part at level |J| and of the minus part at
     level n - |J| are the same, so one entry serves both.  Each degree
     is enumerated once, each monomial's weight computed once and each
-    orbit size once per weight."""
-    sizes = {}  # weight -> orbit size
+    orbit size once per block."""
     table = {}
     for s in range(max_degree + 1):
         monomials = [(expo, sk.weight(expo))
@@ -597,10 +596,7 @@ def sk_model_table(sk, max_degree):
             blocks = {}
             for mu, J, expo in _sized_pairs(sk.k, jsize, monomials, True):
                 blocks.setdefault(mu, []).append((J, expo))
-            for mu in blocks:
-                if mu not in sizes:
-                    sizes[mu] = orbit_size(mu)
-            table[jsize, s] = [(sizes[mu], pairs)
+            table[jsize, s] = [(orbit_size(mu), pairs)
                                for mu, pairs in blocks.items()]
     return table
 
@@ -643,15 +639,14 @@ def sk_model_d2_row(sk, part, J, expo):
 # rows of the dominant families
 
 
-def dominant_rows(ring, part, ell, degrees, images):
+def dominant_rows(ring, part, ell, degrees):
     """{weight: {degree: iterator of (row, full-d image row)}} of the
     dominant invariant family at level ell, in family order: the rows
     that the direct route and the spectral pages eliminate.  Each pair is
-    computed as it is read; with images set its row slot is None and no
-    row is built."""
+    computed as it is read."""
     def read(vecs):
         for v in vecs:
-            yield None if images else v.to_row(), diff(v, "full").to_row()
+            yield v.to_row(), diff(v, "full").to_row()
 
     return {mu: {d: read(vecs) for d, vecs in block.items()}
             for mu, block in weight_blocks(invariant_family(
@@ -678,11 +673,9 @@ def _block_filtration(coc, dom, D):
     for t in range(D + 1):
         for row, img in coc.get(t, ()):
             ev.add_row(row)
-            if img:
-                edv.add_row(img)
+            edv.add_row(img)
         for _, img in dom.get(t - 2, ()):
-            if img:
-                eb.add_row(img)
+            eb.add_row(img)
         F.append(ev.rank - edv.rank - eb.rank)
     return F
 
@@ -709,17 +702,16 @@ def direct_cohomology_dims(ring, part, ell, max_degree, store=None):
     spectral.SpectralComputer of the same ring and part through degree
     max_degree at least, and its blocks[ell] and blocks[ell - 1] are read
     as they stand, so a pages call builds each family once.  Without a
-    store dominant_rows streams them: each row is computed as it is read
-    and then dropped, the domain level yields its image rows only, and
-    one weight block's rows are alive at a time.
+    store dominant_rows streams them: each pair is computed as it is read
+    and then dropped, only the image rows of the domain level are
+    eliminated, and one weight block's rows are alive at a time.
     """
     D = max_degree
     if store is not None:
         coc, dom = store.blocks[ell], store.blocks.get(ell - 1, {})
     else:
-        coc = dominant_rows(ring, part, ell, range(D + 1), False)
-        dom = dominant_rows(ring, part, ell - 1, range(D - 1), True) \
-            if ell >= 1 else {}
+        coc = dominant_rows(ring, part, ell, range(D + 1))
+        dom = dominant_rows(ring, part, ell - 1, range(D - 1))
     F = [0] * (D + 1)
     for mu, block in coc.items():
         mult = orbit_size(mu)

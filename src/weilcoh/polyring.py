@@ -289,15 +289,6 @@ class Polynomial:
         degs = {self.ring.monomial_degree(e) for e in self.terms}
         return len(degs) <= 1
 
-    def sign_flip(self, vidxs):
-        """Substitute x |-> -x for each variable index in vidxs (cheap)."""
-        vidxs = set(vidxs)
-        terms = {}
-        for e, c in self.terms.items():
-            s = sum(e[i] for i in vidxs)
-            terms[e] = -c if s % 2 else c
-        return Polynomial(self.ring, terms)
-
     def __repr__(self):
         if not self.terms:
             return "0"

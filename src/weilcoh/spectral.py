@@ -114,7 +114,7 @@ class SpectralComputer:
         for ell in range(ring.n + 1):
             level = self.blocks[ell] = {}
             for d in range(max_degree + 1):
-                cell = dominant_rows(ring, part, ell, (d,), False)
+                cell = dominant_rows(ring, part, ell, (d,))
                 for mu, block in cell.items():
                     pairs = level.setdefault(mu, {})[d] = list(block[d])
                     stored += sum(len(row) + len(img) for row, img in pairs)
@@ -124,9 +124,7 @@ class SpectralComputer:
     def _pairs_upto(self, ell, mu, t):
         """(row, image-row) pairs of the weight-mu family at level ell,
         degree <= t."""
-        if ell < 0 or ell > self.ring.n:
-            return []
-        block = self.blocks[ell].get(mu, {})
+        block = self.blocks.get(ell, {}).get(mu, {})
         out = []
         for d in range(min(t, self.D) + 1):
             out.extend(block.get(d, ()))
@@ -151,11 +149,9 @@ class SpectralComputer:
     def b_rows(self, ell, mu, t, dom_bound):
         """Basis rows of d(weight-mu family at ell-1, deg <= dom_bound)
         cap {deg <= t}."""
-        if ell < 1:
-            return []
-        imgs = [img for _, img in self._pairs_upto(ell - 1, mu, dom_bound)
-                if img]
-        return span_intersect_window(imgs, lambda k: _row_degree(k) <= t)
+        return span_intersect_window(
+            [img for _, img in self._pairs_upto(ell - 1, mu, dom_bound)],
+            lambda k: _row_degree(k) <= t)
 
     def cell_dim(self, ell, t, r):
         """dim E_r of the cell (ell, t) by the Z/B formula, summed over the

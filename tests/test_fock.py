@@ -22,8 +22,6 @@ from weilcoh.fock import (
     invariant_dims,
     invariant_family,
     involution,
-    is_dominant,
-    orbit_size,
     outer_product,
     phi1,
     pm_basis_vectors,
@@ -43,8 +41,10 @@ from weilcoh.polyring import (
     FockRing,
     Polynomial,
     SkRing,
+    is_dominant,
     minor,
     monomials_of_degree,
+    orbit_size,
     q_gen,
     r_gen,
     sk_evaluate,
@@ -550,10 +550,9 @@ def test_direct_cohomology_31():
     assert [rep[t] for t in range(5)] == [1, 1, 2, 1, 2]
 
 
-def test_cohom_builds_no_domain_row(monkeypatch):
-    # without a store the domain level is read for its images only, and
-    # through degree D - 2: each cocycle-level cochain gives its row and
-    # its image row, each domain cochain its image row alone
+def test_cohom_reads_the_domain_through_D_minus_2(monkeypatch):
+    # without a store the domain level is read through degree D - 2 only:
+    # each cochain of either level gives its row and its image row
     R, ell, D = FockRing(3, 2), 3, 3
     coc = invariant_family(R, "minus", ell, range(D + 1), dominant=True)
     dom = invariant_family(R, "minus", ell - 1, range(D - 1), dominant=True)
@@ -566,9 +565,9 @@ def test_cohom_builds_no_domain_row(monkeypatch):
 
     monkeypatch.setattr(Cochain, "to_row", recorded)
     direct_cohomology_dims(R, "minus", ell, D)
-    assert ell - 1 not in levels
-    assert len(levels) == 2 * sum(map(len, coc.values())) + \
-        sum(map(len, dom.values()))
+    ncoc, ndom = sum(map(len, coc.values())), sum(map(len, dom.values()))
+    assert ndom and levels.count(ell - 1) == ndom
+    assert len(levels) == 2 * ncoc + 2 * ndom
 
 
 def _all_int(polys):
@@ -801,36 +800,18 @@ def ordered(blocks):
 
 @pytest.mark.parametrize("n,k,part", [(2, 2, "full"), (3, 2, "minus"),
                                       (2, 3, "plus"), (1, 2, "full")])
-def test_dominant_rows_are_the_pages_store(n, k, part, monkeypatch):
+def test_dominant_rows_are_the_pages_store(n, k, part):
     # the one builder: the pages store, filled one cell at a time, is the
     # window read at once, with the same weights, pairs and order; both
-    # are the dominant blocks of the whole family in family order, and
-    # the images-only stream gives the same image rows and builds no row
+    # are the dominant blocks of the whole family in family order
     R, D = FockRing(n, k), 3
     comp = SpectralComputer(R, part, D)
     for ell in range(n + 1):
-        rows = ordered(dominant_rows(R, part, ell, range(D + 1), False))
+        rows = ordered(dominant_rows(R, part, ell, range(D + 1)))
         assert ordered(comp.blocks[ell]) == rows, ell
         blocks = row_pair_blocks(invariant_family(R, part, ell, range(D + 1)))
         assert rows == ordered({mu: block for mu, block in blocks.items()
                                 if is_dominant(mu)}), ell
-        built = []
-        to_row = Cochain.to_row
-
-        def recorded(c):
-            built.append(c.ell)
-            return to_row(c)
-
-        monkeypatch.setattr(Cochain, "to_row", recorded)
-        images = ordered(dominant_rows(R, part, ell, range(D + 1), True))
-        monkeypatch.setattr(Cochain, "to_row", to_row)
-        assert images == [(mu, [(d, [(None, img) for _, img in pairs])
-                                for d, pairs in block])
-                          for mu, block in rows], ell
-        # one to_row per image (level ell + 1), none for a row
-        assert set(built) <= {ell + 1}, ell
-        assert len(built) == sum(len(pairs) for _, block in rows
-                                 for _, pairs in block), ell
 
 
 def test_orbit_size():
@@ -1110,6 +1091,28 @@ def old_son_act_cochain(a, b, c):
                                  for nb, items in acc.items()})
 
 
+def old_involution(c, which):
+    """iota and iota_prime part by part: each polynomial with x |-> -x
+    substituted for the flipped variables, times the sign of its form."""
+    ring = c.ring
+
+    def sign_flip(p, vidxs):
+        return Polynomial(ring, {e: -v if sum(e[i] for i in vidxs) % 2
+                                 else v for e, v in p.terms.items()})
+
+    if which == "iota":
+        zvars = [ring.z(1, i) for i in range(1, ring.k + 1)]
+        return Cochain(ring, c.ell, {
+            bits: sign_flip(p, zvars).scale(-1 if bits & 1 else 1)
+            for bits, p in c.parts.items()})
+    if which == "iota_prime":
+        wvars = [ring.w(i) for i in range(1, ring.k + 1)]
+        s = (-1) ** c.ell
+        return Cochain(ring, c.ell, {b: sign_flip(p, wvars).scale(s)
+                                     for b, p in c.parts.items()})
+    raise ValueError("unknown involution %r" % which)
+
+
 def old_random_cochain(ring, rng, ell):
     """Three random terms, each a monomial of degree <= 3."""
     c = Cochain(ring, ell)
@@ -1169,6 +1172,19 @@ def test_son_act_cochain_matches_the_previous_merge(n, k):
             assert got == want, (c, a, b)
             assert list(got.to_row().items()) == \
                 list(want.to_row().items()), (c, a, b)
+
+
+@pytest.mark.parametrize("n,k", MERGE_SHAPES)
+def test_involution_matches_the_previous_sign_flip(n, k):
+    R = FockRing(n, k)
+    for c in merge_inputs(R, random.Random(400 * n + k)):
+        for which in ("iota", "iota_prime"):
+            got, want = involution(c, which), old_involution(c, which)
+            assert got == want, (c, which)
+            assert list(got.to_row().items()) == \
+                list(want.to_row().items()), (c, which)
+        with pytest.raises(ValueError, match="unknown involution"):
+            involution(c, "iota_second")
 
 
 @pytest.mark.parametrize("n,k", MERGE_SHAPES)
