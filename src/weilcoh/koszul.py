@@ -53,13 +53,43 @@ window, pack(e) is e in base 2^B, variable 0 the most significant digit.
 Every exponent of a row of degree t <= window is at most t < 2^B, so
 pack is injective, orders the labels as the tuples (lex), and is
 additive with no carry, pack(e) + pack(m) = pack(e + m).  The row m f
-is then f's packed terms each plus pack(m), and the Eliminator, whose
+is then f's packed terms each plus pack(m), and a packed monomial is
+the sum of its packed class parts, so no exponent tuple of a row is
+made.  Under this order-preserving relabelling the Eliminator, whose
 pivot is the least label of a row, gets the same rows in the same order
-under an order-preserving relabelling: it does the same elimination step
-for step, with the same ranks, stored entries and cap aborts.
+but for the ones the signature criterion skips, each a row that reduced
+to zero and stored nothing: it does the same elimination step for step,
+with the same ranks and stored entries.  A cap abort can only come
+later, since a skipped row makes no transient rows.
+
+Signature criterion (J.-C. Faugere, F5, ISSAC 2002).  Each degree s
+keeps {pivot label: a}, a the prefix at which the pivot was made, while
+a later degree s + deg f reads it.  The row
+m f_a of degree t, s = t - deg f_a, is skipped when pack(m) is a degree-s
+pivot made at a prefix below a.  That pivot row is some g in (I_{a-1})_s
+with g = c m + (terms of larger labels), so
+
+    c m f_a = g f_a - (g - c m) f_a.
+
+g f_a is a sum of rows m' f_b, b < a, of degree t in the block
+wt(m) + wt(f_a) (dominant when wt(m) is, as wt(f_a) has equal
+entries): all of them came before m f_a, or were skipped by this same
+argument.  (g - c m) f_a is a sum of rows m' f_a with m' > m in m's
+block, and the blocks list their monomials in descending label order,
+so those came before it too.  Hence m f_a lies in the span of the rows
+before it and reduces to zero: the skip changes no pivot, stored entry
+or rank, whether or not the sequence is regular.  On a regular sequence
+no row that is added reduces to zero: in each block the rows m f_a kept
+at degree t are as many as the degree-s monomials that are no pivot of
+(I_{a-1})_s, that is dim (R / I_{a-1})_s in the block below, and as f_a
+is injective on R / I_{a-1} that is the rank they add.  The q's with
+n > k are not regular and keep some reductions to zero.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from itertools import islice
 
 from .linalg import Eliminator
 from .polyring import FockRing, SkRing, dominant_monomials, \
@@ -171,31 +201,44 @@ def ideal_quotient_dims(spec, window):
     {t: dim (R / (f_1, ..., f_a))_t} for t <= window, so the last entry
     holds the quotient dims of the whole sequence.  One elimination per
     degree, of the dominant rows only when the symmetry lemma applies;
-    each row m f is f's packed terms shifted by the packed m."""
+    each row m f is f's packed terms shifted by the packed m, and a row
+    that the signature criterion proves dependent is not added."""
     ring = spec.ring
     blocks = dominant_monomials if all(map(_symmetric, spec.sequence)) \
         else _one_block
     bits = _label_bits(window)
-    packed = [{_pack(e, bits): c for e, c in f.terms.items()}
+    pack = partial(_pack, bits=bits)
+    packed = [{pack(e): c for e, c in f.terms.items()}
               for f in spec.sequence]
     # H_0(t) = dim R_t, the coefficients of 1 / prod(1 - t^w_v)
     hilb = [dict(enumerate(ci_hilbert(ring.weights, (), window)))]
     hilb += [{} for _ in spec.sequence]
+    signatures = {}  # degree -> {pivot label: prefix it was made at}
+    low, top = min(spec.degrees, default=0), max(spec.degrees, default=0)
     for t, dim_rt in hilb[0].items():
         e = Eliminator()
         rank = 0
+        made = {}
         by_degree = {}  # degree -> [(orbit size, [packed monomial])]
         for a, (f, pf) in enumerate(zip(spec.sequence, packed), start=1):
             s = t - f.degree()
             if s not in by_degree:
-                by_degree[s] = [
-                    (orbit_size(mu), [_pack(m, bits) for m in mons])
-                    for mu, mons in blocks(ring, s).items()]
-            for mult, mons in by_degree[s]:
-                for x in mons:
+                by_degree[s] = [(orbit_size(mu), labels) for mu, labels
+                                in blocks(ring, s, pack=pack).items()]
+            earlier = signatures.get(s, {})
+            for mult, labels in by_degree[s]:
+                for x in labels:
+                    if earlier.get(x, a) < a:
+                        continue  # m f_a reduces to zero: see the docstring
                     if e.add_row({y + x: c for y, c in pf.items()}):
                         rank += mult
+            # the pivots are stored in the order they were made
+            made.update(dict.fromkeys(islice(e.pivots, len(made), None), a))
             hilb[a][t] = dim_rt - rank
+        # keep the degrees that a later degree reads, t - deg f for some f
+        signatures.pop(t - top, None)
+        if t + low <= window:
+            signatures[t] = made
     return hilb
 
 
@@ -207,10 +250,10 @@ def _symmetric(f):
         == f.terms for swap in ring.column_swaps)
 
 
-def _one_block(ring, d):
-    """The degree-d monomials as one block of the trivial grading,
+def _one_block(ring, d, pack):
+    """The packed degree-d monomials as one block of the trivial grading,
     counted once."""
-    return {(): monomials_of_degree(ring, d)}
+    return {(): list(map(pack, monomials_of_degree(ring, d)))}
 
 
 def _label_bits(window):

@@ -316,12 +316,13 @@ def monomials_of_degree(ring, d, varset=None):
     return out
 
 
-def dominant_monomials(ring, d, varset=None):
+def dominant_monomials(ring, d, varset=None, pack=None):
     """{mu: [monomial]} of the degree-d monomials supported on varset
     (default: every variable) of dominant weight mu: the blocks of
     monomials_of_degree(ring, d, varset) whose weight is dominant, each
     in its order there, the weights in the order of their first monomial
-    there.
+    there.  With pack, a map from exponent tuples to ints that preserves
+    their order and is additive, each monomial m comes as pack(m).
 
     The variables fall into classes of equal degree and weight (on the
     Fock ring the n z's of one column, and each w_j).  Ring.weight is
@@ -331,7 +332,10 @@ def dominant_monomials(ring, d, varset=None):
     first variables and the vectors in descending lex order; the largest
     monomial of a vector puts each class degree on the class's first
     variable, so the vectors, and with them the weights, come in the
-    order of their largest monomials.
+    order of their largest monomials.  A vector's monomials are the sums
+    of one monomial of each class part, the monomials of the class's
+    degree on its variables; each part is made, and packed, once per
+    call, and a packed monomial is the int sum of its packed parts.
     """
     if d < 0:
         return {}
@@ -344,6 +348,7 @@ def dominant_monomials(ring, d, varset=None):
     vectors = []  # class degrees, as the exponents of one variable a class
     _extend_monomials([deg for deg, _ in keys], range(len(keys)), 0, d,
                       [0] * len(keys), vectors)
+    made = {}  # (class, class degree) -> its part
     out = {}
     for vec in vectors:
         rep = [0] * nvars  # a monomial with these class degrees
@@ -352,10 +357,19 @@ def dominant_monomials(ring, d, varset=None):
         mu = ring.weight(tuple(rep))
         if not is_dominant(mu):
             continue
-        parts = [monomials_of_degree(ring, c * key[0], classes[key])
-                 for key, c in zip(keys, vec)]
-        out.setdefault(mu, []).extend(tuple(map(sum, zip(*combo)))
-                                      for combo in itertools.product(*parts))
+        parts = []
+        for key, c in zip(keys, vec):
+            part = made.get((key, c))
+            if part is None:
+                part = monomials_of_degree(ring, c * key[0], classes[key])
+                if pack is not None:
+                    part = list(map(pack, part))
+                made[key, c] = part
+            parts.append(part)
+        combos = itertools.product(*parts)
+        out.setdefault(mu, []).extend(
+            map(sum, combos) if pack is not None
+            else (tuple(map(sum, zip(*combo))) for combo in combos))
     for mons in out.values():
         mons.sort(reverse=True)
     return out

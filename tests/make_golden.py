@@ -81,6 +81,8 @@ CASES = {
                           "--max-entries 60"),
     "e1-fock-capped": _args("e1 --n 2 --k 3 --max-degree 4 "
                             "--max-entries 30"),
+    "koszul-capped": _args("koszul --model q --n 3 --k 3 --max-degree 7 "
+                           "--max-entries 3000"),
     "verify-bases-capped": _args("verify --suite bases --n 3 --k 2 "
                                  "--max-entries 200"),
     # the suites that finished before the cap keep their verdicts

@@ -10,6 +10,7 @@ koszul_cohomology_dims insists on that.
 """
 
 import itertools
+from functools import partial
 from math import comb
 from operator import add
 
@@ -34,6 +35,7 @@ from weilcoh.polyring import (
     Polynomial,
     Ring,
     SkRing,
+    dominant_monomials,
     ideal_piece,
     is_dominant,
     minor,
@@ -501,13 +503,13 @@ SYMMETRY_CASES = [
 
 
 def counting_rows(monkeypatch):
-    """Patch koszul's Eliminator to count its add_row calls."""
+    """Patch koszul's Eliminator to log the result of each add_row."""
     rows = []
 
     class CountingEliminator(Eliminator):
         def add_row(self, row):
-            rows.append(1)
-            return super().add_row(row)
+            rows.append(super().add_row(row))
+            return rows[-1]
 
     monkeypatch.setattr(koszul, "Eliminator", CountingEliminator)
     return rows
@@ -529,25 +531,86 @@ def dominant_row_count(spec, window):
                    for m in monomials_of_degree(ring, t - f.degree())))
 
 
+def prefix_ranks(spec, window, symmetric):
+    """{(s, a): dim of the span of the rows m * f_b of degree s, b <= a},
+    of the dominant rows only when symmetric (every f_b of weight 0),
+    each row built as a product."""
+    ring = spec.ring
+    ranks = {}
+    for s in range(window + 1):
+        e = Eliminator()
+        ranks[s, 0] = 0
+        for a, f in enumerate(spec.sequence, start=1):
+            for m in monomials_of_degree(ring, s - f.degree()):
+                if not symmetric or is_dominant(monomial_weight(ring, m)):
+                    e.add_row((Polynomial(ring, {m: 1}) * f).terms)
+            ranks[s, a] = e.rank
+    return ranks
+
+
+def signature_skip_count(spec, window, symmetric):
+    """The rows the signature criterion skips: at degree t and prefix a,
+    one for each pivot of degree s = t - deg f_a made before prefix a,
+    so the rank of the degree-s rows of f_1, ..., f_{a-1}."""
+    ranks = prefix_ranks(spec, window, symmetric)
+    return sum(ranks[t - f.degree(), a - 1]
+               for t in range(window + 1)
+               for a, f in enumerate(spec.sequence, start=1)
+               if t >= f.degree())
+
+
 @pytest.mark.parametrize("build,window,symmetric",
                          [case[1:] for case in SYMMETRY_CASES],
                          ids=[case[0] for case in SYMMETRY_CASES])
 def test_symmetric_table_matches_the_plain_route(build, window, symmetric,
                                                  monkeypatch):
     # the dominant blocks weighted by orbit size give the plain table
-    # entry by entry; where the lemma does not apply every row is kept
+    # entry by entry; where the lemma does not apply every row is a
+    # candidate.  The rows added and the rows the signature criterion
+    # skips make up the candidates exactly
     seq = build()
     spec = KoszulSpec(seq[0].ring, seq)
     want = plain_ideal_quotient_dims(spec, window)
+    skipped = signature_skip_count(spec, window, symmetric)
     rows = counting_rows(monkeypatch)
     assert ideal_quotient_dims(spec, window) == want
     plain = plain_row_count(spec, window)
     if symmetric:
         # one weight in each S_k-orbit: fewer rows as soon as k > 1
-        assert len(rows) == dominant_row_count(spec, window)
+        assert len(rows) + skipped == dominant_row_count(spec, window)
         assert len(rows) < plain or spec.ring.k == 1
     else:
-        assert len(rows) == plain
+        assert len(rows) + skipped == plain
+
+
+# (name, sequence builder, window): regular through the window
+REGULAR_SEQUENCES = [
+    ("q22", lambda: _q_seq(2, 2), 6),
+    ("q33", lambda: _q_seq(3, 3), 6),
+    ("q23", lambda: _q_seq(2, 3), 5),
+    ("q44", lambda: _q_seq(4, 4), 4),
+    ("c2", lambda: _c_seq(2), 7),
+    ("c3", lambda: _c_seq(3), 6),
+    ("c4", lambda: _c_seq(4), 6),
+    ("w3", lambda: _what_seq(3), 6),
+]
+
+
+@pytest.mark.parametrize("build,window",
+                         [case[1:] for case in REGULAR_SEQUENCES],
+                         ids=[case[0] for case in REGULAR_SEQUENCES])
+def test_no_kept_row_reduces_to_zero_on_a_regular_sequence(build, window,
+                                                           monkeypatch):
+    # on a regular sequence every reduction to zero comes from a Koszul
+    # syzygy, whose leading row the signature criterion skips: every row
+    # added raises the rank, and the quotient is the complete intersection
+    seq = build()
+    spec = KoszulSpec(seq[0].ring, seq)
+    rows = counting_rows(monkeypatch)
+    hilb = ideal_quotient_dims(spec, window)
+    assert rows and all(rows)
+    assert [hilb[-1][t] for t in range(window + 1)] == ci_series(
+        spec.ring.weights, spec.degrees, window)
 
 
 def test_prefix_table_builds_no_product(monkeypatch):
@@ -628,8 +691,9 @@ def _monomials_by_weight(ring, d, weight):
 
 
 def recording_eliminations(monkeypatch):
-    """Patch Eliminator to log, for each elimination, the result of every
-    add_row and the stored entries after it."""
+    """Patch Eliminator to log, for each elimination, every add_row: the
+    row's terms in label order, its result and the stored entries after
+    it."""
     log = []
     init, add_row = Eliminator.__init__, Eliminator.add_row
 
@@ -639,7 +703,7 @@ def recording_eliminations(monkeypatch):
 
     def recording_add_row(self, row):
         raised = add_row(self, row)
-        log[-1].append((raised, self._entries))
+        log[-1].append((sorted(row.items()), raised, self._entries))
         return raised
 
     monkeypatch.setattr(Eliminator, "__init__", recording_init)
@@ -647,24 +711,65 @@ def recording_eliminations(monkeypatch):
     return log
 
 
+def skipped_entries(old, new):
+    """(entry, stored entries before it) for each entry of the old log of
+    one elimination that the new log leaves out, where new must be old
+    with some entries removed."""
+    rest = iter(new)
+    want = next(rest, None)
+    skipped = []
+    before = 0
+    for entry in old:
+        if entry == want:
+            want = next(rest, None)
+        else:
+            skipped.append((entry, before))
+        before = entry[2]
+    assert want is None, "the new log is not a part of the old one"
+    return skipped
+
+
 @pytest.mark.parametrize("build,window", [
     (lambda: _q_seq(3, 3), 6), (lambda: _q_seq(4, 2), 5),
-    (lambda: _c_seq(3), 5),
+    (lambda: _c_seq(3), 6),
 ], ids=["q33", "q42", "c3"])
 def test_packed_labels_give_the_same_elimination(build, window,
                                                  monkeypatch):
     # packed labels relabel the columns in order, so the Eliminator takes
-    # the same steps as on exponent tuples: the same add_row results and
-    # stored entries, row by row and degree by degree
+    # the same steps as on exponent tuples, row by row and degree by
+    # degree, but for the rows the signature criterion skips: each of
+    # those reduced to zero on the old route and stored nothing
     seq = build()
     spec = KoszulSpec(seq[0].ring, seq)
+    bits = koszul._label_bits(window)
     log = recording_eliminations(monkeypatch)
     want = tuple_key_ideal_quotient_dims(spec, window)
-    tuple_log = list(log)
+    tuple_log = [[([(koszul._pack(e, bits), c) for e, c in row], raised,
+                   entries) for row, raised, entries in rows]
+                 for rows in log]
     log.clear()
     assert ideal_quotient_dims(spec, window) == want
-    assert log == tuple_log
-    assert len(log) == window + 1 and any(raised for raised, _ in log[-1])
+    assert len(log) == len(tuple_log) == window + 1
+    skips = 0
+    for old, new in zip(tuple_log, log):
+        for (_, raised, entries), before in skipped_entries(old, new):
+            assert (raised, entries) == (False, before)
+            skips += 1
+    assert skips and any(raised for _, raised, _ in log[-1])
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 3), (4, 2)])
+def test_packed_dominant_monomials_are_the_packed_tuples(n, k):
+    # packing each class part once and summing the ints gives the packed
+    # tuples, block by block and in the same order
+    ring = FockRing(n, k)
+    bits = koszul._label_bits(6)
+    for d in range(-1, 7):
+        got = dominant_monomials(ring, d,
+                                 pack=partial(koszul._pack, bits=bits))
+        assert list(got.items()) == [
+            (mu, [koszul._pack(m, bits) for m in mons])
+            for mu, mons in dominant_monomials(ring, d).items()]
 
 
 @pytest.mark.parametrize("n,k,window", [(2, 2, 4), (3, 3, 3)])
