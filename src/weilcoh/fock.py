@@ -24,9 +24,8 @@ for k > n the relations among inner products and determinants make them
 dependent, which the consumers, all rank-based, do not mind.  So the
 families are the S_k model pairs (J, m) evaluated in the Fock ring, as
 m . Phi_J or m . *Phi_J (*Phi_J the Hodge star of Phi_J), and they come
-from one enumeration, sk_model_pairs: pm_basis_vectors evaluates its
-pairs, and the model's table (sk_model_table) groups the same pairs,
-made by the same loop, by weight.
+from one enumeration, sk_model_pairs, whose pairs pm_basis_vectors
+evaluates.
 
 Invariant dimensions come from an independent route, the joint kernel
 of the so(n) generators X_{i,i+1}, and serve as the oracle of the
@@ -91,16 +90,19 @@ every (n, k) and part:
     it exact (SO(n) is reductive), and iota splits each part off as a
     summand.  So E_1 sits on level n, which is never a domain.
   - k < n: E_1 of the +1 part is the Koszul homology over S_k of the
-    variables what_1..what_k, and of the -1 part that of c_1..c_k (the
-    d2 rows of sk_model_d2_row on the basis of sk_model_table), whose
-    leading terms under lex with rhat_11 > ... > rhat_kk first are
-    rhat_jj what_j, pairwise coprime.  So E_1 sits on level k (+1 part)
-    and level n (-1 part); level k of the +1 part is no domain either,
-    because C_+^{k+1} = 0.  The full complex is the direct sum of its
-    two parts (iota splits it), so there the lemma holds part by part.
+    variables what_1..what_k, and of the -1 part that of c_1..c_k (d2 on
+    the basis of the m . Phi_J and m . *Phi_J, in the closed form of the
+    spectral docstring), whose leading terms under lex with rhat_11 >
+    ... > rhat_kk first are rhat_jj what_j, pairwise coprime.  So E_1
+    sits on level k (+1 part) and level n (-1 part); level k of the +1
+    part is no domain either, because C_+^{k+1} = 0.  The full complex
+    is the direct sum of its two parts (iota splits it), so there the
+    lemma holds part by part.
 The tests check the leading terms on the polynomials themselves, and
-E_1 = 0 at every domain level with e1_dims, and for k < n also on the
-evaluated families and their diff.
+E_1 = 0 at every domain level: with e1_dims for k >= n, and for k < n,
+where e1_dims reads only the ends of the two Koszul complexes, with the
+model oracle of the tests (the d2 rows of each cell on the model basis)
+and on the Fock route (the evaluated families and their diff).
 """
 
 from __future__ import annotations
@@ -147,8 +149,6 @@ __all__ = [
     "pm_basis_vectors",
     "invariant_family",
     "sk_model_pairs",
-    "sk_model_table",
-    "sk_model_d2_row",
     "cochain_weight",
     "weight_blocks",
     "dominant_rows",
@@ -300,7 +300,9 @@ def phi1(ring, slot=1):
 
 
 def Phi_J(ring, J):
-    """sum over I of omega_I (x) f_{I,J}; zero when |J| > n."""
+    """sum over I of omega_I (x) f_{I,J}, I the |J|-subsets of {1..n}.
+    Raises ValueError when |J| > k ("|J| exceeds k") and when |J| > n
+    ("|J| exceeds n"), where the sum over I would be empty."""
     J = tuple(J)
     l = len(J)
     if l > ring.k:
@@ -503,25 +505,17 @@ def sk_model_pairs(sk, n, part, ell, d, dominant):
     m . Phi_J (plus, |J| = ell) or m . *Phi_J (minus, |J| = n - ell), with
     deg m = d - |J| and weight weight(m) + e_J; only the dominant weights
     if dominant is set.  m runs in monomial order and, for each m, J in
-    combination order.  The one enumeration of the families: the Fock
-    builder evaluates these pairs, and sk_model_table groups the same
-    pairs of every cell of a window, made by the same loop."""
+    combination order.  The one enumeration of the families, which the
+    Fock builder evaluates."""
     if part not in ("plus", "minus"):
         raise ValueError("part must be plus or minus")
     jsize = ell if part == "plus" else n - ell
     if ell < 0 or ell > n or not 0 <= jsize <= sk.k or d < jsize:
         return
-    yield from _sized_pairs(sk.k, jsize, (
-        (expo, sk.weight(expo)) for expo in monomials_of_degree(sk, d - jsize)
-    ), dominant)
-
-
-def _sized_pairs(k, jsize, monomials, dominant):
-    """The triples (weight, J, m) of sk_model_pairs with |J| = jsize,
-    monomials the pairs (m, weight(m)) in monomial order."""
-    Js = [(J, [int(j in J) for j in range(1, k + 1)])
-          for J in itertools.combinations(range(1, k + 1), jsize)]
-    for expo, mw in monomials:
+    Js = [(J, [int(j in J) for j in range(1, sk.k + 1)])
+          for J in itertools.combinations(range(1, sk.k + 1), jsize)]
+    for expo in monomials_of_degree(sk, d - jsize):
+        mw = sk.weight(expo)
         for J, eJ in Js:
             mu = tuple(map(add, mw, eJ))
             if not dominant or is_dominant(mu):
@@ -571,68 +565,6 @@ def invariant_family(ring, part, ell, degrees, dominant=False):
     return {d: [v for p in parts
                 for v in pm_basis_vectors(ring, p, ell, d, dominant)]
             for d in degrees}
-
-
-# ---------------------------------------------------------------------------
-# the S_k model of the invariant cochains, for k < n
-
-
-def sk_model_table(sk, max_degree):
-    """{(|J|, s): [(orbit size, [(J, m)])]} of the dominant pairs with
-    |J| <= k and deg m = s <= max_degree - |J|, one block per weight:
-    the blocks in the order of their first pair and each block in the
-    order of sk_model_pairs (m in monomial order, then J in combination
-    order).  For k < n these vectors are a basis of the dominant
-    invariant cochains (the paper's theorem), so nothing is evaluated.
-    The pairs of the plus part at level |J| and of the minus part at
-    level n - |J| are the same, so one entry serves both.  Each degree
-    is enumerated once, each monomial's weight computed once and each
-    orbit size once per block."""
-    table = {}
-    for s in range(max_degree + 1):
-        monomials = [(expo, sk.weight(expo))
-                     for expo in monomials_of_degree(sk, s)]
-        for jsize in range(min(sk.k, max_degree - s) + 1):
-            blocks = {}
-            for mu, J, expo in _sized_pairs(sk.k, jsize, monomials, True):
-                blocks.setdefault(mu, []).append((J, expo))
-            table[jsize, s] = [(orbit_size(mu), pairs)
-                               for mu, pairs in blocks.items()]
-    return table
-
-
-def sk_model_d2_row(sk, part, J, expo):
-    """The d2 row {(J', m'): coef} of m . Phi_J (plus) or m . *Phi_J
-    (minus), m the S_k monomial expo, in the pairs of sk_model_table:
-
-        d2(m Phi_J)  = -sum_{i not in J} (-1)^#{j in J : j < i}
-                           (what_i m) Phi_{J + i}
-        d2(m *Phi_J) = -sum_{j in J} (-1)^(p_j + |J| + 1)
-                           (c_j m) *Phi_{J - j},
-
-    with c_j = sum_i rhat(i,j) what(i) and p_j the 0-based position of j
-    in J.  Each term is one monomial, and distinct terms have distinct
-    keys.  The plus formula assumes |J| + 1 <= n, as k < n gives."""
-    k = sk.k
-    row = {}
-    if part == "plus":
-        for i in range(1, k + 1):
-            if i in J:
-                continue
-            below = sum(j < i for j in J)
-            e = list(expo)
-            e[sk.what(i)] += 1
-            row[tuple(sorted(J + (i,))), tuple(e)] = -(-1) ** below
-        return row
-    for p, j in enumerate(J):
-        sign = -(-1) ** (p + len(J) + 1)
-        rest = J[:p] + J[p + 1:]
-        for i in range(1, k + 1):
-            e = list(expo)
-            e[sk.rhat(i, j)] += 1
-            e[sk.what(i)] += 1
-            row[rest, tuple(e)] = sign
-    return row
 
 
 # ---------------------------------------------------------------------------

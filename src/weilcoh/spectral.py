@@ -21,23 +21,29 @@ B_r + Z_{r-1}, rank(Z_r rows) - rank(B_r rows + Z_{r-1} rows).
 
 e1_dims reads E_1 off the graded differential d' instead, independently
 of the Z/B formulas: d' = -d2 (d2 the degree-raising piece of d), so
-its ranks are those of d2.  For k < n it runs on the S_k model of fock:
-the m . Phi_J and m . *Phi_J (m an S_k monomial, J increasing) are a
-basis of the invariant cochains (the paper's theorem), and d2 has the
-closed form
+its ranks are those of d2.  For k < n the m . Phi_J and m . *Phi_J (m
+an S_k monomial, J increasing) are a basis of the invariant cochains
+(the paper's theorem), and on that basis d2 has the closed form
 
     d2(m Phi_J)  = -sum_{i not in J} (-1)^#{j in J : j < i}
                        (what_i m) Phi_{J + i},
     d2(m *Phi_J) = -sum_{j in J} (-1)^(p_j + |J| + 1) (c_j m) *Phi_{J - j},
 
-c_j = sum_i rhat(i,j) what(i) and p_j the 0-based position of j in J,
-so E_1 is the Koszul homology over S_k of what_1..what_k (+1 part) and
-of c_1..c_k (-1 part), computed with no Fock polynomial.  One call
-enumerates each S_k degree once and groups the dominant pairs of each
-(|J|, deg m) once (fock.sk_model_table); the +1 part at level |J| and
-the -1 part at level n - |J| read the same pairs.  For k >= n the
-families are evaluated and differentiated in the Fock ring: they are
-dependent for k > n, and the theorem does not cover k = n.
+c_j = sum_i rhat(i,j) what(i) and p_j the 0-based position of j in J:
+the Koszul differential over S_k of what_1..what_k, raising |J|, on the
++1 part, and of c_1..c_k, lowering |J|, on the -1 part.  Both sequences
+are regular, by the leading-term proof of the fock docstring, so each
+Koszul complex is exact except at its end, and E_1 is that end:
+S_k/(what) on level k, shifted by the degree k of Phi_{1..k}, and
+S_k/(c) on level n, with no shift, from *Phi_{} (J empty).  e1_dims
+reads both off the last entry of the koszul prefix tables of the named
+models w and c, with no Fock polynomial, and reads the regularity
+certificate off the same tables.  The certificate covers the quotient's
+own window; the zero cells below the top level rest on the same proof,
+just as every stabilized cell rests on the descent lemma, and the tests
+compute those zeros.  For k >= n the families are evaluated and
+differentiated in the Fock ring: they are dependent for k > n, and the
+theorem does not cover k = n.
 
 Truncation.  In polynomial degree, Z_r of the cell (ell, t) asks
 deg(dx) <= t + 2 - r, and the domain of B_r is level ell - 1 through
@@ -57,8 +63,9 @@ sum over the weight blocks; column permutations make blocks in one
 S_k-orbit isomorphic as filtered complexes, so only the dominant blocks
 are computed, each counted orbit_size(mu) times.  The same holds for
 E_1 and d2; there the rows of a cell's blocks have disjoint columns, so
-e1_dims eliminates all the blocks of a cell in one Eliminator and counts
-each row that raises the rank with its block's orbit size.
+the Fock route of e1_dims eliminates all the blocks of a cell in one
+Eliminator and counts each row that raises the rank with its block's
+orbit size.
 
 A pages call (einf_and_converge) keeps one store of rows, its
 SpectralComputer: the (row, image row) pairs of every dominant family,
@@ -71,11 +78,13 @@ so each family and its image are built once per call.
 from __future__ import annotations
 
 from .fock import diff, direct_cohomology_dims, dominant_rows, \
-    invariant_family, sk_model_d2_row, sk_model_table, weight_blocks
+    invariant_family, weight_blocks
+from .koszul import ideal_quotient_dims, named_sequence, \
+    regular_sequence_check
 from .linalg import MAX_ENTRIES, Eliminator, ResourceCapError, \
     SparseRationalMatrix, combination, kernel_basis, rank_of_rows, \
     span_intersect_window
-from .polyring import SkRing, orbit_size
+from .polyring import orbit_size
 
 __all__ = [
     "regrade",
@@ -181,48 +190,55 @@ class SpectralComputer:
 
 def e1_dims(ring, part, max_degree):
     """The E_1 page {(ell, t): dim} of its nonzero cells: cohomology of the
-    graded differential d' = -d2 per cell, from the dominant weight
-    blocks counted with their orbit sizes.  part is plus, minus or full.
+    graded differential d' = -d2 per cell.  part is plus, minus or full.
 
-    For k < n the cells are computed on the S_k model: the pairs (J, m)
-    of fock.sk_model_table, built once per call for the whole window,
-    are a basis of the invariant cochains (the paper's theorem), so the
-    rank of a cell is their count, and the d2 rows of
-    fock.sk_model_d2_row, one monomial per term, give its image rank
-    with no Fock polynomial.  For k >= n the families are evaluated and
-    differentiated in the Fock ring (_e1_fock): they are dependent for
-    k > n, and the basis theorem does not cover k = n.
+    For k < n the m . Phi_J and m . *Phi_J are a basis (the paper's
+    theorem), on which d2 is the Koszul differential over S_k of
+    what_1..what_k (+1 part, raising |J|) and of c_1..c_k (-1 part,
+    lowering |J|).  Both sequences are regular (fock docstring), so each
+    complex is exact except at its end: the page is S_k/(what) on level
+    k, shifted by degree k (from Phi_{1..k}), and S_k/(c) on level n,
+    with no shift (from *Phi_{}), as the module docstring states.  Both
+    are the last entry of koszul.ideal_quotient_dims for the named
+    models w and c; the regularity certificate read off the same table
+    covers the quotient's own window, and a failure raises RuntimeError.
 
-    Each cell and part eliminates the rows of all its dominant blocks in
-    one Eliminator, and a row that raises the rank adds its block's
-    orbit size.  This is the sum of the block ranks: d2 preserves the
-    torus weight, so the rows of different blocks, and their images,
-    have disjoint columns, and a row of one block is only ever reduced
-    against pivot rows of the same block.
+    For k >= n the families are evaluated and differentiated in the Fock
+    ring (_e1_fock): they are dependent for k > n, and the basis theorem
+    does not cover k = n.  Each cell eliminates the rows of all its
+    dominant blocks in one Eliminator, and a row that raises the rank
+    adds its block's orbit size.  This is the sum of the block ranks: d2
+    preserves the torus weight, so the rows of different blocks, and
+    their images, have disjoint columns, and a row of one block is only
+    ever reduced against pivot rows of the same block.
     """
     if part not in ("plus", "minus", "full"):
         raise ValueError("part must be plus, minus or full")
-    if ring.k >= ring.n:
+    n, k = ring.n, ring.k
+    if k >= n:
         return _e1_fock(ring, part, max_degree)
-    n = ring.n
-    sk = SkRing(ring.k)
-    parts = ("plus", "minus") if part == "full" else (part,)
-    table = sk_model_table(sk, max_degree)
+    page = {}
+    if part != "minus" and max_degree >= k:
+        for t, dim in _koszul_quotient("w", n, k, max_degree - k).items():
+            page[k, t + k] = dim
+    if part != "plus":
+        for t, dim in _koszul_quotient("c", n, k, max_degree).items():
+            page[n, t] = dim
+    return {cell: dim for cell, dim in page.items() if dim}
 
-    def level_ranks(ell):
-        for t in range(max_degree + 1):
-            rv = ri = 0
-            for p in parts:
-                jsize = ell if p == "plus" else n - ell
-                e = Eliminator()
-                for mult, pairs in table.get((jsize, t - jsize), ()):
-                    rv += mult * len(pairs)
-                    for J, m in pairs:
-                        if e.add_row(sk_model_d2_row(sk, p, J, m)):
-                            ri += mult
-            yield rv, ri
 
-    return _e1_page(n, max_degree, level_ranks)
+def _koszul_quotient(model, n, k, window):
+    """{t: dim (S_k / (f_1, ..., f_k))_t} for t <= window, the last entry
+    of the prefix table of the named sequence, after the regularity
+    certificate read off the same table has passed."""
+    spec = named_sequence(model, n, k)
+    hilb = ideal_quotient_dims(spec, window)
+    failures = [t for t in regular_sequence_check(spec, hilb).failure_degree
+                if t is not None]
+    if failures:
+        raise RuntimeError("E_1 model %s: the sequence is not regular, "
+                           "failure degrees %s" % (model, failures))
+    return hilb[-1]
 
 
 def _e1_fock(ring, part, max_degree):

@@ -11,10 +11,16 @@ tests/test_golden.py runs it, and three things are kept:
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 tests/make_golden.py
+    PYTHONPATH=src python3 tests/make_golden.py            # every case
+    PYTHONPATH=src python3 tests/make_golden.py <id>...    # these cases
 
-A change that alters a document on purpose regenerates the corpus with
-this script and names the changed cells, and why, in CHANGES.md.
+With ids, only those cases are run and only their .out and .err files
+are written; cases.json is rewritten in CASES order with every other
+entry kept as recorded, so a new case can be recorded on the code before
+a change without touching the rest of the corpus.  An id that is not in
+CASES exits 2 and writes nothing.  A change that alters a document on
+purpose regenerates the corpus with this script and names the changed
+cells, and why, in CHANGES.md.
 """
 
 import contextlib
@@ -57,10 +63,14 @@ CASES = {
                               "--max-degree 4"),
     "pages-n2k3": _args("pages --n 2 --k 3 --max-degree 3"),
     "pages-n3k1": _args("pages --n 3 --k 1 --max-degree 6"),
-    # E_1, on the Fock route (k >= n) and the S_k model (k < n)
+    # E_1, on the Fock route (k >= n) and off the Koszul tables (k < n)
     "e1-n2k3": _args("e1 --n 2 --k 3 --max-degree 5"),
     "e1-n3k3": _args("e1 --n 3 --k 3 --max-degree 5"),
     "e1-n8k3": _args("e1 --n 8 --k 3 --max-degree 8"),
+    # k = n - 1, with E_1 on two levels; and the +1 part below degree k,
+    # where its level-k series has not started
+    "e1-n5k4": _args("e1 --n 5 --k 4 --max-degree 7"),
+    "e1-plus-below-k": _args("e1 --n 3 --k 2 --part plus --max-degree 1"),
     # Koszul certificates (q at k < n is not regular: exit 1)
     "koszul-c-k3": _args("koszul --model c --k 3 --max-degree 9"),
     "koszul-w-k3": _args("koszul --model w --k 3 --max-degree 6"),
@@ -119,17 +129,37 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def regenerate():
+def regenerate(names=()):
+    """Run the named cases, or every case if none is named, and write
+    their files and cases.json; raise ValueError before writing anything
+    if a name is not in CASES."""
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        raise ValueError("unknown case id: %s" % " ".join(unknown))
+    index_path = GOLDEN / "cases.json"
+    index = json.loads(index_path.read_text()) if names else {}
     GOLDEN.mkdir(exist_ok=True)
-    index = {}
-    for name, argv in CASES.items():
+    for name in names or CASES:
+        argv = CASES[name]
         code, out, err = run(argv)
         (GOLDEN / (name + ".out")).write_text(strip_timing(out))
         (GOLDEN / (name + ".err")).write_text(err)
         index[name] = {"argv": argv, "exit": code}
         print("%-22s exit %s" % (name, code), file=sys.stderr)
-    (GOLDEN / "cases.json").write_text(json.dumps(index, indent=2) + "\n")
+    index_path.write_text(json.dumps(
+        {name: index[name] for name in CASES if name in index},
+        indent=2) + "\n")
+
+
+def script(names):
+    """The script's exit code: regenerate(names), 2 on an unknown id."""
+    try:
+        regenerate(names)
+    except ValueError as exc:
+        print("make_golden: %s" % exc, file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":
-    regenerate()
+    sys.exit(script(sys.argv[1:]))

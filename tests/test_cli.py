@@ -263,6 +263,19 @@ def test_every_eliminating_command_is_capped(capsys, argv, cap):
     assert MAX_ENTRIES.get() == DEFAULT_MAX_ENTRIES
 
 
+def test_capped_model_e1_emits_no_table(capsys):
+    # k < n: the cap stops the Koszul prefix table of c, before any
+    # table of the page is written; the entry count is not pinned
+    code, out = run_cli(capsys, "e1", "--n", "5", "--k", "4",
+                        "--max-degree", "7", "--max-entries", "100")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["tables"] == []
+    (verdict,) = doc["verdicts"]
+    assert verdict["name"] == "resource cap" and not verdict["pass"]
+    assert "cap" in verdict["detail"]
+
+
 def test_cap_does_not_outlive_the_call(capsys):
     argv = ("cohom", "--n", "2", "--k", "1", "--ell", "1",
             "--max-degree", "3")

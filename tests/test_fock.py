@@ -25,7 +25,6 @@ from weilcoh.fock import (
     outer_product,
     phi1,
     pm_basis_vectors,
-    sk_model_d2_row,
     son_act_cochain,
     star_Phi_J,
     weight_blocks,
@@ -51,7 +50,7 @@ from weilcoh.polyring import (
     son_act,
 )
 from weilcoh.spectral import SpectralComputer
-from test_spectral import sk_model_basis
+from test_spectral import sk_model_basis, sk_model_d2_row
 
 
 def tuple_sign(J, i, mode):
@@ -122,6 +121,19 @@ def test_phik_outer_product_agrees():
         for k in range(2, n + 1):
             R = FockRing(n, k)
             assert phik(R) == Phi_J(R, tuple(range(1, k + 1)))
+
+
+@pytest.mark.parametrize("n,k,J,message", [
+    (3, 2, (1, 2, 3), "|J| exceeds k"),
+    (2, 3, (1, 2, 3), "|J| exceeds n"),
+    (1, 1, (1, 1), "|J| exceeds k"),  # both exceeded: k is checked first
+])
+def test_phi_J_raises_beyond_k_and_n(n, k, J, message):
+    # no family is built, not even the zero cochain; *Phi_J as well
+    for build in (Phi_J, star_Phi_J):
+        with pytest.raises(ValueError) as exc:
+            build(FockRing(n, k), J)
+        assert str(exc.value) == message
 
 
 def test_outer_product_phi1_phi1():

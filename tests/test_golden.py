@@ -12,8 +12,10 @@ csv case is checked against its JSON twin, the case with the same argv
 but the format, row by row."""
 
 import json
+import shutil
 from math import comb
 
+import make_golden
 import pytest
 from make_golden import CASES as ARGVS
 from make_golden import GOLDEN, run, strip_timing
@@ -59,6 +61,64 @@ def test_corpus_matches_its_generator():
         list(ARGVS.items())
     assert {path.name for path in GOLDEN.iterdir()} == {"cases.json"} | {
         name + ext for name in CASES for ext in (".out", ".err")}
+
+
+def corpus_copy(tmp_path, monkeypatch):
+    """A copy of the corpus that make_golden writes to instead."""
+    copy = tmp_path / "golden"
+    shutil.copytree(GOLDEN, copy)
+    monkeypatch.setattr(make_golden, "GOLDEN", copy)
+    return copy
+
+
+def read_files(path):
+    return {entry.name: entry.read_bytes() for entry in path.iterdir()}
+
+
+def test_named_cases_rewrite_only_their_files(tmp_path, monkeypatch):
+    # the named cases are dropped from the copy and one other file is
+    # made stale: the script records the named cases again, puts their
+    # entries back in CASES order, and leaves the stale file as it is
+    copy = corpus_copy(tmp_path, monkeypatch)
+    named = ["usage-error", "e1-plus-below-k"]
+    index = json.loads((copy / "cases.json").read_text())
+    for name in named:
+        del index[name]
+        for ext in (".out", ".err"):
+            (copy / (name + ext)).unlink()
+    (copy / "cases.json").write_text(json.dumps(index, indent=2) + "\n")
+    (copy / "pages-n3k1.out").write_text("stale\n")
+    assert make_golden.script(named) == 0
+    want = read_files(GOLDEN)
+    want["pages-n3k1.out"] = b"stale\n"
+    assert read_files(copy) == want
+
+
+def test_unknown_case_id_writes_nothing(tmp_path, monkeypatch, capsys):
+    copy = corpus_copy(tmp_path, monkeypatch)
+    (copy / "e1-plus-below-k.out").write_text("stale\n")
+    before = read_files(copy)
+    assert make_golden.script(["e1-plus-below-k", "bogus"]) == 2
+    assert read_files(copy) == before
+    assert capsys.readouterr().err == \
+        "make_golden: unknown case id: bogus\n"
+
+
+def test_no_ids_record_every_case(tmp_path, monkeypatch):
+    # every case is run and written into a fresh directory, in CASES
+    # order; the runs are replaced by a stand-in that echoes the argv
+    copy = tmp_path / "fresh"
+    monkeypatch.setattr(make_golden, "GOLDEN", copy)
+    monkeypatch.setattr(make_golden, "run", lambda argv: (
+        len(argv), " ".join(argv) + "\n", argv[0] + "\n"))
+    assert make_golden.script([]) == 0
+    index = json.loads((copy / "cases.json").read_text())
+    assert list(index.items()) == [
+        (name, {"argv": argv, "exit": len(argv)})
+        for name, argv in ARGVS.items()]
+    for name, argv in ARGVS.items():
+        assert (copy / (name + ".out")).read_text() == " ".join(argv) + "\n"
+        assert (copy / (name + ".err")).read_text() == argv[0] + "\n"
 
 
 def cohomology_form(n, k, part, window):

@@ -13,7 +13,8 @@ from weilcoh.fock import (
     invariant_quotient_dims,
     orbit_size,
 )
-from weilcoh.fock import sk_model_d2_row, sk_model_pairs, sk_model_table
+from weilcoh.fock import sk_model_pairs
+from weilcoh.koszul import regular_sequence_check
 from weilcoh.linalg import Eliminator, rank_of_rows
 from weilcoh.polyring import (
     FockRing,
@@ -90,16 +91,52 @@ def test_e1_two_ways(n, k, part, D):
     (3, 2, "minus", 6), (4, 2, "full", 6), (4, 3, "full", 5),
 ])
 def test_e1_model_matches_the_fock_route(n, k, part, D):
-    # k < n: the S_k model's counts and d2 rows against the evaluated
-    # families and their Fock d2
+    # k < n: the quotients of the Koszul prefix tables against the
+    # evaluated families and their Fock d2
     R = FockRing(n, k)
     assert e1_dims(R, part, D) == spectral._e1_fock(R, part, D)
 
 
-# The model E_1 as it was before one table per call and one Eliminator
-# per cell, verbatim apart from the names: sk_model_basis once per
-# (part, ell, t) and one rank_of_rows per weight block.  Kept as the
-# oracle of the one-pass route.
+# The model E_1 as it was computed before it was read off the Koszul
+# prefix tables: the d2 rows of the S_k model in closed form, one
+# monomial per term, and every cell of the page eliminated, with
+# sk_model_basis once per (part, ell, t) and one rank_of_rows per weight
+# block.  Kept as the oracle of the Koszul route, which computes only
+# the ends of the two complexes.
+
+
+def sk_model_d2_row(sk, part, J, expo):
+    """The d2 row {(J', m'): coef} of m . Phi_J (plus) or m . *Phi_J
+    (minus), m the S_k monomial expo, in the pairs of sk_model_pairs:
+
+        d2(m Phi_J)  = -sum_{i not in J} (-1)^#{j in J : j < i}
+                           (what_i m) Phi_{J + i}
+        d2(m *Phi_J) = -sum_{j in J} (-1)^(p_j + |J| + 1)
+                           (c_j m) *Phi_{J - j},
+
+    with c_j = sum_i rhat(i,j) what(i) and p_j the 0-based position of j
+    in J.  Each term is one monomial, and distinct terms have distinct
+    keys.  The plus formula assumes |J| + 1 <= n, as k < n gives."""
+    k = sk.k
+    row = {}
+    if part == "plus":
+        for i in range(1, k + 1):
+            if i in J:
+                continue
+            below = sum(j < i for j in J)
+            e = list(expo)
+            e[sk.what(i)] += 1
+            row[tuple(sorted(J + (i,))), tuple(e)] = -(-1) ** below
+        return row
+    for p, j in enumerate(J):
+        sign = -(-1) ** (p + len(J) + 1)
+        rest = J[:p] + J[p + 1:]
+        for i in range(1, k + 1):
+            e = list(expo)
+            e[sk.rhat(i, j)] += 1
+            e[sk.what(i)] += 1
+            row[rest, tuple(e)] = sign
+    return row
 
 
 def sk_model_basis(sk, n, part, ell, d):
@@ -135,6 +172,8 @@ def old_e1_model(ring, part, max_degree):
     (2, 1, 8, ("full",)), (3, 1, 8, ("full",)),
     (3, 2, 8, ("plus", "minus", "full")), (4, 2, 8, ("full",)),
     (4, 3, 6, ("full",)), (5, 2, 8, ("full",)), (8, 3, 6, ("full",)),
+    (5, 4, 7, ("plus", "minus", "full")),
+    (3, 2, 1, ("plus",)),  # below degree k: no +1 table is read
 ])
 def test_e1_model_matches_the_per_block_route(n, k, D, parts):
     R = FockRing(n, k)
@@ -143,33 +182,28 @@ def test_e1_model_matches_the_per_block_route(n, k, D, parts):
             part
 
 
-@pytest.mark.parametrize("n,k,D", [(2, 1, 8), (3, 2, 8), (4, 3, 6),
-                                   (5, 4, 5)])
-def test_model_table_holds_the_pairs_of_every_cell(n, k, D):
-    # each entry is the dominant blocks of sk_model_basis, with their
-    # orbit sizes, in the same order; plus at level |J| and minus at
-    # level n - |J| read the same entry, and nothing else is in the table
-    sk = SkRing(k)
-    table = sk_model_table(sk, D)
-    read = set()
-    for part in ("plus", "minus"):
-        for ell in range(n + 1):
-            jsize = ell if part == "plus" else n - ell
-            for t in range(D + 1):
-                want = [(orbit_size(mu), pairs) for mu, pairs in
-                        sk_model_basis(sk, n, part, ell, t).items()]
-                assert table.get((jsize, t - jsize), []) == want, \
-                    (part, ell, t)
-                if (jsize, t - jsize) in table:
-                    read.add((jsize, t - jsize))
-    assert read == set(table)
+def test_e1_model_refuses_a_failed_certificate(monkeypatch):
+    # the page is read off the quotient only when the regularity
+    # certificate of the same table passes; a failure is no argument
+    # error, so it is not a ValueError
+    def failing(spec, hilb):
+        cert = regular_sequence_check(spec, hilb)
+        cert.failure_degree[-1] = 5
+        return cert
+
+    monkeypatch.setattr(spectral, "regular_sequence_check", failing)
+    for part, model in (("plus", "w"), ("minus", "c"), ("full", "w")):
+        with pytest.raises(RuntimeError) as exc:
+            e1_dims(FockRing(3, 2), part, 6)
+        assert str(exc.value) == ("E_1 model %s: the sequence is not "
+                                  "regular, failure degrees [5]" % model)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_model_d2_preserves_the_weight(k):
-    # the lemma behind one Eliminator per cell: every label (J', m') of
-    # the d2 row of (J, m) has the weight of (J, m), so the rows of
-    # different weight blocks have disjoint columns
+    # the lemma behind the per-block ranks of old_e1_model: every label
+    # (J', m') of the d2 row of (J, m) has the weight of (J, m), so the
+    # rows of different weight blocks have disjoint columns
     sk = SkRing(k)
     n = k + 1
 
@@ -187,12 +221,21 @@ def test_model_d2_preserves_the_weight(k):
 
 
 def test_e1_model_builds_no_fock_polynomial(monkeypatch):
+    # the c sequence is built from S_k products, so only a product in a
+    # FockRing is refused
     def refuse(*args, **kwargs):
         raise AssertionError("Fock route called")
 
+    mul = Polynomial.__mul__
+
+    def sk_only(self, other):
+        if isinstance(self.ring, FockRing):
+            refuse()
+        return mul(self, other)
+
     for name in ("diff", "invariant_family"):
         monkeypatch.setattr(spectral, name, refuse)
-    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    monkeypatch.setattr(Polynomial, "__mul__", sk_only)
     assert e1_dims(FockRing(3, 2), "full", 6)
 
 
@@ -201,7 +244,7 @@ PART_ERROR = "part must be plus, minus or full"
 
 @pytest.mark.parametrize("n,k", [(3, 2), (2, 2)])
 def test_e1_rejects_an_unknown_part(n, k):
-    # the S_k model route (k < n) and the Fock route (k >= n) alike
+    # the Koszul route (k < n) and the Fock route (k >= n) alike
     with pytest.raises(ValueError) as exc:
         e1_dims(FockRing(n, k), "bogus", 3)
     assert str(exc.value) == PART_ERROR
@@ -274,11 +317,14 @@ def test_e1_vanishes_at_every_domain_level(n, k, part, D):
     # level k and has no level k + 1 for it to be the domain of.  iota
     # splits the complex into its parts, and the lemma holds part by
     # part, so for k < n the full complex is checked one part at a time.
-    # For k < n e1_dims runs on the S_k model, so the Fock route is run
-    # as well: the certificate then covers fock.diff itself
+    # For k < n e1_dims reads only the ends of the two Koszul complexes
+    # off the prefix tables, so the lower levels are computed by the
+    # model oracle, on the model's d2 rows, and by the Fock route, on
+    # fock.diff itself
     R = FockRing(n, k)
     parts = ("plus", "minus") if part == "full" and k < n else (part,)
-    routes = (e1_dims, spectral._e1_fock) if k < n else (e1_dims,)
+    routes = (e1_dims, old_e1_model, spectral._e1_fock) if k < n \
+        else (e1_dims,)
     for p in parts:
         for route in routes:
             levels = {ell for ell, t in route(R, p, D)}
