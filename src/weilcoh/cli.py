@@ -34,7 +34,9 @@ help and usage-error text.
 Exit codes: 0 success, 1 a verdict failed, 2 invalid arguments (a usage
 error or a ValueError), 3 resource-cap abort.  Exits 0, 1 and 3 emit a
 document, a capped run with the tables and verdicts that finished before
-the cap; exit 2 emits none, and its message goes to stderr.
+the cap; exit 2 emits none, and its message goes to stderr.  An e1 run
+whose Koszul table fails its regularity certificate (k < n) exits 1 with
+that failed verdict and no table, as koszul reports the same failure.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ from .koszul import (
 )
 from .linalg import DEFAULT_MAX_ENTRIES, ResourceCapError, entry_cap
 from .polyring import FockRing
-from .spectral import e1_dims, einf_and_converge, regrade
+from .spectral import IrregularSequenceError, e1_dims, einf_and_converge, \
+    regrade
 from .verify import SUITES
 
 __all__ = ["main"]
@@ -120,7 +123,17 @@ def _cmd_cohom(args, doc):
 
 
 def _cmd_e1(args, doc):
-    page = e1_dims(FockRing(args.n, args.k), args.part, args.max_degree)
+    try:
+        page = e1_dims(FockRing(args.n, args.k), args.part, args.max_degree)
+    except IrregularSequenceError as exc:
+        # the page is read off a quotient only when its sequence passes
+        doc["verdicts"].append({
+            "name": "regular sequence model=%s through degree %d"
+            % (exc.model, exc.window),
+            "pass": False,
+            "detail": "failure degrees %s" % exc.failures,
+        })
+        return
     doc["tables"].append({"name": "E1 part=%s" % args.part,
                           "cells": _page_cells(page)})
 

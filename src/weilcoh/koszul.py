@@ -55,7 +55,15 @@ pack is injective, orders the labels as the tuples (lex), and is
 additive with no carry, pack(e) + pack(m) = pack(e + m).  The row m f
 is then f's packed terms each plus pack(m), and a packed monomial is
 the sum of its packed class parts, so no exponent tuple of a row is
-made.  Under this order-preserving relabelling the Eliminator, whose
+made.  As pack keeps the order and adds with no carry, the least label
+of m f is pack(m) + lead(f), lead(f) the least packed label of f, and
+the shift of a primitive f is primitive (each f is divided by its
+content once, and the content of q, c and what is 1).  So when that
+label is no pivot, the first pass of Eliminator.reduce would return the
+row unchanged, and Eliminator.add_shifted stores it with no reduce;
+every pivot, every stored row, its place in the pivots' insertion
+order, the stored entries and the point of any cap abort are those of
+add_row.  Under this order-preserving relabelling the Eliminator, whose
 pivot is the least label of a row, gets the same rows in the same order
 but for the ones the signature criterion skips, each a row that reduced
 to zero and stored nothing: it does the same elimination step for step,
@@ -90,6 +98,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import islice
+from math import gcd
 
 from .linalg import Eliminator
 from .polyring import FockRing, SkRing, dominant_monomials, \
@@ -201,15 +210,19 @@ def ideal_quotient_dims(spec, window):
     {t: dim (R / (f_1, ..., f_a))_t} for t <= window, so the last entry
     holds the quotient dims of the whole sequence.  One elimination per
     degree, of the dominant rows only when the symmetry lemma applies;
-    each row m f is f's packed terms shifted by the packed m, and a row
-    that the signature criterion proves dependent is not added."""
+    each row m f is f's packed terms shifted by the packed m, added by
+    Eliminator.add_shifted, and a row that the signature criterion
+    proves dependent is not added."""
     ring = spec.ring
     blocks = dominant_monomials if all(map(_symmetric, spec.sequence)) \
         else _one_block
     bits = _label_bits(window)
     pack = partial(_pack, bits=bits)
-    packed = [{pack(e): c for e, c in f.terms.items()}
-              for f in spec.sequence]
+    packed = []  # (f packed and divided by its content, its least label)
+    for f in spec.sequence:
+        pf = {pack(e): c for e, c in f.terms.items()}
+        g = gcd(*pf.values())
+        packed.append(({y: c // g for y, c in pf.items()}, min(pf)))
     # H_0(t) = dim R_t, the coefficients of 1 / prod(1 - t^w_v)
     hilb = [dict(enumerate(ci_hilbert(ring.weights, (), window)))]
     hilb += [{} for _ in spec.sequence]
@@ -220,7 +233,8 @@ def ideal_quotient_dims(spec, window):
         rank = 0
         made = {}
         by_degree = {}  # degree -> [(orbit size, [packed monomial])]
-        for a, (f, pf) in enumerate(zip(spec.sequence, packed), start=1):
+        for a, (f, (pf, lead)) in enumerate(zip(spec.sequence, packed),
+                                            start=1):
             s = t - f.degree()
             if s not in by_degree:
                 by_degree[s] = [(orbit_size(mu), labels) for mu, labels
@@ -230,7 +244,7 @@ def ideal_quotient_dims(spec, window):
                 for x in labels:
                     if earlier.get(x, a) < a:
                         continue  # m f_a reduces to zero: see the docstring
-                    if e.add_row({y + x: c for y, c in pf.items()}):
+                    if e.add_shifted(pf, lead, x):
                         rank += mult
             # the pivots are stored in the order they were made
             made.update(dict.fromkeys(islice(e.pivots, len(made), None), a))

@@ -78,6 +78,13 @@ class Eliminator:
     number of stored pivot rows.  Determinism: within a row the pivot is
     always its smallest column label, and combination order follows the
     column order, so a fixed insertion order yields a fixed reduction.
+
+    add_shifted(f, lead, x) inserts the shift {y + x: c} of a primitive
+    row f with no zero entry and least label lead, on labels that add in
+    order (y < y' exactly when y + x < y' + x).  The shift is primitive
+    with least label lead + x, so when that label is no pivot the first
+    pass of reduce would return it unchanged, and it is stored as it
+    stands, after add_row's cap check on an unreduced row.
     """
 
     def __init__(self):
@@ -136,6 +143,17 @@ class Eliminator:
         self._check_cap(len(r))
         self.pivots[min(r)] = r
         self._entries += len(r)
+        return True
+
+    def add_shifted(self, f, lead, x):
+        """add_row({y + x: c for y, c in f.items()}), with no reduce when
+        the least label lead + x is free (see the class docstring)."""
+        pivot = lead + x
+        if pivot in self.pivots:
+            return self.add_row({y + x: c for y, c in f.items()})
+        self._check_cap(len(f))
+        self.pivots[pivot] = {y + x: c for y, c in f.items()}
+        self._entries += len(f)
         return True
 
 

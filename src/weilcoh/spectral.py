@@ -92,7 +92,20 @@ __all__ = [
     "e1_dims",
     "einf_and_converge",
     "ConvergenceReport",
+    "IrregularSequenceError",
 ]
+
+
+class IrregularSequenceError(RuntimeError):
+    """A Koszul table of e1_dims failed its regularity certificate: the
+    named model (w or c), the table's window and the failure degrees."""
+
+    def __init__(self, model, window, failures):
+        self.model = model
+        self.window = window
+        self.failures = failures
+        super().__init__("E_1 model %s: the sequence is not regular, "
+                         "failure degrees %s" % (model, failures))
 
 
 def regrade(ell, polydeg):
@@ -201,7 +214,8 @@ def e1_dims(ring, part, max_degree):
     with no shift (from *Phi_{}), as the module docstring states.  Both
     are the last entry of koszul.ideal_quotient_dims for the named
     models w and c; the regularity certificate read off the same table
-    covers the quotient's own window, and a failure raises RuntimeError.
+    covers the quotient's own window, and a failure raises
+    IrregularSequenceError, a RuntimeError.
 
     For k >= n the families are evaluated and differentiated in the Fock
     ring (_e1_fock): they are dependent for k > n, and the basis theorem
@@ -236,16 +250,19 @@ def _koszul_quotient(model, n, k, window):
     failures = [t for t in regular_sequence_check(spec, hilb).failure_degree
                 if t is not None]
     if failures:
-        raise RuntimeError("E_1 model %s: the sequence is not regular, "
-                           "failure degrees %s" % (model, failures))
+        raise IrregularSequenceError(model, window, failures)
     return hilb[-1]
 
 
 def _e1_fock(ring, part, max_degree):
-    """e1_dims on the Fock route, for every (n, k): the ranks of the rows
-    of the dominant families and of their d2 images, one Eliminator each
-    per cell (see e1_dims).  One level is built at a time."""
-    def level_ranks(ell):
+    """e1_dims on the Fock route, for every (n, k): the orbit-weighted
+    ranks of the rows of the dominant families and of their d2 images,
+    one Eliminator each per cell (see e1_dims).  One level is built at a
+    time; the cell (ell, t) loses the image of the cell (ell - 1, t - 2)
+    below it, which is kept."""
+    img_rank = {}  # (ell, t) -> orbit-weighted rank of the d2-image
+    data = {}
+    for ell in range(ring.n + 1):
         blocks = weight_blocks(invariant_family(
             ring, part, ell, range(max_degree + 1), dominant=True))
         for t in range(max_degree + 1):
@@ -258,20 +275,6 @@ def _e1_fock(ring, part, max_degree):
                         rv += mult
                     if ei.add_row(diff(v, "d2").to_row()):
                         ri += mult
-            yield rv, ri
-
-    return _e1_page(ring.n, max_degree, level_ranks)
-
-
-def _e1_page(n, max_degree, level_ranks):
-    """The E_1 page from level_ranks(ell), which yields the orbit-weighted
-    (rank, d2-image rank) of each cell (ell, t), t <= max_degree: the
-    cell (ell, t) loses the image of the cell (ell - 1, t - 2) below it,
-    which is kept."""
-    img_rank = {}  # (ell, t) -> orbit-weighted rank of the d2-image
-    data = {}
-    for ell in range(n + 1):
-        for t, (rv, ri) in enumerate(level_ranks(ell)):
             img_rank[ell, t] = ri
             dim = rv - ri - img_rank.get((ell - 1, t - 2), 0)
             if dim:

@@ -12,8 +12,9 @@ import make_golden
 import pytest
 from series import ci_series, sk_weights
 
-from weilcoh import cli
+from weilcoh import cli, spectral
 from weilcoh.cli import COMMANDS, HILBERT_MODELS, main
+from weilcoh.koszul import regular_sequence_check
 from weilcoh.linalg import DEFAULT_MAX_ENTRIES, MAX_ENTRIES
 from weilcoh.verify import SUITES
 
@@ -195,6 +196,32 @@ def test_failed_verdict_exits_one(capsys):
     assert any(not v["pass"] for v in doc["verdicts"])
     # the document is still emitted, tables included
     assert doc["tables"]
+
+
+def test_failed_e1_certificate_exits_one_with_a_document(capsys,
+                                                         monkeypatch):
+    # k < n: a failed regularity certificate of the w or c table is a
+    # failed verdict naming the model and the failure degrees, with a
+    # weilcoh/1 document and no table, not a traceback
+    def failing(spec, hilb):
+        cert = regular_sequence_check(spec, hilb)
+        cert.failure_degree[-1] = 5
+        return cert
+
+    monkeypatch.setattr(spectral, "regular_sequence_check", failing)
+    for part, model, window in (("plus", "w", 4), ("minus", "c", 6),
+                                ("full", "w", 4)):
+        code, out = run_cli(capsys, "e1", "--n", "3", "--k", "2", "--part",
+                            part, "--max-degree", "6")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["schema"] == "weilcoh/1" and doc["tables"] == []
+        assert doc["verdicts"] == [{
+            "name": "regular sequence model=%s through degree %d"
+            % (model, window),
+            "pass": False,
+            "detail": "failure degrees [5]",
+        }]
 
 
 def test_invalid_arguments_exit_two(capsys):

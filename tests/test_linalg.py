@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilcoh.linalg import (
     DEFAULT_MAX_ENTRIES,
@@ -514,3 +516,51 @@ def test_previous_design_rejects_the_same_float_rows():
                 e.add_row(row)
             with pytest.raises(TypeError):
                 e.reduce({1: 1.5, 2: 3})
+
+
+# ---------------------------------------------------------------------------
+# add_shifted against add_row of the shifted rows
+
+
+@st.composite
+def primitive_rows(draw):
+    """A primitive {int label: int} row with no zero entry."""
+    row = draw(st.dictionaries(st.integers(0, 9),
+                               st.integers(-6, 6).filter(bool),
+                               min_size=1, max_size=5))
+    g = gcd(*row.values())
+    return {y: c // g for y, c in row.items()}
+
+
+def _insert_shifted(e, rows, shifted):
+    """Each (f, x) of rows in turn, by add_shifted or by add_row of the
+    shifted dict: the results, then the index of the row that hit the cap
+    and the entries and cap it reported (or None)."""
+    out = []
+    for i, (f, x) in enumerate(rows):
+        try:
+            if shifted:
+                out.append(e.add_shifted(f, min(f), x))
+            else:
+                out.append(e.add_row({y + x: c for y, c in f.items()}))
+        except ResourceCapError as exc:
+            return out, (i, exc.entries, exc.cap)
+    return out, None
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(primitive_rows(), st.integers(0, 6)),
+                max_size=16),
+       st.integers(1, 40))
+def test_add_shifted_is_add_row_of_the_shifted_row(rows, cap):
+    # a free least label stores the row as it stands, a taken one hands
+    # it to add_row: same results, pivots in the same order, same rows
+    # term for term, same stored entries and the same cap abort
+    with entry_cap(cap):
+        shifted, plain = Eliminator(), Eliminator()
+        got = _insert_shifted(shifted, rows, True)
+        assert got == _insert_shifted(plain, rows, False)
+    assert [list(r.items()) for r in shifted.pivots.values()] \
+        == [list(r.items()) for r in plain.pivots.values()]
+    assert list(shifted.pivots) == list(plain.pivots)
+    assert shifted._entries == plain._entries

@@ -150,11 +150,15 @@ def sk_model_basis(sk, n, part, ell, d):
 
 
 def old_e1_model(ring, part, max_degree):
+    """The E_1 page cell by cell on the S_k model: the cell (ell, t) has
+    the orbit-weighted rank of its basis less that of its d2 image and of
+    the d2 image of the cell (ell - 1, t - 2) below it."""
     n = ring.n
     sk = SkRing(ring.k)
     parts = ("plus", "minus") if part == "full" else (part,)
-
-    def level_ranks(ell):
+    img_rank = {}  # (ell, t) -> orbit-weighted rank of the d2-image
+    data = {}
+    for ell in range(n + 1):
         for t in range(max_degree + 1):
             rv = ri = 0
             for p in parts:
@@ -163,9 +167,11 @@ def old_e1_model(ring, part, max_degree):
                     rv += mult * len(basis)
                     ri += mult * rank_of_rows(sk_model_d2_row(sk, p, J, m)
                                               for J, m in basis)
-            yield rv, ri
-
-    return spectral._e1_page(n, max_degree, level_ranks)
+            img_rank[ell, t] = ri
+            dim = rv - ri - img_rank.get((ell - 1, t - 2), 0)
+            if dim:
+                data[ell, t] = dim
+    return data
 
 
 @pytest.mark.parametrize("n,k,D,parts", [
