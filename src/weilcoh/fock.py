@@ -199,8 +199,6 @@ class Cochain:
         return self + (-other)
 
     def scale(self, c):
-        if not c:
-            return Cochain(self.ring, self.ell)
         return Cochain(self.ring, self.ell,
                        {b: p.scale(c) for b, p in self.parts.items()})
 
@@ -293,10 +291,10 @@ def outer_product(a, b):
     return Cochain.from_terms(big, a.ell + b.ell, terms)
 
 
-def phi1(ring, slot=1):
-    """phi_1 in slot j: sum_alpha omega_alpha (x) z(alpha, j), the
-    Phi_J of J = (j,)."""
-    return Phi_J(ring, (slot,))
+def phi1(ring):
+    """phi_1 = sum_alpha omega_alpha (x) z(alpha, 1), the Phi_J of
+    J = (1,)."""
+    return Phi_J(ring, (1,))
 
 
 def Phi_J(ring, J):
@@ -489,13 +487,11 @@ def cochain_weight(c):
 
 def weight_blocks(families):
     """{degree: [weight vector]} -> {weight: {degree: [weight vector]}},
-    keeping the order within each degree."""
+    keeping the order within each degree; the vectors are nonzero."""
     out = {}
     for d, vecs in families.items():
         for v in vecs:
-            mu = cochain_weight(v)
-            if mu is not None:
-                out.setdefault(mu, {}).setdefault(d, []).append(v)
+            out.setdefault(cochain_weight(v), {}).setdefault(d, []).append(v)
     return out
 
 
@@ -510,7 +506,7 @@ def sk_model_pairs(sk, n, part, ell, d, dominant):
     if part not in ("plus", "minus"):
         raise ValueError("part must be plus or minus")
     jsize = ell if part == "plus" else n - ell
-    if ell < 0 or ell > n or not 0 <= jsize <= sk.k or d < jsize:
+    if ell < 0 or ell > n or not 0 <= jsize <= sk.k:
         return
     Js = [(J, [int(j in J) for j in range(1, sk.k + 1)])
           for J in itertools.combinations(range(1, sk.k + 1), jsize)]
@@ -630,17 +626,17 @@ def direct_cohomology_dims(ring, part, ell, max_degree, store=None):
     block with no cocycle-level rows has zero images, so the blocks of
     the cocycle level are all there is to count.
 
-    The rows are those of dominant_rows.  store, if given, is a
-    spectral.SpectralComputer of the same ring and part through degree
-    max_degree at least, and its blocks[ell] and blocks[ell - 1] are read
-    as they stand, so a pages call builds each family once.  Without a
-    store dominant_rows streams them: each pair is computed as it is read
-    and then dropped, only the image rows of the domain level are
-    eliminated, and one weight block's rows are alive at a time.
+    The rows are those of dominant_rows.  store, if given, is {level:
+    {weight: {degree: [(row, image row)]}}}, each level dominant_rows of
+    it with its pairs read into lists, through degree max_degree at
+    least; a pages call passes its store, so it builds each family once.
+    Without a store dominant_rows streams them: each pair is computed as
+    it is read and then dropped, only the image rows of the domain level
+    are eliminated, and one weight block's rows are alive at a time.
     """
     D = max_degree
     if store is not None:
-        coc, dom = store.blocks[ell], store.blocks.get(ell - 1, {})
+        coc, dom = store[ell], store.get(ell - 1, {})
     else:
         coc = dominant_rows(ring, part, ell, range(D + 1))
         dom = dominant_rows(ring, part, ell - 1, range(D - 1))

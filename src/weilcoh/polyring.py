@@ -58,12 +58,16 @@ __all__ = [
 
 
 class Ring:
-    """A polynomial ring described by variable names and weights."""
+    """A polynomial ring described by variable names and their weights:
+    one positive int per name, all 1 by default, or ValueError."""
 
     def __init__(self, names, weights=None):
         self.names = tuple(names)
         self.nvars = len(self.names)
-        self.weights = tuple(weights) if weights else (1,) * self.nvars
+        self.weights = (1,) * self.nvars if weights is None else tuple(weights)
+        if len(self.weights) != self.nvars or not all(
+                isinstance(w, int) and w > 0 for w in self.weights):
+            raise ValueError("need one positive int weight per name")
 
     def __eq__(self, other):
         return (
@@ -306,8 +310,6 @@ class Polynomial:
 def monomials_of_degree(ring, d, varset=None):
     """All exponent tuples of weighted degree d supported on varset
     (default: every variable), in a fixed deterministic (lex) order."""
-    if d < 0:
-        return []
     if varset is None:
         varset = range(ring.nvars)
     out = []
@@ -337,8 +339,6 @@ def dominant_monomials(ring, d, varset=None, pack=None):
     degree on its variables; each part is made, and packed, once per
     call, and a packed monomial is the int sum of its packed parts.
     """
-    if d < 0:
-        return {}
     nvars = ring.nvars
     classes = {}  # (degree, weight) -> [variable]
     for v in sorted(range(nvars) if varset is None else varset):

@@ -68,11 +68,11 @@ Eliminator and counts each row that raises the rank with its block's
 orbit size.
 
 A pages call (einf_and_converge) keeps one store of rows, its
-SpectralComputer: the (row, image row) pairs of every dominant family,
-built one cell (ell, degree) at a time through degree D by
-fock.dominant_rows, the builder that also streams the rows of cohom.
-The direct filtered cohomology it is compared with reads the same store,
-so each family and its image are built once per call.
+SpectralComputer: the (row, image row) pairs of every dominant family
+through degree D, built one level at a time by fock.dominant_rows, the
+builder that also streams the rows of cohom, and kept in the shape it
+returns.  The direct filtered cohomology it is compared with reads the
+same store, so each family and its image are built once per call.
 """
 
 from __future__ import annotations
@@ -121,36 +121,33 @@ def _row_degree(key):
 class SpectralComputer:
     """The store of one pages call: blocks[ell][weight][degree], the
     (row, image row) pairs of the dominant invariant families through
-    degree max_degree, each cell built once by fock.dominant_rows.  It
-    serves page dimensions for any r, and the direct route of the same
-    call reads its blocks as they stand."""
+    degree max_degree, each level one fock.dominant_rows call with its
+    pairs read into lists.  It serves page dimensions for any r, and the
+    direct route of the same call takes blocks as its store."""
 
     def __init__(self, ring, part, max_degree):
         self.ring = ring
         self.D = max_degree
         # the stored rows alone can exhaust memory long before any single
-        # elimination does, so they share the entry cap
+        # elimination does, so they share the entry cap (charged per list)
         cap = MAX_ENTRIES.get()
         stored = 0
         self.blocks = {}
         for ell in range(ring.n + 1):
-            level = self.blocks[ell] = {}
-            for d in range(max_degree + 1):
-                cell = dominant_rows(ring, part, ell, (d,))
-                for mu, block in cell.items():
-                    pairs = level.setdefault(mu, {})[d] = list(block[d])
+            level = self.blocks[ell] = dominant_rows(
+                ring, part, ell, range(max_degree + 1))
+            for block in level.values():
+                for d, pairs in block.items():
+                    pairs = block[d] = list(pairs)
                     stored += sum(len(row) + len(img) for row, img in pairs)
                     if stored > cap:
                         raise ResourceCapError(stored, cap)
 
     def _pairs_upto(self, ell, mu, t):
         """(row, image-row) pairs of the weight-mu family at level ell,
-        degree <= t."""
+        degree <= t, in degree order, the order of every stored block."""
         block = self.blocks.get(ell, {}).get(mu, {})
-        out = []
-        for d in range(min(t, self.D) + 1):
-            out.extend(block.get(d, ()))
-        return out
+        return [pair for d, pairs in block.items() if d <= t for pair in pairs]
 
     def z_rows(self, ell, mu, t, dx_bound):
         """Spanning rows of { x in span(weight-mu family at ell, deg <= t) :
@@ -232,7 +229,7 @@ def e1_dims(ring, part, max_degree):
     if k >= n:
         return _e1_fock(ring, part, max_degree)
     page = {}
-    if part != "minus" and max_degree >= k:
+    if part != "minus":
         for t, dim in _koszul_quotient("w", n, k, max_degree - k).items():
             page[k, t + k] = dim
     if part != "plus":
@@ -312,7 +309,7 @@ def einf_and_converge(ring, part, max_degree):
     comp = SpectralComputer(ring, part, D)
     gr = {}
     for ell in range(n + 1):
-        dc = direct_cohomology_dims(ring, part, ell, D, store=comp)
+        dc = direct_cohomology_dims(ring, part, ell, D, store=comp.blocks)
         gr.update(((ell, t), dim) for t, dim in dc.items() if dim)
 
     r_max = 2 * n + D + 1

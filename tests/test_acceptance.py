@@ -13,14 +13,11 @@ from math import comb
 import pytest
 
 from weilcoh.cli import main as cli_main
-from weilcoh.exterior import bits_of
 from weilcoh.fock import (
-    Cochain,
     Phi_J,
     diff,
     direct_cohomology_dims,
     invariant_dims,
-    invariant_family,
     invariant_quotient_dims,
     involution,
     outer_product,
@@ -43,7 +40,9 @@ from weilcoh.polyring import (
 )
 from weilcoh.spectral import e1_dims, einf_and_converge
 
-# the quotient class rank is a test-side probe, kept in test_koszul
+# test-side helpers, kept with the tests of their modules: the random
+# cochains in test_fock, the quotient class rank probe in test_koszul
+from test_fock import random_cochain, random_invariant_cochain
 from test_koszul import quotient_class_independence
 from series import ci_series, sk_weights
 
@@ -51,28 +50,6 @@ from series import ci_series, sk_weights
 def report(ok, line):
     print(("PASS: " if ok else "FAIL: ") + line)
     assert ok, line
-
-
-def random_cochain(ring, rng, ell, nterms=3, max_deg=3):
-    c = Cochain(ring, ell)
-    for _ in range(nterms):
-        I = tuple(sorted(rng.sample(range(1, ring.n + 1), ell)))
-        p = ring.one().scale(rng.randint(-3, 3))
-        for _ in range(rng.randint(0, max_deg)):
-            p = p * ring.var(rng.randrange(ring.nvars))
-        c = c + Cochain(ring, ell, {bits_of(I): p} if p else {})
-    return c
-
-
-def random_invariant_cochain(ring, rng, ell, max_deg=3):
-    c = Cochain(ring, ell)
-    fam = invariant_family(ring, "full", ell, range(max_deg + 1))
-    for d in range(max_deg + 1):
-        for v in fam[d]:
-            x = rng.randint(-3, 3)
-            if x:
-                c = c + v.scale(x)
-    return c
 
 
 def test_differential_identity_suite():

@@ -25,6 +25,7 @@ from weilcoh.fock import (
     outer_product,
     phi1,
     pm_basis_vectors,
+    sk_model_pairs,
     son_act_cochain,
     star_Phi_J,
     weight_blocks,
@@ -75,7 +76,6 @@ def tuple_sign(J, i, mode):
 
 
 def random_cochain(ring, rng, ell, nterms=3, max_deg=3):
-    parts = {}
     c = Cochain(ring, ell)
     for _ in range(nterms):
         I = tuple(sorted(rng.sample(range(1, ring.n + 1), ell)))
@@ -290,6 +290,7 @@ def test_split_pm():
     c = random_cochain(R, rng, 2)
     p, m = split_pm(c)
     assert p + m == c.scale(2)
+    assert c and c.scale(0) == Cochain(R, 2)
     assert involution(p, "iota") == p
     assert involution(m, "iota") == -m
 
@@ -298,10 +299,11 @@ def test_son_act_cochain():
     for n in (2, 3):
         for k in (1, 2):
             R = FockRing(n, k)
+            assert phi1(R) == Phi_J(R, (1,))
             for a in range(1, n + 1):
                 for b in range(a + 1, n + 1):
                     for slot in range(1, k + 1):
-                        assert not son_act_cochain(a, b, phi1(R, slot))
+                        assert not son_act_cochain(a, b, Phi_J(R, (slot,)))
     R = FockRing(2, 1)
     c = Cochain(R, 1, {bits_of((1,)): R.one()})
     got = son_act_cochain(1, 2, c)
@@ -813,9 +815,10 @@ def ordered(blocks):
 @pytest.mark.parametrize("n,k,part", [(2, 2, "full"), (3, 2, "minus"),
                                       (2, 3, "plus"), (1, 2, "full")])
 def test_dominant_rows_are_the_pages_store(n, k, part):
-    # the one builder: the pages store, filled one cell at a time, is the
-    # window read at once, with the same weights, pairs and order; both
-    # are the dominant blocks of the whole family in family order
+    # the one builder: the pages store, one call per level read into
+    # lists, is the window read at once, with the same weights, pairs and
+    # order; both are the dominant blocks of the whole family in family
+    # order
     R, D = FockRing(n, k), 3
     comp = SpectralComputer(R, part, D)
     for ell in range(n + 1):
@@ -964,7 +967,12 @@ def test_builders_match_the_previous_builders(n, k):
                     build(R, J)
     for part in ("plus", "minus"):
         for ell in range(-1, n + 2):
-            for d in range(5):
+            jsize = ell if part == "plus" else n - ell
+            for d in range(-1, 5):
+                if d < jsize:
+                    # no S_k monomial has the negative degree d - |J|
+                    assert not list(sk_model_pairs(SkRing(k), n, part, ell,
+                                                   d, False)), (part, ell, d)
                 for dominant in (False, True):
                     assert pm_basis_vectors(R, part, ell, d, dominant) == \
                         old_pm_basis_vectors(R, part, ell, d, dominant), \
@@ -1217,15 +1225,33 @@ def test_verify_random_cochains_match_the_previous_sums(n, k):
     # the same cochains from the same draws, leaving the generator in the
     # same state, so the verify documents do not change
     R = FockRing(n, k)
+    rows = {}  # the family rows of each level, shared by the draws
+
+    def random_invariant(ring, rng, ell):
+        return verify._random_invariant_cochain(ring, rng, ell, rows)
+
     for new, old in ((verify._random_cochain, old_random_cochain),
-                     (verify._random_invariant_cochain,
-                      old_random_invariant_cochain)):
+                     (random_invariant, old_random_invariant_cochain)):
         r1, r2 = random.Random(n * k), random.Random(n * k)
         for _ in range(8):
             ell = r1.randint(0, n)
             assert ell == r2.randint(0, n)
             assert new(R, r1, ell) == old(R, r2, ell), (new, ell)
             assert r1.getstate() == r2.getstate()
+
+
+def test_closedness_builds_each_level_once(monkeypatch):
+    # the random invariant cochains of one suite call share the family
+    # rows of each level they draw
+    built = []
+
+    def counted(ring, part, ell, degrees, dominant=False):
+        built.append(ell)
+        return invariant_family(ring, part, ell, degrees, dominant)
+
+    monkeypatch.setattr(verify, "invariant_family", counted)
+    assert all(v["pass"] for v in verify.suite_closedness(3, 2, 0))
+    assert built and len(built) == len(set(built))
 
 
 def test_from_terms_inverts_to_row():

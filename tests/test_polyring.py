@@ -4,11 +4,13 @@ import gc
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from test_fock import monomial_weight
 
 import weilcoh.fock as fock
+import weilcoh.koszul as koszul
 from weilcoh.exterior import bits_of, tuple_of
 from weilcoh.fock import Cochain, son_act_cochain
 from weilcoh.polyring import (
@@ -134,6 +136,13 @@ def test_partial_matches_the_merged_form(ring):
 def test_monomials_of_degree():
     R = FockRing(1, 1)
     assert len(monomials_of_degree(R, 1)) == 2
+    # a negative degree has no monomial, packed or not
+    pack = partial(koszul._pack, bits=3)
+    for ring in (R, SkRing(2), Ring(["x", "y"], [2, 3])):
+        for d in (-1, -2, -5):
+            assert monomials_of_degree(ring, d) == []
+            assert dominant_monomials(ring, d) == {}
+            assert dominant_monomials(ring, d, pack=pack) == {}
 
     R2 = FockRing(2, 1)
     zvars = range(2)
@@ -146,6 +155,25 @@ def test_monomials_of_degree():
     # weighted degree check
     for e in monomials_of_degree(S2, 3):
         assert S2.monomial_degree(e) == 3
+
+
+@pytest.mark.parametrize("names,weights", [
+    (["x"], [0]),            # a zero weight
+    (["x", "y"], [2]),       # fewer weights than names
+    (["x"], [1, 2]),         # more weights than names
+    (["x"], [-1]),           # a negative weight
+])
+def test_ring_needs_one_positive_int_weight_per_name(names, weights):
+    with pytest.raises(ValueError, match="one positive int weight"):
+        Ring(names, weights)
+
+
+def test_rings_with_valid_weights_construct():
+    assert Ring(["x", "y"]).weights == (1, 1)
+    assert Ring(["x", "y"], (2, 3)).weights == (2, 3)
+    assert Ring([]).nvars == 0
+    assert FockRing(2, 3).weights == (1,) * 9
+    assert SkRing(2).weights == (2, 2, 2, 1, 1)
 
 
 def test_monomials_counting_oracle():

@@ -414,20 +414,30 @@ def test_converge_n2_k2_small_window():
 
 def test_pages_build_each_family_once(monkeypatch):
     # the direct route reads the store of the pages, so a pages call
-    # differentiates exactly what its SpectralComputer alone does
-    calls = []
+    # differentiates exactly what its SpectralComputer alone does, and
+    # the store is one dominant_rows call per level
+    calls, levels = [], []
+    rows = fock.dominant_rows
 
     def counted(c, mode="full"):
         calls.append(mode)
         return diff(c, mode)
 
+    def counted_rows(ring, part, ell, degrees):
+        levels.append(ell)
+        return rows(ring, part, ell, degrees)
+
     monkeypatch.setattr(fock, "diff", counted)
     monkeypatch.setattr(spectral, "diff", counted)
+    monkeypatch.setattr(fock, "dominant_rows", counted_rows)
+    monkeypatch.setattr(spectral, "dominant_rows", counted_rows)
     SpectralComputer(FockRing(2, 2), "full", 2)
     alone = len(calls)
     calls.clear()
+    levels.clear()
     einf_and_converge(FockRing(2, 2), "full", 2)
     assert alone and len(calls) == alone
+    assert levels == [0, 1, 2]
 
 
 class LoggedCell:
@@ -458,7 +468,7 @@ def test_shared_route_reads_its_whole_domain(n, k, part, D):
                 block[d] = LoggedCell(block[d], (ell, mu, d), reads)
     for ell in range(n + 1):
         reads.clear()
-        rep = direct_cohomology_dims(R, part, ell, D, store=comp)
+        rep = direct_cohomology_dims(R, part, ell, D, store=comp.blocks)
         want = {(ell, mu, d) for mu, block in comp.blocks[ell].items()
                 for d in block}
         if ell >= 1:
