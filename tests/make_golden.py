@@ -57,6 +57,9 @@ CASES = {
                         "--max-degree 7"),
     "cohom-n2k2": _args("cohom --n 2 --k 2 --part full --ell 0..2 "
                         "--max-degree 5"),
+    # k > n: dependent families on the streamed route
+    "cohom-n2k3": _args("cohom --n 2 --k 3 --part full --ell 0..2 "
+                        "--max-degree 4"),
     # E_infinity against the direct route
     "pages-n2k2": _args("pages --n 2 --k 2 --max-degree 4"),
     "pages-minus-n3k2": _args("pages --n 3 --k 2 --part minus "
