@@ -13,19 +13,38 @@ filtration) is the negative of the degree-raising piece, d' = -d2:
 
     d' = sum_alpha omega_alpha ^ . (x) q_alpha,   q_alpha = sum_i z_{alpha i} w_i.
 
+Rows.  The routes eliminate {(bits, exponent tuple): int} rows, and on a
+basis element omega_I (x) x^e the differential has a closed form:
+
+    d(omega_I (x) x^e) = sum_{alpha not in I} sum_j s(alpha, I)
+        [e_z e_w x^{e - z - w} - x^{e + z + w}] omega_{I + alpha},
+
+z = z_{alpha j} and w = w_j (as exponent unit vectors), e_z and e_w
+their exponents in e, and s(alpha, I) the sign of wedge_bits(1 <<
+(alpha - 1), I).  Each term is one monomial: for each (alpha, j) both
+pieces act on the two variables z_{alpha j} and w_j alone, d2
+multiplying by them (the exponent up by one in each) and dm2
+differentiating once by each (down by one in each, times the two
+exponents, zero when either is zero), and omega_alpha wedged onto
+omega_I is one index set with a sign, or zero.  row_diff is this
+formula, d on the rows of the direct route and the pages; diff stays on
+cochains, with its pieces d2 and dm2, for the Fock route of E_1 and the
+checks.
+
 Invariant families.  By Weyl's first fundamental theorem for SO(n), the
 invariants of vectors are generated by inner products and n x n
 determinants.  Read with the form indices as extra vectors, every
 invariant cochain is therefore an S_k-combination of the Phi_J and the
 *Phi_J (r(i,j) for rhat(i,j), w(i) for what(i)): the families of
-pm_basis_vectors span the invariants for every k.  They are a basis for
+family_rows span the invariants for every k.  They are a basis for
 k < n, as the paper proves, and the tests find them free at k = n too;
 for k > n the relations among inner products and determinants make them
 dependent, which the consumers, all rank-based, do not mind.  So the
 families are the S_k model pairs (J, m) evaluated in the Fock ring, as
 m . Phi_J or m . *Phi_J (*Phi_J the Hodge star of Phi_J), and they come
-from one enumeration, sk_model_pairs, whose pairs pm_basis_vectors
-evaluates.
+from one enumeration, sk_model_pairs, whose pairs family_rows evaluates
+into rows; pm_basis_vectors and invariant_family read the same rows as
+cochains.
 
 Invariant dimensions come from an independent route, the joint kernel
 of the so(n) generators X_{i,i+1}, and serve as the oracle of the
@@ -146,8 +165,10 @@ __all__ = [
     "involution",
     "son_act_cochain",
     "invariant_dims",
+    "family_rows",
     "pm_basis_vectors",
     "invariant_family",
+    "row_diff",
     "sk_model_pairs",
     "cochain_weight",
     "weight_blocks",
@@ -202,10 +223,6 @@ class Cochain:
         return Cochain(self.ring, self.ell,
                        {b: p.scale(c) for b, p in self.parts.items()})
 
-    def mul_poly(self, p):
-        return Cochain(self.ring, self.ell,
-                       {b: f * p for b, f in self.parts.items()})
-
     def to_row(self):
         """Flatten to a sparse vector keyed by (bits, exponent tuple)."""
         row = {}
@@ -259,6 +276,51 @@ def diff(c, mode="full"):
                     g = ring.z_var(alpha, j) * ring.w_var(j) * f
                     terms += [((nb, e), -s * v) for e, v in g.terms.items()]
     return Cochain.from_terms(ring, c.ell + 1, terms)
+
+
+def row_diff(n, k, row):
+    """The full differential d = d2 + dm2 of a {(bits, exponent): int}
+    row of FockRing(n, k), in closed form on the basis monomials (module
+    docstring): the row of diff(Cochain.from_terms(...), "full"), its
+    terms emitted and merged in the same order, so equal to diff's
+    to_row key for key and in order."""
+    nz = n * k
+    groups = {}
+    for (bits, e), c in row.items():
+        groups.setdefault(bits, []).append((e, c))
+    out = {}  # target bits -> {exponent: coef}
+    for bits, terms in groups.items():
+        for alpha in range(1, n + 1):
+            s, nb = wedge_bits(1 << (alpha - 1), bits)
+            if not s:
+                continue
+            tgt = out.setdefault(nb, {})
+            for zi, wi in zip(range(alpha - 1, nz, n), range(nz, nz + k)):
+                # dm2: d^2/dz dw lowers both exponents, times their product
+                for e, c in terms:
+                    x = e[zi] * e[wi]
+                    if x:
+                        ne = list(e)
+                        ne[zi] -= 1
+                        ne[wi] -= 1
+                        ne = tuple(ne)
+                        x = tgt.get(ne, 0) + s * c * x
+                        if x:
+                            tgt[ne] = x
+                        elif ne in tgt:
+                            del tgt[ne]
+                # d2: times -z w raises both
+                for e, c in terms:
+                    ne = list(e)
+                    ne[zi] += 1
+                    ne[wi] += 1
+                    ne = tuple(ne)
+                    x = tgt.get(ne, 0) - s * c
+                    if x:
+                        tgt[ne] = x
+                    elif ne in tgt:
+                        del tgt[ne]
+    return {(nb, e): c for nb, tgt in out.items() for e, c in tgt.items()}
 
 
 def _embed_poly(p, big, col_offset):
@@ -518,49 +580,85 @@ def sk_model_pairs(sk, n, part, ell, d, dominant):
                 yield mu, J, expo
 
 
-def pm_basis_vectors(ring, part, ell, d, dominant=False):
-    """The spanning family of C_+ (m . Phi_J) or C_- (m . *Phi_J) at
-    bidegree (ell, d): the pairs of sk_model_pairs evaluated, in their
-    order; only the vectors of dominant weight if dominant is set.  The
-    family spans for every k and is dependent for k > n (see the module
-    docstring).  Each Phi_J / *Phi_J is built once per call, on first
-    use, and each m is evaluated once."""
-    sk = SkRing(ring.k)
-    build = Phi_J if part == "plus" else star_Phi_J
-    gens = {}
-    out = []
-    last = m = None
-    for _, J, expo in sk_model_pairs(sk, ring.n, part, ell, d, dominant):
-        c = gens.get(J)
-        if c is None:
-            c = gens[J] = build(ring, J)
-            _check_weight(c.parts.values(),
-                          tuple(int(j in J) for j in range(1, ring.k + 1)))
-        if expo != last:
-            last = expo
-            m = sk_evaluate(Polynomial(sk, {expo: 1}), ring)
-            _check_weight((m,), sk.weight(expo))
-        out.append(c.mul_poly(m))
-    return out
+def family_rows(ring, part, ell, degrees, dominant=False):
+    """{degree: [(weight, row)]}: the invariant families at level ell as
+    {(bits, exponent tuple): int} rows, each with its weight, for each
+    degree in degrees; the pairs of sk_model_pairs evaluated, in degree
+    order, then part order (plus before minus for full), then the order
+    of the pairs; only the vectors of dominant weight if dominant is set.
 
-
-def invariant_family(ring, part, ell, degrees, dominant=False):
-    """Per-degree spanning families of the invariant cochains: the
-    pm_basis_vectors of the part, and of both parts for full.
-
-    They span for every k (see the module docstring), so they serve every
-    consumer that needs ranks only.  Every vector is a weight vector.
-    With dominant set, only the vectors of dominant weight are built:
-    they span the dominant weight blocks, which is all the cohomology
-    routes need.  Returns {degree: list of Cochain}.  part is plus,
+    The one family builder.  SkRing(k) is made once per call, the row of
+    each Phi_J / *Phi_J once per call across all degrees, and each S_k
+    monomial m is evaluated once (sk_evaluate); both are checked to be
+    weight vectors of the weight their data give, e_J and weight(m).  The
+    row of m . Phi_J is the product of the Phi_J row terms with the terms
+    of m, merged per index set in the order of Polynomial.__mul__, so it
+    is m . Phi_J flattened (Cochain.to_row) term for term.  part is plus,
     minus or full, checked first: every Fock route starts here.
     """
     if part not in ("plus", "minus", "full"):
         raise ValueError("part must be plus, minus or full")
     parts = ("plus", "minus") if part == "full" else (part,)
-    return {d: [v for p in parts
-                for v in pm_basis_vectors(ring, p, ell, d, dominant)]
-            for d in degrees}
+    k = ring.k
+    sk = SkRing(k)
+    bases = {}   # (part, J) -> [(bits, [(exponent, coef)])] of its base
+    images = {}  # S_k exponent -> [(exponent, coef)] of its image
+    out = {}
+    for d in degrees:
+        rows = out[d] = []
+        for p in parts:
+            for mu, J, expo in sk_model_pairs(sk, ring.n, p, ell, d,
+                                              dominant):
+                base = bases.get((p, J))
+                if base is None:
+                    c = (Phi_J if p == "plus" else star_Phi_J)(ring, J)
+                    _check_weight(c.parts.values(),
+                                  tuple(int(j in J) for j in range(1, k + 1)))
+                    base = bases[p, J] = [(bits, list(f.terms.items()))
+                                          for bits, f in c.parts.items()]
+                m = images.get(expo)
+                if m is None:
+                    poly = sk_evaluate(Polynomial(sk, {expo: 1}), ring)
+                    _check_weight((poly,), sk.weight(expo))
+                    m = images[expo] = list(poly.terms.items())
+                row = {}
+                for bits, fterms in base:
+                    for e1, c1 in fterms:
+                        for e2, c2 in m:
+                            key = bits, tuple(map(add, e1, e2))
+                            x = row.get(key, 0) + c1 * c2
+                            if x:
+                                row[key] = x
+                            elif key in row:
+                                del row[key]
+                rows.append((mu, row))
+    return out
+
+
+def pm_basis_vectors(ring, part, ell, d, dominant=False):
+    """The spanning family of C_+ (m . Phi_J) or C_- (m . *Phi_J) at
+    bidegree (ell, d) as cochains: the rows of family_rows, in their
+    order.  The family spans for every k and is dependent for k > n (see
+    the module docstring)."""
+    if part not in ("plus", "minus"):
+        raise ValueError("part must be plus or minus")
+    return invariant_family(ring, part, ell, (d,), dominant)[d]
+
+
+def invariant_family(ring, part, ell, degrees, dominant=False):
+    """Per-degree spanning families of the invariant cochains: the rows
+    of family_rows as cochains (Cochain.from_terms), the pm_basis_vectors
+    of the part, and of both parts for full.
+
+    They span for every k (see the module docstring), so they serve every
+    consumer that needs ranks only.  Every vector is a weight vector.
+    With dominant set, only the vectors of dominant weight are built:
+    they span the dominant weight blocks, which is all the cohomology
+    routes need.  Returns {degree: list of Cochain}.
+    """
+    return {d: [Cochain.from_terms(ring, ell, row.items()) for _, row in rows]
+            for d, rows in family_rows(ring, part, ell, degrees,
+                                       dominant).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -570,15 +668,22 @@ def invariant_family(ring, part, ell, degrees, dominant=False):
 def dominant_rows(ring, part, ell, degrees):
     """{weight: {degree: iterator of (row, full-d image row)}} of the
     dominant invariant family at level ell, in family order: the rows
-    that the direct route and the spectral pages eliminate.  Each pair is
-    computed as it is read."""
-    def read(vecs):
-        for v in vecs:
-            yield v.to_row(), diff(v, "full").to_row()
+    that the direct route and the spectral pages eliminate.  The rows
+    come from family_rows, grouped by the weight each is built with; each
+    image is row_diff of its row, computed as the pair is read."""
+    n, k = ring.n, ring.k
 
-    return {mu: {d: read(vecs) for d, vecs in block.items()}
-            for mu, block in weight_blocks(invariant_family(
-                ring, part, ell, degrees, dominant=True)).items()}
+    def read(rows):
+        for row in rows:
+            yield row, row_diff(n, k, row)
+
+    blocks = {}
+    for d, rows in family_rows(ring, part, ell, degrees,
+                               dominant=True).items():
+        for mu, row in rows:
+            blocks.setdefault(mu, {}).setdefault(d, []).append(row)
+    return {mu: {d: read(rows) for d, rows in block.items()}
+            for mu, block in blocks.items()}
 
 
 # ---------------------------------------------------------------------------

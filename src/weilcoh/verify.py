@@ -24,8 +24,8 @@ from .fock import (
     Cochain,
     Phi_J,
     diff,
+    family_rows,
     invariant_dims,
-    invariant_family,
     involution,
     outer_product,
     phi1,
@@ -63,10 +63,11 @@ def _random_cochain(ring, rng, ell):
 
 def _random_invariant_cochain(ring, rng, ell, rows):
     """A random combination of the invariant families of degree <= 3;
-    rows keeps each level's family rows, built on its first draw."""
+    rows keeps each level's family rows (family_rows), built on its first
+    draw."""
     if ell not in rows:
-        rows[ell] = [v.to_row() for vecs in invariant_family(
-            ring, "full", ell, range(4)).values() for v in vecs]
+        rows[ell] = [row for pairs in family_rows(
+            ring, "full", ell, range(4)).values() for _, row in pairs]
     terms = []
     for row in rows[ell]:
         x = rng.randint(-3, 3)

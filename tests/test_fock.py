@@ -3,6 +3,7 @@ involutions, the so(n) action, invariants and direct cohomology."""
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass, field
 
 import pytest
@@ -19,12 +20,14 @@ from weilcoh.fock import (
     diff,
     direct_cohomology_dims,
     dominant_rows,
+    family_rows,
     invariant_dims,
     invariant_family,
     involution,
     outer_product,
     phi1,
     pm_basis_vectors,
+    row_diff,
     sk_model_pairs,
     son_act_cochain,
     star_Phi_J,
@@ -73,6 +76,11 @@ def tuple_sign(J, i, mode):
             return 0, None
         return sign, tuple(j for j in J if j != i)
     raise ValueError("mode must be insert or remove")
+
+
+def mul_poly(c, p):
+    """The cochain c with every part multiplied by the polynomial p."""
+    return Cochain(c.ring, c.ell, {b: f * p for b, f in c.parts.items()})
 
 
 def random_cochain(ring, rng, ell, nterms=3, max_deg=3):
@@ -168,7 +176,7 @@ def test_dprime_on_PhiJ():
             for i in range(1, 3):
                 s, J2 = tuple_sign(J, i, "insert")
                 if s:
-                    rhs = rhs + Phi_J(R, J2).mul_poly(R.w_var(i)).scale(s)
+                    rhs = rhs + mul_poly(Phi_J(R, J2), R.w_var(i)).scale(s)
             assert lhs == rhs, J
 
 
@@ -187,9 +195,8 @@ def test_dprime_on_starPhiJ():
                     rhs = Cochain(R, n - jsize + 1)
                     for j in J:
                         s, J2 = tuple_sign(J, j, "remove")
-                        rhs = rhs + star_Phi_J(R, J2).mul_poly(
-                            c_gen(R, j)
-                        ).scale(s)
+                        rhs = rhs + mul_poly(star_Phi_J(R, J2),
+                                             c_gen(R, j)).scale(s)
                     assert lhs == rhs.scale((-1) ** (jsize - 1)), (n, k, J)
 
 
@@ -566,22 +573,22 @@ def test_direct_cohomology_31():
 
 def test_cohom_reads_the_domain_through_D_minus_2(monkeypatch):
     # without a store the domain level is read through degree D - 2 only:
-    # each cochain of either level gives its row and its image row
+    # each family row of either level is differentiated once, by one
+    # row_diff call, logged here with the level of its row
     R, ell, D = FockRing(3, 2), 3, 3
-    coc = invariant_family(R, "minus", ell, range(D + 1), dominant=True)
-    dom = invariant_family(R, "minus", ell - 1, range(D - 1), dominant=True)
+    coc = family_rows(R, "minus", ell, range(D + 1), dominant=True)
+    dom = family_rows(R, "minus", ell - 1, range(D - 1), dominant=True)
     levels = []
-    to_row = Cochain.to_row
 
-    def recorded(c):
-        levels.append(c.ell)
-        return to_row(c)
+    def recorded(n, k, row):
+        levels.append(next(iter(row))[0].bit_count())
+        return row_diff(n, k, row)
 
-    monkeypatch.setattr(Cochain, "to_row", recorded)
+    monkeypatch.setattr(fock, "row_diff", recorded)
     direct_cohomology_dims(R, "minus", ell, D)
     ncoc, ndom = sum(map(len, coc.values())), sum(map(len, dom.values()))
     assert ndom and levels.count(ell - 1) == ndom
-    assert len(levels) == 2 * ncoc + 2 * ndom
+    assert levels.count(ell) == ncoc and len(levels) == ncoc + ndom
 
 
 def _all_int(polys):
@@ -876,8 +883,8 @@ def test_family_weights_from_construction(n, k):
 def test_builder_refuses_a_vector_of_the_wrong_weight(patch, monkeypatch):
     R = FockRing(3, 2)
     if patch == "Phi_J":
-        monkeypatch.setattr(fock, "Phi_J", lambda ring, J: Phi_J(ring, J)
-                            .mul_poly(ring.w_var(1)))
+        monkeypatch.setattr(fock, "Phi_J", lambda ring, J: mul_poly(
+            Phi_J(ring, J), ring.w_var(1)))
     else:
         monkeypatch.setattr(fock, "sk_evaluate", lambda p, ring:
                             sk_evaluate(p, ring) * ring.z_var(1, 2))
@@ -886,8 +893,9 @@ def test_builder_refuses_a_vector_of_the_wrong_weight(patch, monkeypatch):
 
 
 # The two family builders as they were before both read the pairs of
-# fock.sk_model_pairs, verbatim apart from their names: the oracles of
-# the one enumeration.
+# fock.sk_model_pairs, verbatim apart from their names and the removed
+# Cochain.mul_poly read as mul_poly above: the oracles of the one
+# enumeration and, flattened by to_row, of the rows of family_rows.
 
 
 def old_star_Phi_J(ring, J):
@@ -946,7 +954,7 @@ def old_pm_basis_vectors(ring, part, ell, d, dominant=False):
             if m is None:
                 m = sk_evaluate(Polynomial(sk, {expo: 1}), ring)
                 _check_weight((m,), mw)
-            out.append(c.mul_poly(m))
+            out.append(mul_poly(c, m))
     return out
 
 
@@ -974,9 +982,27 @@ def test_builders_match_the_previous_builders(n, k):
                     assert not list(sk_model_pairs(SkRing(k), n, part, ell,
                                                    d, False)), (part, ell, d)
                 for dominant in (False, True):
+                    old = old_pm_basis_vectors(R, part, ell, d, dominant)
                     assert pm_basis_vectors(R, part, ell, d, dominant) == \
-                        old_pm_basis_vectors(R, part, ell, d, dominant), \
-                        (part, ell, d, dominant)
+                        old, (part, ell, d, dominant)
+                    # the row builder: the same rows, key for key and in
+                    # order, each with the weight of its vector
+                    rows = family_rows(R, part, ell, [d], dominant)[d]
+                    assert [(mu, list(row.items())) for mu, row in rows] \
+                        == [(cochain_weight(v), list(v.to_row().items()))
+                            for v in old], (part, ell, d, dominant)
+    # one call across degrees and both parts: degree, then plus before
+    # minus, then family order
+    for ell in range(n + 1):
+        for dominant in (False, True):
+            rows = family_rows(R, "full", ell, range(5), dominant)
+            assert list(rows) == list(range(5))
+            assert {d: [row for _, row in pairs]
+                    for d, pairs in rows.items()} == \
+                {d: [v.to_row() for part in ("plus", "minus")
+                     for v in old_pm_basis_vectors(R, part, ell, d,
+                                                   dominant)]
+                 for d in range(5)}, (ell, dominant)
 
 
 # the S_k model for k < n: m . Phi_J and m . *Phi_J as pairs (J, m)
@@ -986,7 +1012,7 @@ MODEL_SHAPES = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]
 def model_vector(ring, sk, part, J, expo):
     """The cochain m . Phi_J (plus) or m . *Phi_J (minus) of a model pair."""
     base = Phi_J(ring, J) if part == "plus" else star_Phi_J(ring, J)
-    return base.mul_poly(sk_evaluate(Polynomial(sk, {expo: 1}), ring))
+    return mul_poly(base, sk_evaluate(Polynomial(sk, {expo: 1}), ring))
 
 
 @pytest.mark.parametrize("n,k", MODEL_SHAPES)
@@ -1183,6 +1209,66 @@ def test_diff_matches_the_previous_merge(n, k):
                 list(want.to_row().items()), (c, mode)
 
 
+ROW_DIFF_SHAPES = [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2)]
+
+
+@pytest.mark.parametrize("n,k", ROW_DIFF_SHAPES)
+def test_row_diff_is_diff_on_the_family_rows(n, k):
+    # every plus and minus family vector at every level through degree
+    # 5: the closed-form row differential is diff's row,
+    # term for term and in order, and the merge before from_terms agrees
+    R = FockRing(n, k)
+    for ell in range(n + 1):
+        fam = invariant_family(R, "full", ell, range(6))
+        for v in (v for vecs in fam.values() for v in vecs):
+            got = row_diff(n, k, v.to_row())
+            assert list(got.items()) == \
+                list(diff(v, "full").to_row().items()), v
+            assert got == old_diff(v).to_row(), v
+
+
+@pytest.mark.parametrize("n,k", MERGE_SHAPES)
+def test_row_diff_is_diff_on_any_row(n, k):
+    # arbitrary rows, their index sets interleaved: row_diff groups the
+    # terms by index set in order of first appearance, as from_terms does
+    rng = random.Random(500 * n + k)
+    R = FockRing(n, k)
+    for c in merge_inputs(R, rng):
+        terms = list(c.to_row().items())
+        rng.shuffle(terms)
+        row = dict(terms)
+        want = diff(Cochain.from_terms(R, c.ell, terms), "full").to_row()
+        assert list(row_diff(n, k, row).items()) == list(want.items()), c
+    assert row_diff(n, k, {}) == {}
+
+
+def test_dominant_rows_multiply_only_in_minors_and_images(monkeypatch):
+    # the family rows are merged products of row terms and their images
+    # come from row_diff: no Cochain is differentiated or flattened, and
+    # Polynomial products run only inside minor and the memoised images
+    # of sk_evaluate (_rhat_image, and r_gen, the r(i,j) it multiplies by)
+    def refuse(*args, **kwargs):
+        raise AssertionError("Cochain route called")
+
+    mul, callers = Polynomial.__mul__, set()
+
+    def logged(self, other):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return mul(self, other)
+
+    monkeypatch.setattr(fock, "diff", refuse)
+    monkeypatch.setattr(Cochain, "to_row", refuse)
+    monkeypatch.setattr(Polynomial, "__mul__", logged)
+    for n, k, part in ((2, 2, "full"), (3, 2, "minus"), (2, 3, "plus")):
+        R = FockRing(n, k)
+        for ell in range(n + 1):
+            for block in dominant_rows(R, part, ell, range(5)).values():
+                for pairs in block.values():
+                    assert all(row and img is not None
+                               for row, img in pairs)
+    assert callers == {"minor", "_rhat_image", "r_gen"}
+
+
 @pytest.mark.parametrize("n,k", MERGE_SHAPES)
 def test_son_act_cochain_matches_the_previous_merge(n, k):
     R = FockRing(n, k)
@@ -1247,9 +1333,9 @@ def test_closedness_builds_each_level_once(monkeypatch):
 
     def counted(ring, part, ell, degrees, dominant=False):
         built.append(ell)
-        return invariant_family(ring, part, ell, degrees, dominant)
+        return family_rows(ring, part, ell, degrees, dominant)
 
-    monkeypatch.setattr(verify, "invariant_family", counted)
+    monkeypatch.setattr(verify, "family_rows", counted)
     assert all(v["pass"] for v in verify.suite_closedness(3, 2, 0))
     assert built and len(built) == len(set(built))
 

@@ -7,7 +7,6 @@ import pytest
 import weilcoh.fock as fock
 import weilcoh.spectral as spectral
 from weilcoh.fock import (
-    diff,
     direct_cohomology_dims,
     invariant_family,
     invariant_quotient_dims,
@@ -414,29 +413,38 @@ def test_converge_n2_k2_small_window():
 
 def test_pages_build_each_family_once(monkeypatch):
     # the direct route reads the store of the pages, so a pages call
-    # differentiates exactly what its SpectralComputer alone does, and
-    # the store is one dominant_rows call per level
-    calls, levels = [], []
-    rows = fock.dominant_rows
+    # builds and differentiates exactly what its SpectralComputer alone
+    # does, one family_rows call and one row_diff call per family row,
+    # and the store is one dominant_rows call per level
+    calls, built, levels = [], [], []
+    rows, family, row_diff = fock.dominant_rows, fock.family_rows, \
+        fock.row_diff
 
-    def counted(c, mode="full"):
-        calls.append(mode)
-        return diff(c, mode)
+    def counted(n, k, row):
+        calls.append(row)
+        return row_diff(n, k, row)
+
+    def counted_family(ring, part, ell, degrees, dominant=False):
+        out = family(ring, part, ell, degrees, dominant)
+        built.append(sum(map(len, out.values())))
+        return out
 
     def counted_rows(ring, part, ell, degrees):
         levels.append(ell)
         return rows(ring, part, ell, degrees)
 
-    monkeypatch.setattr(fock, "diff", counted)
-    monkeypatch.setattr(spectral, "diff", counted)
+    monkeypatch.setattr(fock, "row_diff", counted)
+    monkeypatch.setattr(fock, "family_rows", counted_family)
     monkeypatch.setattr(fock, "dominant_rows", counted_rows)
     monkeypatch.setattr(spectral, "dominant_rows", counted_rows)
     SpectralComputer(FockRing(2, 2), "full", 2)
     alone = len(calls)
+    assert alone and len(built) == 3 and sum(built) == alone
     calls.clear()
+    built.clear()
     levels.clear()
     einf_and_converge(FockRing(2, 2), "full", 2)
-    assert alone and len(calls) == alone
+    assert len(calls) == alone and len(built) == 3 and sum(built) == alone
     assert levels == [0, 1, 2]
 
 
