@@ -74,6 +74,9 @@ CASES = {
     # where its level-k series has not started
     "e1-n5k4": _args("e1 --n 5 --k 4 --max-degree 7"),
     "e1-plus-below-k": _args("e1 --n 3 --k 2 --part plus --max-degree 1"),
+    # one part at a time on the Fock route, at k = n and k > n
+    "e1-minus-n2k2": _args("e1 --n 2 --k 2 --part minus --max-degree 6"),
+    "e1-plus-n2k3": _args("e1 --n 2 --k 3 --part plus --max-degree 4"),
     # Koszul certificates (q at k < n is not regular: exit 1)
     "koszul-c-k3": _args("koszul --model c --k 3 --max-degree 9"),
     "koszul-w-k3": _args("koszul --model w --k 3 --max-degree 6"),

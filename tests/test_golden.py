@@ -41,6 +41,7 @@ UNCOVERED = {
     ("pages-n2k3", "Einf part=full r=8"),
     ("pages-n2k3", "graded cohomology part=full"),
     ("e1-n2k3", "E1 part=full"),
+    ("e1-plus-n2k3", "E1 part=plus"),
     ("cohom-n2k3", "cohomology part=full ell=0"),
     ("cohom-n2k3", "cohomology part=full ell=1"),
     ("cohom-n2k3", "cohomology part=full ell=2"),
