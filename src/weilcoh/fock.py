@@ -161,7 +161,6 @@ __all__ = [
     "outer_product",
     "phi1",
     "Phi_J",
-    "star_Phi_J",
     "involution",
     "son_act_cochain",
     "invariant_dims",
@@ -170,8 +169,6 @@ __all__ = [
     "invariant_family",
     "row_diff",
     "sk_model_pairs",
-    "cochain_weight",
-    "weight_blocks",
     "dominant_rows",
     "direct_cohomology_dims",
     "invariant_quotient_dims",
@@ -375,16 +372,6 @@ def Phi_J(ring, J):
     return Cochain(ring, l, parts)
 
 
-def star_Phi_J(ring, J):
-    """Hodge dual family: sum over I of f_{I,J} (x) *(omega_I)."""
-    c = Phi_J(ring, J)
-    parts = {}
-    for bits, f in c.parts.items():
-        s, comp = star_bits(bits, ring.n)
-        parts[comp] = f.scale(s)
-    return Cochain(ring, ring.n - c.ell, parts)
-
-
 def involution(c, which):
     """iota flips e_1: omega_1 and the variables z(1,i) change sign.
     iota_prime flips e_{n+1}: every omega_alpha and the variables w(i)
@@ -538,25 +525,6 @@ def _check_weight(polys, mu):
                 raise ValueError("not a weight vector of weight %r" % (mu,))
 
 
-def cochain_weight(c):
-    """The weight of a nonzero weight vector, read off one monomial;
-    None for the zero cochain."""
-    for p in c.parts.values():
-        for e in p.terms:
-            return c.ring.weight(e)
-    return None
-
-
-def weight_blocks(families):
-    """{degree: [weight vector]} -> {weight: {degree: [weight vector]}},
-    keeping the order within each degree; the vectors are nonzero."""
-    out = {}
-    for d, vecs in families.items():
-        for v in vecs:
-            out.setdefault(cochain_weight(v), {}).setdefault(d, []).append(v)
-    return out
-
-
 def sk_model_pairs(sk, n, part, ell, d, dominant):
     """The pairs (J, m) of the part at bidegree (ell, d) as triples
     (weight, J, m): m an S_k exponent tuple and J increasing, standing for
@@ -580,6 +548,30 @@ def sk_model_pairs(sk, n, part, ell, d, dominant):
                 yield mu, J, expo
 
 
+def _family_base(ring, part, J):
+    """The base of the family (part, J) as [(bits, [(exponent, coef)])],
+    built once per ring and kept on it: the terms of Phi_J for plus,
+    checked to have the weight e_J, and for minus their Hodge star (*Phi_J),
+    each index set sent to its complement by star_bits and its terms
+    multiplied by the sign, so every minor is built once per ring."""
+    memo = ring._family_bases
+    key = part, J
+    if key not in memo:
+        if part == "plus":
+            c = Phi_J(ring, J)
+            _check_weight(c.parts.values(),
+                          tuple(int(j in J) for j in range(1, ring.k + 1)))
+            memo[key] = [(bits, list(f.terms.items()))
+                         for bits, f in c.parts.items()]
+        else:
+            base = []
+            for bits, terms in _family_base(ring, "plus", J):
+                s, comp = star_bits(bits, ring.n)
+                base.append((comp, [(e, s * c) for e, c in terms]))
+            memo[key] = base
+    return memo[key]
+
+
 def family_rows(ring, part, ell, degrees, dominant=False):
     """{degree: [(weight, row)]}: the invariant families at level ell as
     {(bits, exponent tuple): int} rows, each with its weight, for each
@@ -587,8 +579,8 @@ def family_rows(ring, part, ell, degrees, dominant=False):
     order, then part order (plus before minus for full), then the order
     of the pairs; only the vectors of dominant weight if dominant is set.
 
-    The one family builder.  SkRing(k) is made once per call, the row of
-    each Phi_J / *Phi_J once per call across all degrees, and each S_k
+    The one family builder.  SkRing(k) is made once per call, the base of
+    each Phi_J / *Phi_J once per ring (_family_base), and each S_k
     monomial m is evaluated once (sk_evaluate); both are checked to be
     weight vectors of the weight their data give, e_J and weight(m).  The
     row of m . Phi_J is the product of the Phi_J row terms with the terms
@@ -599,9 +591,7 @@ def family_rows(ring, part, ell, degrees, dominant=False):
     if part not in ("plus", "minus", "full"):
         raise ValueError("part must be plus, minus or full")
     parts = ("plus", "minus") if part == "full" else (part,)
-    k = ring.k
-    sk = SkRing(k)
-    bases = {}   # (part, J) -> [(bits, [(exponent, coef)])] of its base
+    sk = SkRing(ring.k)
     images = {}  # S_k exponent -> [(exponent, coef)] of its image
     out = {}
     for d in degrees:
@@ -609,13 +599,7 @@ def family_rows(ring, part, ell, degrees, dominant=False):
         for p in parts:
             for mu, J, expo in sk_model_pairs(sk, ring.n, p, ell, d,
                                               dominant):
-                base = bases.get((p, J))
-                if base is None:
-                    c = (Phi_J if p == "plus" else star_Phi_J)(ring, J)
-                    _check_weight(c.parts.values(),
-                                  tuple(int(j in J) for j in range(1, k + 1)))
-                    base = bases[p, J] = [(bits, list(f.terms.items()))
-                                          for bits, f in c.parts.items()]
+                base = _family_base(ring, p, J)
                 m = images.get(expo)
                 if m is None:
                     poly = sk_evaluate(Polynomial(sk, {expo: 1}), ring)
@@ -635,28 +619,31 @@ def family_rows(ring, part, ell, degrees, dominant=False):
     return out
 
 
-def pm_basis_vectors(ring, part, ell, d, dominant=False):
+def pm_basis_vectors(ring, part, ell, d):
     """The spanning family of C_+ (m . Phi_J) or C_- (m . *Phi_J) at
-    bidegree (ell, d) as cochains: the rows of family_rows, in their
-    order.  The family spans for every k and is dependent for k > n (see
-    the module docstring)."""
+    bidegree (ell, d) as cochains: the cochains of invariant_family, in
+    their order.  The family spans for every k and is dependent for k > n
+    (see the module docstring)."""
     if part not in ("plus", "minus"):
         raise ValueError("part must be plus or minus")
-    return invariant_family(ring, part, ell, (d,), dominant)[d]
+    return [c for _, c in invariant_family(ring, part, ell, (d,))[d]]
 
 
 def invariant_family(ring, part, ell, degrees, dominant=False):
-    """Per-degree spanning families of the invariant cochains: the rows
-    of family_rows as cochains (Cochain.from_terms), the pm_basis_vectors
-    of the part, and of both parts for full.
+    """Per-degree spanning families of the invariant cochains: the
+    (weight, row) pairs of family_rows with each row as a cochain
+    (Cochain.from_terms), the pm_basis_vectors of the part, and of both
+    parts for full.
 
     They span for every k (see the module docstring), so they serve every
-    consumer that needs ranks only.  Every vector is a weight vector.
-    With dominant set, only the vectors of dominant weight are built:
-    they span the dominant weight blocks, which is all the cohomology
-    routes need.  Returns {degree: list of Cochain}.
+    consumer that needs ranks only.  Every vector is a weight vector of
+    the weight it is paired with.  With dominant set, only the vectors of
+    dominant weight are built: they span the dominant weight blocks,
+    which is all the cohomology routes need.  Returns {degree: list of
+    (weight, Cochain)}.
     """
-    return {d: [Cochain.from_terms(ring, ell, row.items()) for _, row in rows]
+    return {d: [(mu, Cochain.from_terms(ring, ell, row.items()))
+                for mu, row in rows]
             for d, rows in family_rows(ring, part, ell, degrees,
                                        dominant).items()}
 
@@ -735,9 +722,11 @@ def direct_cohomology_dims(ring, part, ell, max_degree, store=None):
     {weight: {degree: [(row, image row)]}}}, each level dominant_rows of
     it with its pairs read into lists, through degree max_degree at
     least; a pages call passes its store, so it builds each family once.
-    Without a store dominant_rows streams them: each pair is computed as
-    it is read and then dropped, only the image rows of the domain level
-    are eliminated, and one weight block's rows are alive at a time.
+    Without a store each level is one dominant_rows call, whose one
+    family_rows call builds every row of the level before the first pair
+    is read; only the image rows are made as they are read, each row_diff
+    of its row and dropped after it, and of the domain level only the
+    image rows are eliminated.
     """
     D = max_degree
     if store is not None:

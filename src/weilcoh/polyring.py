@@ -120,9 +120,11 @@ class FockRing(Ring):
                   for a in range(1, n + 1))
             + tuple(self.w(_swap(j, i)) for i in range(1, k + 1))
             for j in range(1, k))
-        # rhat-exponent -> terms of its sk_evaluate image, filled on demand;
-        # plain dicts, so the ring stays out of reference cycles
+        # rhat-exponent -> terms of its sk_evaluate image, and (part, J) ->
+        # the base of the Phi_J / *Phi_J family (fock._family_base), filled
+        # on demand; plain dicts, so the ring stays out of reference cycles
         self._rhat_images = {}
+        self._family_bases = {}
 
     def z(self, alpha, i):
         if not (1 <= alpha <= self.n and 1 <= i <= self.k):

@@ -78,7 +78,7 @@ same store, so each family and its image are built once per call.
 from __future__ import annotations
 
 from .fock import diff, direct_cohomology_dims, dominant_rows, \
-    invariant_family, weight_blocks
+    invariant_family
 from .koszul import ideal_quotient_dims, named_sequence, \
     regular_sequence_check
 from .linalg import MAX_ENTRIES, Eliminator, ResourceCapError, \
@@ -254,24 +254,24 @@ def _koszul_quotient(model, n, k, window):
 def _e1_fock(ring, part, max_degree):
     """e1_dims on the Fock route, for every (n, k): the orbit-weighted
     ranks of the rows of the dominant families and of their d2 images,
-    one Eliminator each per cell (see e1_dims).  One level is built at a
-    time; the cell (ell, t) loses the image of the cell (ell - 1, t - 2)
-    below it, which is kept."""
+    one Eliminator each per cell, fed the (weight, vector) pairs of
+    invariant_family in family order (see e1_dims).  One level is built
+    at a time; the cell (ell, t) loses the image of the cell (ell - 1,
+    t - 2) below it, which is kept."""
     img_rank = {}  # (ell, t) -> orbit-weighted rank of the d2-image
     data = {}
     for ell in range(ring.n + 1):
-        blocks = weight_blocks(invariant_family(
-            ring, part, ell, range(max_degree + 1), dominant=True))
-        for t in range(max_degree + 1):
+        family = invariant_family(ring, part, ell, range(max_degree + 1),
+                                  dominant=True)
+        for t, pairs in family.items():
             rv = ri = 0
             ev, ei = Eliminator(), Eliminator()
-            for mu, block in blocks.items():
+            for mu, v in pairs:
                 mult = orbit_size(mu)
-                for v in block.get(t, ()):
-                    if ev.add_row(v.to_row()):
-                        rv += mult
-                    if ei.add_row(diff(v, "d2").to_row()):
-                        ri += mult
+                if ev.add_row(v.to_row()):
+                    rv += mult
+                if ei.add_row(diff(v, "d2").to_row()):
+                    ri += mult
             img_rank[ell, t] = ri
             dim = rv - ri - img_rank.get((ell - 1, t - 2), 0)
             if dim:

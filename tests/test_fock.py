@@ -16,7 +16,6 @@ from weilcoh.fock import (
     Phi_J,
     _block_filtration,
     _check_weight,
-    cochain_weight,
     diff,
     direct_cohomology_dims,
     dominant_rows,
@@ -30,8 +29,6 @@ from weilcoh.fock import (
     row_diff,
     sk_model_pairs,
     son_act_cochain,
-    star_Phi_J,
-    weight_blocks,
 )
 from weilcoh.linalg import (
     Eliminator,
@@ -137,11 +134,10 @@ def test_phik_outer_product_agrees():
     (1, 1, (1, 1), "|J| exceeds k"),  # both exceeded: k is checked first
 ])
 def test_phi_J_raises_beyond_k_and_n(n, k, J, message):
-    # no family is built, not even the zero cochain; *Phi_J as well
-    for build in (Phi_J, star_Phi_J):
-        with pytest.raises(ValueError) as exc:
-            build(FockRing(n, k), J)
-        assert str(exc.value) == message
+    # no family is built, not even the zero cochain
+    with pytest.raises(ValueError) as exc:
+        Phi_J(FockRing(n, k), J)
+    assert str(exc.value) == message
 
 
 def test_outer_product_phi1_phi1():
@@ -191,11 +187,11 @@ def test_dprime_on_starPhiJ():
             R = FockRing(n, k)
             for jsize in range(1, k + 1):
                 for J in itertools.combinations(range(1, k + 1), jsize):
-                    lhs = -diff(star_Phi_J(R, J), "d2")
+                    lhs = -diff(old_star_Phi_J(R, J), "d2")
                     rhs = Cochain(R, n - jsize + 1)
                     for j in J:
                         s, J2 = tuple_sign(J, j, "remove")
-                        rhs = rhs + mul_poly(star_Phi_J(R, J2),
+                        rhs = rhs + mul_poly(old_star_Phi_J(R, J2),
                                              c_gen(R, j)).scale(s)
                     assert lhs == rhs.scale((-1) ** (jsize - 1)), (n, k, J)
 
@@ -205,7 +201,7 @@ def random_invariant_cochain(ring, rng, ell, max_deg=3):
     c = Cochain(ring, ell)
     fam = invariant_family(ring, "full", ell, range(max_deg + 1))
     for d in range(max_deg + 1):
-        for v in fam[d]:
+        for _, v in fam[d]:
             x = rng.randint(-3, 3)
             if x:
                 c = c + v.scale(x)
@@ -291,8 +287,8 @@ def test_split_pm():
     for J in [(1,), (1, 2)]:
         p, m = split_pm(Phi_J(R, J))
         assert p == Phi_J(R, J).scale(2) and not m
-        p, m = split_pm(star_Phi_J(R, J))
-        assert not p and m == star_Phi_J(R, J).scale(2)
+        p, m = split_pm(old_star_Phi_J(R, J))
+        assert not p and m == old_star_Phi_J(R, J).scale(2)
     rng = random.Random(11)
     c = random_cochain(R, rng, 2)
     p, m = split_pm(c)
@@ -414,13 +410,13 @@ def test_families_span_the_invariants(n, k):
         fam = invariant_family(R, "full", ell, range(4))
         dims = invariant_dims(R, ell, 3)
         for d in range(4):
-            rows = [c.to_row() for c in fam[d]]
+            rows = [c.to_row() for _, c in fam[d]]
             dim = dims[d]
             assert rank_of_rows(rows) == dim, (ell, d)
             if k <= n:
                 assert len(rows) == dim, (ell, d)
-            plus = invariant_family(R, "plus", ell, [d])[d]
-            minus = invariant_family(R, "minus", ell, [d])[d]
+            plus = pm_basis_vectors(R, "plus", ell, d)
+            minus = pm_basis_vectors(R, "minus", ell, d)
             assert rank_of_rows([c.to_row() for c in plus]) + \
                 rank_of_rows([c.to_row() for c in minus]) == dim, (ell, d)
             for c in plus:
@@ -610,7 +606,7 @@ def test_integer_inputs_give_int_coefficients():
     Rk = FockRing(2, 2)  # k >= n
     fams = invariant_family(Rk, "full", 1, range(4))
     assert any(fams.values())
-    assert _all_int(p for fam in fams.values() for c in fam
+    assert _all_int(p for fam in fams.values() for _, c in fam
                     for p in c.parts.values())
 
 
@@ -669,13 +665,13 @@ def slice_direct_cohomology_dims(ring, part, ell, max_degree, buffer=4):
     # slice families by s = z-degree - w-degree (preserved by d)
     coc_s = {}
     for d in range(D + 1):
-        for v in coc[d]:
+        for _, v in coc[d]:
             s = skey(v)
             if s is not None:
                 coc_s.setdefault(s, {}).setdefault(d, []).append(v)
     dom_s = {}
     for d in range(maxdom + 1):
-        for v in dom[d]:
+        for _, v in dom[d]:
             s = skey(v)
             if s is not None:
                 dom_s.setdefault(s, {}).setdefault(d, []).append(v)
@@ -751,11 +747,14 @@ def weights_of(c):
 
 
 def row_pair_blocks(families):
-    """weight_blocks of the families, each cochain as its (row, full-d
-    image row) pair."""
-    return {mu: {d: [(v.to_row(), diff(v, "full").to_row()) for v in vecs]
-                 for d, vecs in block.items()}
-            for mu, block in weight_blocks(families).items()}
+    """The (weight, cochain) pairs of invariant_family grouped by weight,
+    {weight: {degree: [(row, full-d image row)]}}, in family order."""
+    out = {}
+    for d, pairs in families.items():
+        for mu, v in pairs:
+            out.setdefault(mu, {}).setdefault(d, []).append(
+                (v.to_row(), diff(v, "full").to_row()))
+    return out
 
 
 WEIGHT_CASES = [(n, k, part) for n, k in [(2, 2), (3, 2), (2, 3)]
@@ -775,9 +774,9 @@ def test_weight_blocks_symmetric_and_sum_to_slices(n, k, part):
         for lvl, fam_all in ((ell, coc_all), (ell - 1, dom_all)):
             fam_dom = invariant_family(R, part, lvl, list(fam_all),
                                        dominant=True)
-            for d, vecs in fam_all.items():
-                assert fam_dom[d] == [v for v in vecs
-                                      if is_dominant(cochain_weight(v))]
+            for d, pairs in fam_all.items():
+                assert fam_dom[d] == [(mu, v) for mu, v in pairs
+                                      if is_dominant(mu)]
         coc = row_pair_blocks(coc_all)
         dom = row_pair_blocks(dom_all)
         blocks = {mu: _block_filtration(coc.get(mu, {}), dom.get(mu, {}), D)
@@ -895,7 +894,8 @@ def test_builder_refuses_a_vector_of_the_wrong_weight(patch, monkeypatch):
 # The two family builders as they were before both read the pairs of
 # fock.sk_model_pairs, verbatim apart from their names and the removed
 # Cochain.mul_poly read as mul_poly above: the oracles of the one
-# enumeration and, flattened by to_row, of the rows of family_rows.
+# enumeration and, flattened by to_row, of the rows of family_rows;
+# old_star_Phi_J is also the oracle of the minus bases.
 
 
 def old_star_Phi_J(ring, J):
@@ -961,18 +961,10 @@ def old_pm_basis_vectors(ring, part, ell, d, dominant=False):
 @pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (2, 2), (3, 3), (2, 3),
                                  (1, 2)])
 def test_builders_match_the_previous_builders(n, k):
-    # k < n, k = n and k > n: every *Phi_J, and every family of both
-    # parts at every level through degree 4, dominant or not, equal
-    # vector by vector and in order
+    # k < n, k = n and k > n: every family of both parts at every level
+    # through degree 4, dominant or not, equal vector by vector and in
+    # order, each paired with the weight of every monomial it has
     R = FockRing(n, k)
-    for size in range(min(n, k) + 1):
-        for J in itertools.combinations(range(1, k + 1), size):
-            assert star_Phi_J(R, J) == old_star_Phi_J(R, J), J
-    for J in (tuple(range(1, k + 2)), tuple(range(1, n + 2))[:k]):
-        if len(J) > min(n, k):
-            for build in (star_Phi_J, old_star_Phi_J):
-                with pytest.raises(ValueError, match="exceeds"):
-                    build(R, J)
     for part in ("plus", "minus"):
         for ell in range(-1, n + 2):
             jsize = ell if part == "plus" else n - ell
@@ -983,14 +975,20 @@ def test_builders_match_the_previous_builders(n, k):
                                                    d, False)), (part, ell, d)
                 for dominant in (False, True):
                     old = old_pm_basis_vectors(R, part, ell, d, dominant)
-                    assert pm_basis_vectors(R, part, ell, d, dominant) == \
-                        old, (part, ell, d, dominant)
+                    pairs = invariant_family(R, part, ell, [d], dominant)[d]
+                    assert [v for _, v in pairs] == old, \
+                        (part, ell, d, dominant)
+                    if not dominant:
+                        assert pm_basis_vectors(R, part, ell, d) == old
+                    for mu, v in pairs:
+                        assert {R.weight(e) for p in v.parts.values()
+                                for e in p.terms} == {mu}, (part, ell, d)
                     # the row builder: the same rows, key for key and in
                     # order, each with the weight of its vector
                     rows = family_rows(R, part, ell, [d], dominant)[d]
                     assert [(mu, list(row.items())) for mu, row in rows] \
-                        == [(cochain_weight(v), list(v.to_row().items()))
-                            for v in old], (part, ell, d, dominant)
+                        == [(mu, list(v.to_row().items()))
+                            for mu, v in pairs], (part, ell, d, dominant)
     # one call across degrees and both parts: degree, then plus before
     # minus, then family order
     for ell in range(n + 1):
@@ -1005,13 +1003,40 @@ def test_builders_match_the_previous_builders(n, k):
                  for d in range(5)}, (ell, dominant)
 
 
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (2, 3)])
+def test_family_bases_are_built_once_per_ring(n, k, monkeypatch):
+    # every level of both parts, twice over: each Phi_J is built, and
+    # weight-checked, once per ring, every *Phi_J base is read off it,
+    # term for term the old *Phi_J, and a fresh ring builds them again
+    built = []
+
+    def counted(ring, J):
+        built.append(J)
+        return Phi_J(ring, J)
+
+    monkeypatch.setattr(fock, "Phi_J", counted)
+    every_J = sorted(J for size in range(min(n, k) + 1)
+                     for J in itertools.combinations(range(1, k + 1), size))
+    for R in (FockRing(n, k), FockRing(n, k)):
+        built.clear()
+        for _ in range(2):
+            for ell in range(n + 1):
+                family_rows(R, "full", ell, range(4))
+        assert sorted(built) == every_J
+        for J in every_J:
+            assert fock._family_base(R, "minus", J) == [
+                (bits, list(f.terms.items()))
+                for bits, f in old_star_Phi_J(R, J).parts.items()], J
+        assert len(built) == len(every_J)
+
+
 # the S_k model for k < n: m . Phi_J and m . *Phi_J as pairs (J, m)
 MODEL_SHAPES = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]
 
 
 def model_vector(ring, sk, part, J, expo):
     """The cochain m . Phi_J (plus) or m . *Phi_J (minus) of a model pair."""
-    base = Phi_J(ring, J) if part == "plus" else star_Phi_J(ring, J)
+    base = Phi_J(ring, J) if part == "plus" else old_star_Phi_J(ring, J)
     return mul_poly(base, sk_evaluate(Polynomial(sk, {expo: 1}), ring))
 
 
@@ -1039,18 +1064,19 @@ def test_sk_model_d2_rows_match_diff(n, k):
 @pytest.mark.parametrize("n,k", MODEL_SHAPES)
 def test_sk_model_basis_is_the_dominant_family(n, k):
     # evaluated, the model pairs of a cell are the dominant family of
-    # pm_basis_vectors, block by block and in family order
+    # invariant_family, block by block and in family order
     R, sk = FockRing(n, k), SkRing(k)
     for part in ("plus", "minus"):
         for ell in range(n + 1):
             for d in range(5):
-                fam = weight_blocks({d: pm_basis_vectors(R, part, ell, d,
-                                                         dominant=True)})
+                fam = {}
+                for mu, v in invariant_family(R, part, ell, [d],
+                                              dominant=True)[d]:
+                    fam.setdefault(mu, []).append(v)
                 model = sk_model_basis(sk, n, part, ell, d)
                 assert {mu: [model_vector(R, sk, part, J, m)
                              for J, m in pairs]
-                        for mu, pairs in model.items()} == \
-                    {mu: block[d] for mu, block in fam.items()}, \
+                        for mu, pairs in model.items()} == fam, \
                     (part, ell, d)
 
 
@@ -1174,8 +1200,8 @@ def old_random_cochain(ring, rng, ell):
 def old_random_invariant_cochain(ring, rng, ell):
     """A random combination of the invariant families of degree <= 3."""
     c = Cochain(ring, ell)
-    for vecs in invariant_family(ring, "full", ell, range(4)).values():
-        for v in vecs:
+    for pairs in invariant_family(ring, "full", ell, range(4)).values():
+        for _, v in pairs:
             x = rng.randint(-3, 3)
             if x:
                 c = c + v.scale(x)
@@ -1220,7 +1246,7 @@ def test_row_diff_is_diff_on_the_family_rows(n, k):
     R = FockRing(n, k)
     for ell in range(n + 1):
         fam = invariant_family(R, "full", ell, range(6))
-        for v in (v for vecs in fam.values() for v in vecs):
+        for v in (v for pairs in fam.values() for _, v in pairs):
             got = row_diff(n, k, v.to_row())
             assert list(got.items()) == \
                 list(diff(v, "full").to_row().items()), v

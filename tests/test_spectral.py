@@ -415,10 +415,11 @@ def test_pages_build_each_family_once(monkeypatch):
     # the direct route reads the store of the pages, so a pages call
     # builds and differentiates exactly what its SpectralComputer alone
     # does, one family_rows call and one row_diff call per family row,
-    # and the store is one dominant_rows call per level
-    calls, built, levels = [], [], []
-    rows, family, row_diff = fock.dominant_rows, fock.family_rows, \
-        fock.row_diff
+    # and the store is one dominant_rows call per level; each minor is
+    # built once per ring, for Phi_J and *Phi_J alike
+    calls, built, levels, minors = [], [], [], []
+    rows, family, row_diff, minor = fock.dominant_rows, fock.family_rows, \
+        fock.row_diff, fock.minor
 
     def counted(n, k, row):
         calls.append(row)
@@ -433,7 +434,12 @@ def test_pages_build_each_family_once(monkeypatch):
         levels.append(ell)
         return rows(ring, part, ell, degrees)
 
+    def counted_minor(ring, I, J):
+        minors.append((I, J))
+        return minor(ring, I, J)
+
     monkeypatch.setattr(fock, "row_diff", counted)
+    monkeypatch.setattr(fock, "minor", counted_minor)
     monkeypatch.setattr(fock, "family_rows", counted_family)
     monkeypatch.setattr(fock, "dominant_rows", counted_rows)
     monkeypatch.setattr(spectral, "dominant_rows", counted_rows)
@@ -443,9 +449,12 @@ def test_pages_build_each_family_once(monkeypatch):
     calls.clear()
     built.clear()
     levels.clear()
+    minors.clear()
     einf_and_converge(FockRing(2, 2), "full", 2)
     assert len(calls) == alone and len(built) == 3 and sum(built) == alone
     assert levels == [0, 1, 2]
+    # the minors of Phi_{}, Phi_1, Phi_2 (two each) and Phi_12
+    assert len(minors) == 6 and len(set(minors)) == 6
 
 
 class LoggedCell:
