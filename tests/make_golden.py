@@ -90,6 +90,9 @@ CASES = {
     "verify-n2k2": _args("verify --suite all --n 2 --k 2"),
     "verify-n3k1": _args("verify --suite all --n 3 --k 1"),
     "verify-n4k2": _args("verify --suite all --n 4 --k 2"),
+    # k > n: the random invariant cochains of the closedness suite are
+    # drawn from dependent families
+    "verify-n2k3": _args("verify --suite all --n 2 --k 3"),
     # capped runs (exit 3): the document and the abort text
     "cohom-capped": _args("cohom --n 3 --k 2 --part minus --ell 0..3 "
                           "--max-degree 4 --max-entries 80"),
