@@ -36,15 +36,14 @@ invariants of vectors are generated by inner products and n x n
 determinants.  Read with the form indices as extra vectors, every
 invariant cochain is therefore an S_k-combination of the Phi_J and the
 *Phi_J (r(i,j) for rhat(i,j), w(i) for what(i)): the families of
-family_rows span the invariants for every k.  They are a basis for
+invariant_family span the invariants for every k.  They are a basis for
 k < n, as the paper proves, and the tests find them free at k = n too;
 for k > n the relations among inner products and determinants make them
 dependent, which the consumers, all rank-based, do not mind.  So the
 families are the S_k model pairs (J, m) evaluated in the Fock ring, as
 m . Phi_J or m . *Phi_J (*Phi_J the Hodge star of Phi_J), and they come
-from one enumeration, sk_model_pairs, whose pairs family_rows evaluates
-into rows; pm_basis_vectors and invariant_family read the same rows as
-cochains.
+from one enumeration, sk_model_pairs, whose pairs invariant_family
+evaluates into rows; pm_basis_vectors reads the rows of one degree.
 
 Invariant dimensions come from an independent route, the joint kernel
 of the so(n) generators X_{i,i+1}, and serve as the oracle of the
@@ -164,7 +163,6 @@ __all__ = [
     "involution",
     "son_act_cochain",
     "invariant_dims",
-    "family_rows",
     "pm_basis_vectors",
     "invariant_family",
     "row_diff",
@@ -572,12 +570,17 @@ def _family_base(ring, part, J):
     return memo[key]
 
 
-def family_rows(ring, part, ell, degrees, dominant=False):
-    """{degree: [(weight, row)]}: the invariant families at level ell as
-    {(bits, exponent tuple): int} rows, each with its weight, for each
-    degree in degrees; the pairs of sk_model_pairs evaluated, in degree
-    order, then part order (plus before minus for full), then the order
-    of the pairs; only the vectors of dominant weight if dominant is set.
+def invariant_family(ring, part, ell, degrees, dominant=False):
+    """{degree: [(weight, row)]}: the spanning families of the invariant
+    cochains at level ell as {(bits, exponent tuple): int} rows, each with
+    its weight, for each degree in degrees; the pairs of sk_model_pairs
+    evaluated, in degree order, then part order (plus before minus for
+    full), then the order of the pairs.
+
+    They span for every k (see the module docstring), so they serve every
+    consumer that needs ranks only.  With dominant set, only the vectors
+    of dominant weight are built: they span the dominant weight blocks,
+    which is all the cohomology routes need.
 
     The one family builder.  SkRing(k) is made once per call, the base of
     each Phi_J / *Phi_J once per ring (_family_base), and each S_k
@@ -620,32 +623,11 @@ def family_rows(ring, part, ell, degrees, dominant=False):
 
 
 def pm_basis_vectors(ring, part, ell, d):
-    """The spanning family of C_+ (m . Phi_J) or C_- (m . *Phi_J) at
-    bidegree (ell, d) as cochains: the cochains of invariant_family, in
-    their order.  The family spans for every k and is dependent for k > n
-    (see the module docstring)."""
-    if part not in ("plus", "minus"):
-        raise ValueError("part must be plus or minus")
-    return [c for _, c in invariant_family(ring, part, ell, (d,))[d]]
-
-
-def invariant_family(ring, part, ell, degrees, dominant=False):
-    """Per-degree spanning families of the invariant cochains: the
-    (weight, row) pairs of family_rows with each row as a cochain
-    (Cochain.from_terms), the pm_basis_vectors of the part, and of both
-    parts for full.
-
-    They span for every k (see the module docstring), so they serve every
-    consumer that needs ranks only.  Every vector is a weight vector of
-    the weight it is paired with.  With dominant set, only the vectors of
-    dominant weight are built: they span the dominant weight blocks,
-    which is all the cohomology routes need.  Returns {degree: list of
-    (weight, Cochain)}.
-    """
-    return {d: [(mu, Cochain.from_terms(ring, ell, row.items()))
-                for mu, row in rows]
-            for d, rows in family_rows(ring, part, ell, degrees,
-                                       dominant).items()}
+    """The rows of invariant_family at bidegree (ell, d), in their order:
+    the spanning family of C_+ (m . Phi_J), of C_- (m . *Phi_J), or of
+    both (full, plus first).  The family spans for every k and is
+    dependent for k > n (see the module docstring)."""
+    return [row for _, row in invariant_family(ring, part, ell, (d,))[d]]
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +638,8 @@ def dominant_rows(ring, part, ell, degrees):
     """{weight: {degree: iterator of (row, full-d image row)}} of the
     dominant invariant family at level ell, in family order: the rows
     that the direct route and the spectral pages eliminate.  The rows
-    come from family_rows, grouped by the weight each is built with; each
-    image is row_diff of its row, computed as the pair is read."""
+    come from invariant_family, grouped by the weight each is built with;
+    each image is row_diff of its row, computed as the pair is read."""
     n, k = ring.n, ring.k
 
     def read(rows):
@@ -665,8 +647,8 @@ def dominant_rows(ring, part, ell, degrees):
             yield row, row_diff(n, k, row)
 
     blocks = {}
-    for d, rows in family_rows(ring, part, ell, degrees,
-                               dominant=True).items():
+    for d, rows in invariant_family(ring, part, ell, degrees,
+                                    dominant=True).items():
         for mu, row in rows:
             blocks.setdefault(mu, {}).setdefault(d, []).append(row)
     return {mu: {d: read(rows) for d, rows in block.items()}
@@ -723,10 +705,10 @@ def direct_cohomology_dims(ring, part, ell, max_degree, store=None):
     it with its pairs read into lists, through degree max_degree at
     least; a pages call passes its store, so it builds each family once.
     Without a store each level is one dominant_rows call, whose one
-    family_rows call builds every row of the level before the first pair
-    is read; only the image rows are made as they are read, each row_diff
-    of its row and dropped after it, and of the domain level only the
-    image rows are eliminated.
+    invariant_family call builds every row of the level before the first
+    pair is read; only the image rows are made as they are read, each
+    row_diff of its row and dropped after it, and of the domain level
+    only the image rows are eliminated.
     """
     D = max_degree
     if store is not None:

@@ -77,7 +77,7 @@ same store, so each family and its image are built once per call.
 
 from __future__ import annotations
 
-from .fock import diff, direct_cohomology_dims, dominant_rows, \
+from .fock import Cochain, diff, direct_cohomology_dims, dominant_rows, \
     invariant_family
 from .koszul import ideal_quotient_dims, named_sequence, \
     regular_sequence_check
@@ -254,10 +254,11 @@ def _koszul_quotient(model, n, k, window):
 def _e1_fock(ring, part, max_degree):
     """e1_dims on the Fock route, for every (n, k): the orbit-weighted
     ranks of the rows of the dominant families and of their d2 images,
-    one Eliminator each per cell, fed the (weight, vector) pairs of
-    invariant_family in family order (see e1_dims).  One level is built
-    at a time; the cell (ell, t) loses the image of the cell (ell - 1,
-    t - 2) below it, which is kept."""
+    one Eliminator each per cell, fed the (weight, row) pairs of
+    invariant_family in family order (see e1_dims); each row is read as a
+    cochain (Cochain.from_terms) for its diff.  One level is built at a
+    time; the cell (ell, t) loses the image of the cell (ell - 1, t - 2)
+    below it, which is kept."""
     img_rank = {}  # (ell, t) -> orbit-weighted rank of the d2-image
     data = {}
     for ell in range(ring.n + 1):
@@ -266,10 +267,11 @@ def _e1_fock(ring, part, max_degree):
         for t, pairs in family.items():
             rv = ri = 0
             ev, ei = Eliminator(), Eliminator()
-            for mu, v in pairs:
+            for mu, row in pairs:
                 mult = orbit_size(mu)
-                if ev.add_row(v.to_row()):
+                if ev.add_row(row):
                     rv += mult
+                v = Cochain.from_terms(ring, ell, row.items())
                 if ei.add_row(diff(v, "d2").to_row()):
                     ri += mult
             img_rank[ell, t] = ri

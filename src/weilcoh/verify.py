@@ -24,8 +24,8 @@ from .fock import (
     Cochain,
     Phi_J,
     diff,
-    family_rows,
     invariant_dims,
+    invariant_family,
     involution,
     outer_product,
     phi1,
@@ -63,10 +63,10 @@ def _random_cochain(ring, rng, ell):
 
 def _random_invariant_cochain(ring, rng, ell, rows):
     """A random combination of the invariant families of degree <= 3;
-    rows keeps each level's family rows (family_rows), built on its first
-    draw."""
+    rows keeps each level's family rows (invariant_family), built on its
+    first draw."""
     if ell not in rows:
-        rows[ell] = [row for pairs in family_rows(
+        rows[ell] = [row for pairs in invariant_family(
             ring, "full", ell, range(4)).values() for _, row in pairs]
     terms = []
     for row in rows[ell]:
@@ -212,12 +212,11 @@ def suite_bases(n, k, seed):
         for ell in range(n + 1):
             dims = invariant_dims(R, ell, WINDOW)
             for d in range(WINDOW + 1):
-                plus = pm_basis_vectors(R, "plus", ell, d)
-                minus = pm_basis_vectors(R, "minus", ell, d)
-                # both families free and jointly free, and spanning; a
-                # subset of a free family is free, so one rank decides
-                rank = rank_of_rows(v.to_row() for v in plus + minus)
-                if rank != len(plus) + len(minus) or rank != dims[d]:
+                # the plus family, then the minus family: both free and
+                # jointly free, and spanning; a subset of a free family
+                # is free, so one rank decides
+                rows = pm_basis_vectors(R, "full", ell, d)
+                if not rank_of_rows(rows) == len(rows) == dims[d]:
                     bad.append((ell, d))
         _verdict(results, "determinantal families are a basis", not bad,
                  "failing cells: %s" % bad if bad else

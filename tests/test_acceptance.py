@@ -124,12 +124,12 @@ def test_determinantal_families_are_bases():
                 plus = pm_basis_vectors(R, "plus", ell, d)
                 minus = pm_basis_vectors(R, "minus", ell, d)
                 ep, em, eb = Eliminator(), Eliminator(), Eliminator()
-                for v in plus:
-                    ep.add_row(v.to_row())
-                    eb.add_row(v.to_row())
-                for v in minus:
-                    em.add_row(v.to_row())
-                    eb.add_row(v.to_row())
+                for row in plus:
+                    ep.add_row(row)
+                    eb.add_row(row)
+                for row in minus:
+                    em.add_row(row)
+                    eb.add_row(row)
                 ok = (ep.rank == len(plus) and em.rank == len(minus)
                       and eb.rank == len(plus) + len(minus)
                       and eb.rank == dims[d])

@@ -19,7 +19,6 @@ from weilcoh.fock import (
     diff,
     direct_cohomology_dims,
     dominant_rows,
-    family_rows,
     invariant_dims,
     invariant_family,
     involution,
@@ -78,6 +77,12 @@ def tuple_sign(J, i, mode):
 def mul_poly(c, p):
     """The cochain c with every part multiplied by the polynomial p."""
     return Cochain(c.ring, c.ell, {b: f * p for b, f in c.parts.items()})
+
+
+def cochain_of_row(ring, ell, row):
+    """A {(bits, exponent): int} family row read as a cochain of level
+    ell."""
+    return Cochain.from_terms(ring, ell, row.items())
 
 
 def random_cochain(ring, rng, ell, nterms=3, max_deg=3):
@@ -201,10 +206,10 @@ def random_invariant_cochain(ring, rng, ell, max_deg=3):
     c = Cochain(ring, ell)
     fam = invariant_family(ring, "full", ell, range(max_deg + 1))
     for d in range(max_deg + 1):
-        for _, v in fam[d]:
+        for _, row in fam[d]:
             x = rng.randint(-3, 3)
             if x:
-                c = c + v.scale(x)
+                c = c + cochain_of_row(ring, ell, row).scale(x)
     return c
 
 
@@ -378,11 +383,12 @@ def test_pm_basis_vectors_edges():
     R = FockRing(3, 2)
     k = R.k
     fam = pm_basis_vectors(R, "plus", k, k)
-    assert len(fam) == 1 and fam[0] == phik(R)
+    assert len(fam) == 1 and cochain_of_row(R, k, fam[0]) == phik(R)
     assert pm_basis_vectors(R, "plus", k + 1, k + 1) == []
     vol_fam = pm_basis_vectors(R, "minus", 3, 0)
     assert len(vol_fam) == 1
-    assert vol_fam[0] == Cochain(R, 3, {bits_of((1, 2, 3)): R.one()})
+    assert cochain_of_row(R, 3, vol_fam[0]) == \
+        Cochain(R, 3, {bits_of((1, 2, 3)): R.one()})
 
 
 def test_pm_families_independent_and_complete():
@@ -392,8 +398,8 @@ def test_pm_families_independent_and_complete():
         for ell in range(0, n + 1):
             dims = invariant_dims(R, ell, 4)
             for d in range(0, 5):
-                plus = [c.to_row() for c in pm_basis_vectors(R, "plus", ell, d)]
-                minus = [c.to_row() for c in pm_basis_vectors(R, "minus", ell, d)]
+                plus = pm_basis_vectors(R, "plus", ell, d)
+                minus = pm_basis_vectors(R, "minus", ell, d)
                 assert rank_of_rows(plus) == len(plus)
                 assert rank_of_rows(minus) == len(minus)
                 assert len(plus) + len(minus) == dims[d], (
@@ -410,19 +416,18 @@ def test_families_span_the_invariants(n, k):
         fam = invariant_family(R, "full", ell, range(4))
         dims = invariant_dims(R, ell, 3)
         for d in range(4):
-            rows = [c.to_row() for _, c in fam[d]]
+            rows = [row for _, row in fam[d]]
             dim = dims[d]
             assert rank_of_rows(rows) == dim, (ell, d)
             if k <= n:
                 assert len(rows) == dim, (ell, d)
             plus = pm_basis_vectors(R, "plus", ell, d)
             minus = pm_basis_vectors(R, "minus", ell, d)
-            assert rank_of_rows([c.to_row() for c in plus]) + \
-                rank_of_rows([c.to_row() for c in minus]) == dim, (ell, d)
-            for c in plus:
+            assert rank_of_rows(plus) + rank_of_rows(minus) == dim, (ell, d)
+            for c in (cochain_of_row(R, ell, row) for row in plus):
                 p, m = split_pm(c)
                 assert p == c.scale(2) and not m
-            for c in minus:
+            for c in (cochain_of_row(R, ell, row) for row in minus):
                 p, m = split_pm(c)
                 assert m == c.scale(2) and not p
 
@@ -572,8 +577,8 @@ def test_cohom_reads_the_domain_through_D_minus_2(monkeypatch):
     # each family row of either level is differentiated once, by one
     # row_diff call, logged here with the level of its row
     R, ell, D = FockRing(3, 2), 3, 3
-    coc = family_rows(R, "minus", ell, range(D + 1), dominant=True)
-    dom = family_rows(R, "minus", ell - 1, range(D - 1), dominant=True)
+    coc = invariant_family(R, "minus", ell, range(D + 1), dominant=True)
+    dom = invariant_family(R, "minus", ell - 1, range(D - 1), dominant=True)
     levels = []
 
     def recorded(n, k, row):
@@ -598,7 +603,8 @@ def test_integer_inputs_give_int_coefficients():
     assert dphi and _all_int(dphi.parts.values())
     for part in ("plus", "minus"):
         fam = pm_basis_vectors(R, part, 1, 3)
-        assert fam and _all_int(p for c in fam for p in c.parts.values())
+        assert fam and all(type(c) is int for row in fam
+                           for c in row.values())
     S = SkRing(2)
     m = S.rhat_var(1, 2) * S.what_var(1) * S.what_var(2)
     images = [sk_evaluate(m, R), son_act(1, 2, q_gen(R, 1))]
@@ -606,8 +612,8 @@ def test_integer_inputs_give_int_coefficients():
     Rk = FockRing(2, 2)  # k >= n
     fams = invariant_family(Rk, "full", 1, range(4))
     assert any(fams.values())
-    assert _all_int(p for fam in fams.values() for _, c in fam
-                    for p in c.parts.values())
+    assert all(type(c) is int for fam in fams.values() for _, row in fam
+               for c in row.values())
 
 
 # ---------------------------------------------------------------------------
@@ -665,13 +671,15 @@ def slice_direct_cohomology_dims(ring, part, ell, max_degree, buffer=4):
     # slice families by s = z-degree - w-degree (preserved by d)
     coc_s = {}
     for d in range(D + 1):
-        for _, v in coc[d]:
+        for _, row in coc[d]:
+            v = cochain_of_row(ring, ell, row)
             s = skey(v)
             if s is not None:
                 coc_s.setdefault(s, {}).setdefault(d, []).append(v)
     dom_s = {}
     for d in range(maxdom + 1):
-        for _, v in dom[d]:
+        for _, row in dom[d]:
+            v = cochain_of_row(ring, ell - 1, row)
             s = skey(v)
             if s is not None:
                 dom_s.setdefault(s, {}).setdefault(d, []).append(v)
@@ -741,19 +749,19 @@ def monomial_weight(ring, e):
     )
 
 
-def weights_of(c):
-    return {monomial_weight(c.ring, e)
-            for p in c.parts.values() for e in p.terms}
+def weights_of(ring, row):
+    return {monomial_weight(ring, e) for _, e in row}
 
 
-def row_pair_blocks(families):
-    """The (weight, cochain) pairs of invariant_family grouped by weight,
-    {weight: {degree: [(row, full-d image row)]}}, in family order."""
+def row_pair_blocks(ring, ell, families):
+    """The (weight, row) pairs of invariant_family at level ell grouped by
+    weight, {weight: {degree: [(row, full-d image row)]}}, in family
+    order; each image is diff of the row read as a cochain."""
     out = {}
     for d, pairs in families.items():
-        for mu, v in pairs:
+        for mu, row in pairs:
             out.setdefault(mu, {}).setdefault(d, []).append(
-                (v.to_row(), diff(v, "full").to_row()))
+                (row, diff(cochain_of_row(ring, ell, row), "full").to_row()))
     return out
 
 
@@ -775,10 +783,10 @@ def test_weight_blocks_symmetric_and_sum_to_slices(n, k, part):
             fam_dom = invariant_family(R, part, lvl, list(fam_all),
                                        dominant=True)
             for d, pairs in fam_all.items():
-                assert fam_dom[d] == [(mu, v) for mu, v in pairs
+                assert fam_dom[d] == [(mu, row) for mu, row in pairs
                                       if is_dominant(mu)]
-        coc = row_pair_blocks(coc_all)
-        dom = row_pair_blocks(dom_all)
+        coc = row_pair_blocks(R, ell, coc_all)
+        dom = row_pair_blocks(R, ell - 1, dom_all)
         blocks = {mu: _block_filtration(coc.get(mu, {}), dom.get(mu, {}), D)
                   for mu in set(coc) | set(dom)}
         total = [0] * (D + 1)
@@ -830,7 +838,8 @@ def test_dominant_rows_are_the_pages_store(n, k, part):
     for ell in range(n + 1):
         rows = ordered(dominant_rows(R, part, ell, range(D + 1)))
         assert ordered(comp.blocks[ell]) == rows, ell
-        blocks = row_pair_blocks(invariant_family(R, part, ell, range(D + 1)))
+        blocks = row_pair_blocks(R, ell,
+                                 invariant_family(R, part, ell, range(D + 1)))
         assert rows == ordered({mu: block for mu, block in blocks.items()
                                 if is_dominant(mu)}), ell
 
@@ -874,7 +883,7 @@ def test_family_weights_from_construction(n, k):
                                                     jsize(ell)):
                         predicted.append(tuple(
                             mw[a] + (a + 1 in J) for a in range(k)))
-                assert [weights_of(c) for c in fam] == \
+                assert [weights_of(R, row) for row in fam] == \
                     [{mu} for mu in predicted], (part, ell, d)
 
 
@@ -894,7 +903,7 @@ def test_builder_refuses_a_vector_of_the_wrong_weight(patch, monkeypatch):
 # The two family builders as they were before both read the pairs of
 # fock.sk_model_pairs, verbatim apart from their names and the removed
 # Cochain.mul_poly read as mul_poly above: the oracles of the one
-# enumeration and, flattened by to_row, of the rows of family_rows;
+# enumeration and, flattened by to_row, of the rows of invariant_family;
 # old_star_Phi_J is also the oracle of the minus bases.
 
 
@@ -974,26 +983,24 @@ def test_builders_match_the_previous_builders(n, k):
                     assert not list(sk_model_pairs(SkRing(k), n, part, ell,
                                                    d, False)), (part, ell, d)
                 for dominant in (False, True):
-                    old = old_pm_basis_vectors(R, part, ell, d, dominant)
+                    old = [list(v.to_row().items()) for v in
+                           old_pm_basis_vectors(R, part, ell, d, dominant)]
+                    # the same rows, key for key and in order
                     pairs = invariant_family(R, part, ell, [d], dominant)[d]
-                    assert [v for _, v in pairs] == old, \
+                    assert [list(row.items()) for _, row in pairs] == old, \
                         (part, ell, d, dominant)
                     if not dominant:
-                        assert pm_basis_vectors(R, part, ell, d) == old
-                    for mu, v in pairs:
-                        assert {R.weight(e) for p in v.parts.values()
-                                for e in p.terms} == {mu}, (part, ell, d)
-                    # the row builder: the same rows, key for key and in
-                    # order, each with the weight of its vector
-                    rows = family_rows(R, part, ell, [d], dominant)[d]
-                    assert [(mu, list(row.items())) for mu, row in rows] \
-                        == [(mu, list(v.to_row().items()))
-                            for mu, v in pairs], (part, ell, d, dominant)
+                        assert [list(row.items()) for row in
+                                pm_basis_vectors(R, part, ell, d)] == old
+                    # each paired with the weight of its every monomial
+                    for mu, row in pairs:
+                        assert {R.weight(e) for _, e in row} == {mu}, \
+                            (part, ell, d)
     # one call across degrees and both parts: degree, then plus before
     # minus, then family order
     for ell in range(n + 1):
         for dominant in (False, True):
-            rows = family_rows(R, "full", ell, range(5), dominant)
+            rows = invariant_family(R, "full", ell, range(5), dominant)
             assert list(rows) == list(range(5))
             assert {d: [row for _, row in pairs]
                     for d, pairs in rows.items()} == \
@@ -1021,7 +1028,7 @@ def test_family_bases_are_built_once_per_ring(n, k, monkeypatch):
         built.clear()
         for _ in range(2):
             for ell in range(n + 1):
-                family_rows(R, "full", ell, range(4))
+                invariant_family(R, "full", ell, range(4))
         assert sorted(built) == every_J
         for J in every_J:
             assert fock._family_base(R, "minus", J) == [
@@ -1070,9 +1077,9 @@ def test_sk_model_basis_is_the_dominant_family(n, k):
         for ell in range(n + 1):
             for d in range(5):
                 fam = {}
-                for mu, v in invariant_family(R, part, ell, [d],
-                                              dominant=True)[d]:
-                    fam.setdefault(mu, []).append(v)
+                for mu, row in invariant_family(R, part, ell, [d],
+                                                dominant=True)[d]:
+                    fam.setdefault(mu, []).append(cochain_of_row(R, ell, row))
                 model = sk_model_basis(sk, n, part, ell, d)
                 assert {mu: [model_vector(R, sk, part, J, m)
                              for J, m in pairs]
@@ -1201,10 +1208,10 @@ def old_random_invariant_cochain(ring, rng, ell):
     """A random combination of the invariant families of degree <= 3."""
     c = Cochain(ring, ell)
     for pairs in invariant_family(ring, "full", ell, range(4)).values():
-        for _, v in pairs:
+        for _, row in pairs:
             x = rng.randint(-3, 3)
             if x:
-                c = c + v.scale(x)
+                c = c + cochain_of_row(ring, ell, row).scale(x)
     return c
 
 
@@ -1246,8 +1253,9 @@ def test_row_diff_is_diff_on_the_family_rows(n, k):
     R = FockRing(n, k)
     for ell in range(n + 1):
         fam = invariant_family(R, "full", ell, range(6))
-        for v in (v for pairs in fam.values() for _, v in pairs):
-            got = row_diff(n, k, v.to_row())
+        for row in (row for pairs in fam.values() for _, row in pairs):
+            v = cochain_of_row(R, ell, row)
+            got = row_diff(n, k, row)
             assert list(got.items()) == \
                 list(diff(v, "full").to_row().items()), v
             assert got == old_diff(v).to_row(), v
@@ -1359,9 +1367,9 @@ def test_closedness_builds_each_level_once(monkeypatch):
 
     def counted(ring, part, ell, degrees, dominant=False):
         built.append(ell)
-        return family_rows(ring, part, ell, degrees, dominant)
+        return invariant_family(ring, part, ell, degrees, dominant)
 
-    monkeypatch.setattr(verify, "family_rows", counted)
+    monkeypatch.setattr(verify, "invariant_family", counted)
     assert all(v["pass"] for v in verify.suite_closedness(3, 2, 0))
     assert built and len(built) == len(set(built))
 

@@ -11,6 +11,7 @@ from weilcoh.fock import (
     invariant_family,
     invariant_quotient_dims,
     orbit_size,
+    pm_basis_vectors,
 )
 from weilcoh.fock import sk_model_pairs
 from weilcoh.koszul import regular_sequence_check
@@ -258,6 +259,7 @@ def test_e1_rejects_an_unknown_part(n, k):
 # the other entry points that take a part
 PART_ENTRY_POINTS = {
     "invariant_family": lambda R: invariant_family(R, "bogus", 1, ()),
+    "pm_basis_vectors": lambda R: pm_basis_vectors(R, "bogus", 1, 0),
     "direct_cohomology_dims": lambda R: direct_cohomology_dims(
         R, "bogus", 1, 3),
     "einf_and_converge": lambda R: einf_and_converge(R, "bogus", 2),
@@ -411,24 +413,32 @@ def test_converge_n2_k2_small_window():
     assert rep.gr_dims == {(2, t): d for t, d in enumerate([1, 2, 7])}
 
 
+def count_family_builds(monkeypatch):
+    """[(level, vectors)] of every fock.invariant_family call, the name
+    under which the cohom and pages routes build their families."""
+    built, family = [], fock.invariant_family
+
+    def counted(ring, part, ell, degrees, dominant=False):
+        out = family(ring, part, ell, degrees, dominant)
+        built.append((ell, sum(map(len, out.values()))))
+        return out
+
+    monkeypatch.setattr(fock, "invariant_family", counted)
+    return built
+
+
 def test_pages_build_each_family_once(monkeypatch):
     # the direct route reads the store of the pages, so a pages call
     # builds and differentiates exactly what its SpectralComputer alone
-    # does, one family_rows call and one row_diff call per family row,
-    # and the store is one dominant_rows call per level; each minor is
-    # built once per ring, for Phi_J and *Phi_J alike
-    calls, built, levels, minors = [], [], [], []
-    rows, family, row_diff, minor = fock.dominant_rows, fock.family_rows, \
-        fock.row_diff, fock.minor
+    # does, one invariant_family call and one row_diff call per family
+    # row, and the store is one dominant_rows call per level; each minor
+    # is built once per ring, for Phi_J and *Phi_J alike
+    calls, levels, minors = [], [], []
+    rows, row_diff, minor = fock.dominant_rows, fock.row_diff, fock.minor
 
     def counted(n, k, row):
         calls.append(row)
         return row_diff(n, k, row)
-
-    def counted_family(ring, part, ell, degrees, dominant=False):
-        out = family(ring, part, ell, degrees, dominant)
-        built.append(sum(map(len, out.values())))
-        return out
 
     def counted_rows(ring, part, ell, degrees):
         levels.append(ell)
@@ -440,21 +450,34 @@ def test_pages_build_each_family_once(monkeypatch):
 
     monkeypatch.setattr(fock, "row_diff", counted)
     monkeypatch.setattr(fock, "minor", counted_minor)
-    monkeypatch.setattr(fock, "family_rows", counted_family)
     monkeypatch.setattr(fock, "dominant_rows", counted_rows)
     monkeypatch.setattr(spectral, "dominant_rows", counted_rows)
+    built = count_family_builds(monkeypatch)
     SpectralComputer(FockRing(2, 2), "full", 2)
     alone = len(calls)
-    assert alone and len(built) == 3 and sum(built) == alone
+    assert alone and len(built) == 3
+    assert sum(vectors for _, vectors in built) == alone
     calls.clear()
     built.clear()
     levels.clear()
     minors.clear()
     einf_and_converge(FockRing(2, 2), "full", 2)
-    assert len(calls) == alone and len(built) == 3 and sum(built) == alone
-    assert levels == [0, 1, 2]
+    assert len(calls) == alone and levels == [0, 1, 2]
+    # 3 calls and 22 vectors, the counts of the traced pages-full-n2k2
+    assert [ell for ell, _ in built] == [0, 1, 2]
+    assert sum(vectors for _, vectors in built) == alone == 22
     # the minors of Phi_{}, Phi_1, Phi_2 (two each) and Phi_12
     assert len(minors) == 6 and len(set(minors)) == 6
+
+
+def test_cohom_builds_each_level_once(monkeypatch):
+    # a cohom call builds the cocycle level and the level below it once
+    # each, under the traced name: 2 calls and 12 vectors, the counts of
+    # the traced cohom-minus-n3k2
+    built = count_family_builds(monkeypatch)
+    direct_cohomology_dims(FockRing(3, 2), "minus", 3, 3)
+    assert [ell for ell, _ in built] == [3, 2]
+    assert sum(vectors for _, vectors in built) == 12
 
 
 class LoggedCell:
