@@ -66,6 +66,9 @@ CASES = {
                               "--max-degree 4"),
     "pages-n2k3": _args("pages --n 2 --k 3 --max-degree 3"),
     "pages-n3k1": _args("pages --n 3 --k 1 --max-degree 6"),
+    # a window whose images reach degree 7, the widest one 3-bit digit
+    # holds: one more degree widens the packed labels
+    "pages-n2k2-d5": _args("pages --n 2 --k 2 --max-degree 5"),
     # E_1, on the Fock route (k >= n) and off the Koszul tables (k < n)
     "e1-n2k3": _args("e1 --n 2 --k 3 --max-degree 5"),
     "e1-n3k3": _args("e1 --n 3 --k 3 --max-degree 5"),
@@ -98,6 +101,9 @@ CASES = {
                           "--max-degree 4 --max-entries 80"),
     "pages-capped": _args("pages --n 2 --k 2 --max-degree 3 "
                           "--max-entries 60"),
+    # an abort inside the elimination of dependent k > n families
+    "cohom-n2k3-capped": _args("cohom --n 2 --k 3 --part full --ell 0..2 "
+                               "--max-degree 4 --max-entries 200"),
     "e1-fock-capped": _args("e1 --n 2 --k 3 --max-degree 4 "
                             "--max-entries 30"),
     "koszul-capped": _args("koszul --model q --n 3 --k 3 --max-degree 7 "

@@ -45,6 +45,7 @@ UNCOVERED = {
     ("cohom-n2k3", "cohomology part=full ell=0"),
     ("cohom-n2k3", "cohomology part=full ell=1"),
     ("cohom-n2k3", "cohomology part=full ell=2"),
+    ("cohom-n2k3-capped", "cohomology part=full ell=0"),
     ("koszul-q-n3k2", "quotient dims model=q"),
 }
 
