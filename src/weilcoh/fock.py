@@ -13,8 +13,11 @@ filtration) is the negative of the degree-raising piece, d' = -d2:
 
     d' = sum_alpha omega_alpha ^ . (x) q_alpha,   q_alpha = sum_i z_{alpha i} w_i.
 
-Rows.  The routes eliminate {(bits, exponent tuple): int} rows, and on a
-basis element omega_I (x) x^e the differential has a closed form:
+Rows.  The routes eliminate {label: int} rows, omega_I (x) x^e labelled
+bits * 2^(B N) + polyring.pack(e, B) (N = ring.nvars, bits the index set
+I), in the order of the pairs (bits, e).  A call of top degree D takes
+B = row_bits(D), for the degree D + 2 of its images (polyring.pack).  On
+a basis element d has a closed form:
 
     d(omega_I (x) x^e) = sum_{alpha not in I} sum_j s(alpha, I)
         [e_z e_w x^{e - z - w} - x^{e + z + w}] omega_{I + alpha},
@@ -27,9 +30,9 @@ multiplying by them (the exponent up by one in each) and dm2
 differentiating once by each (down by one in each, times the two
 exponents, zero when either is zero), and omega_alpha wedged onto
 omega_I is one index set with a sign, or zero.  row_diff is this
-formula, d on the rows of the direct route and the pages; diff stays on
-cochains, with its pieces d2 and dm2, for the Fock route of E_1 and the
-checks.
+formula on the labels, d on the rows of the direct route and the pages;
+diff stays on cochains, with its pieces d2 and dm2, for the Fock route
+of E_1 and the checks, which read the rows as cochains (unpack_row).
 
 Invariant families.  By Weyl's first fundamental theorem for SO(n), the
 invariants of vectors are generated by inner products and n x n
@@ -145,12 +148,15 @@ from .polyring import (
     dominant_monomials,
     ideal_piece,
     is_dominant,
+    label_bits,
     minor,
     monomials_of_degree,
     orbit_size,
+    pack,
     sk_evaluate,
     son_act,
     son_act_monomial,
+    unpack,
     z_index,
 )
 
@@ -165,6 +171,9 @@ __all__ = [
     "invariant_dims",
     "pm_basis_vectors",
     "invariant_family",
+    "row_bits",
+    "degree_reader",
+    "unpack_row",
     "row_diff",
     "sk_model_pairs",
     "dominant_rows",
@@ -273,49 +282,68 @@ def diff(c, mode="full"):
     return Cochain.from_terms(ring, c.ell + 1, terms)
 
 
-def row_diff(n, k, row):
-    """The full differential d = d2 + dm2 of a {(bits, exponent): int}
-    row of FockRing(n, k), in closed form on the basis monomials (module
-    docstring): the row of diff(Cochain.from_terms(...), "full"), its
-    terms emitted and merged in the same order, so equal to diff's
-    to_row key for key and in order."""
-    nz = n * k
+def row_bits(max_degree):
+    """The label width B of a call of top degree max_degree: its rows and
+    images have degree <= max_degree + 2 < 2^B - 1."""
+    return label_bits(max_degree + 3)
+
+
+def degree_reader(ring, max_degree):
+    """The degree of a row label of a call of top degree max_degree: its
+    exponent part mod 2^B - 1 (polyring.pack), B = row_bits(max_degree)."""
+    bits = row_bits(max_degree)
+    low, radix = (1 << bits * ring.nvars) - 1, (1 << bits) - 1
+    return lambda x: (x & low) % radix
+
+
+def unpack_row(ring, row, max_degree):
+    """The ((bits, exponent tuple), coef) terms of a row of a call of top
+    degree max_degree, in its order: the terms Cochain.from_terms reads."""
+    bits, nvars = row_bits(max_degree), ring.nvars
+    return [((x >> bits * nvars, unpack(x, bits, nvars)), c)
+            for x, c in row.items()]
+
+
+def row_diff(n, k, row, bits):
+    """d = d2 + dm2 of a row of FockRing(n, k) on labels of width bits, in
+    closed form (module docstring): per (alpha, j), d2 moves the form
+    bits and adds 2^(B pos z) + 2^(B pos w), and dm2 subtracts it, times
+    the product of those two digits.  Its terms are emitted and merged in
+    the order of diff's, so it is diff(...).to_row() key for key."""
+    nz, nvars, digit = n * k, n * k + k, (1 << bits) - 1
     groups = {}
-    for (bits, e), c in row.items():
-        groups.setdefault(bits, []).append((e, c))
-    out = {}  # target bits -> {exponent: coef}
-    for bits, terms in groups.items():
+    for x, c in row.items():
+        groups.setdefault(x >> bits * nvars, []).append((x, c))
+    out = {}  # target bits -> {label: coef}
+    for fb, terms in groups.items():
         for alpha in range(1, n + 1):
-            s, nb = wedge_bits(1 << (alpha - 1), bits)
+            s, nb = wedge_bits(1 << (alpha - 1), fb)
             if not s:
                 continue
             tgt = out.setdefault(nb, {})
-            for zi, wi in zip(range(alpha - 1, nz, n), range(nz, nz + k)):
+            move = (nb - fb) << bits * nvars
+            for zi, wi in zip(range(alpha - 1, nz, n), range(nz, nvars)):
+                zs, ws = bits * (nvars - 1 - zi), bits * (nvars - 1 - wi)
+                step = (1 << zs) + (1 << ws)
                 # dm2: d^2/dz dw lowers both exponents, times their product
-                for e, c in terms:
-                    x = e[zi] * e[wi]
-                    if x:
-                        ne = list(e)
-                        ne[zi] -= 1
-                        ne[wi] -= 1
-                        ne = tuple(ne)
-                        x = tgt.get(ne, 0) + s * c * x
-                        if x:
-                            tgt[ne] = x
-                        elif ne in tgt:
-                            del tgt[ne]
+                for x, c in terms:
+                    v = (x >> zs & digit) * (x >> ws & digit)
+                    if v:
+                        y = x + move - step
+                        v = tgt.get(y, 0) + s * c * v
+                        if v:
+                            tgt[y] = v
+                        elif y in tgt:
+                            del tgt[y]
                 # d2: times -z w raises both
-                for e, c in terms:
-                    ne = list(e)
-                    ne[zi] += 1
-                    ne[wi] += 1
-                    ne = tuple(ne)
-                    x = tgt.get(ne, 0) - s * c
-                    if x:
-                        tgt[ne] = x
-                    elif ne in tgt:
-                        del tgt[ne]
-    return {(nb, e): c for nb, tgt in out.items() for e, c in tgt.items()}
+                for x, c in terms:
+                    y = x + move + step
+                    v = tgt.get(y, 0) - s * c
+                    if v:
+                        tgt[y] = v
+                    elif y in tgt:
+                        del tgt[y]
+    return {y: c for tgt in out.values() for y, c in tgt.items()}
 
 
 def _embed_poly(p, big, col_offset):
@@ -572,10 +600,10 @@ def _family_base(ring, part, J):
 
 def invariant_family(ring, part, ell, degrees, dominant=False):
     """{degree: [(weight, row)]}: the spanning families of the invariant
-    cochains at level ell as {(bits, exponent tuple): int} rows, each with
-    its weight, for each degree in degrees; the pairs of sk_model_pairs
-    evaluated, in degree order, then part order (plus before minus for
-    full), then the order of the pairs.
+    cochains at level ell as rows on labels of width row_bits(max degree),
+    each with its weight, for each degree in degrees; the pairs of
+    sk_model_pairs evaluated, in degree order, then part order (plus
+    before minus for full), then the order of the pairs.
 
     They span for every k (see the module docstring), so they serve every
     consumer that needs ranks only.  With dominant set, only the vectors
@@ -585,39 +613,47 @@ def invariant_family(ring, part, ell, degrees, dominant=False):
     The one family builder.  SkRing(k) is made once per call, the base of
     each Phi_J / *Phi_J once per ring (_family_base), and each S_k
     monomial m is evaluated once (sk_evaluate); both are checked to be
-    weight vectors of the weight their data give, e_J and weight(m).  The
-    row of m . Phi_J is the product of the Phi_J row terms with the terms
-    of m, merged per index set in the order of Polynomial.__mul__, so it
-    is m . Phi_J flattened (Cochain.to_row) term for term.  part is plus,
-    minus or full, checked first: every Fock route starts here.
+    weight vectors of the weight their data give, e_J and weight(m), and
+    packed once per call.  The labels of m . Phi_J are the sums of a Phi_J
+    label and a label of m, merged in the order of Polynomial.__mul__, so
+    the row is m . Phi_J flattened (Cochain.to_row) term for term.  part
+    is plus, minus or full, checked first: every Fock route starts here.
     """
     if part not in ("plus", "minus", "full"):
         raise ValueError("part must be plus, minus or full")
     parts = ("plus", "minus") if part == "full" else (part,)
+    bits = row_bits(max(degrees, default=0))
+    shift = bits * ring.nvars
     sk = SkRing(ring.k)
-    images = {}  # S_k exponent -> [(exponent, coef)] of its image
+    bases = {}  # (part, J) -> [(label, coef)] of its base
+    images = {}  # S_k exponent -> [(label, coef)] of its image
     out = {}
     for d in degrees:
         rows = out[d] = []
         for p in parts:
             for mu, J, expo in sk_model_pairs(sk, ring.n, p, ell, d,
                                               dominant):
-                base = _family_base(ring, p, J)
+                base = bases.get((p, J))
+                if base is None:
+                    base = bases[p, J] = [
+                        (fb << shift | pack(e, bits), c)
+                        for fb, terms in _family_base(ring, p, J)
+                        for e, c in terms]
                 m = images.get(expo)
                 if m is None:
                     poly = sk_evaluate(Polynomial(sk, {expo: 1}), ring)
                     _check_weight((poly,), sk.weight(expo))
-                    m = images[expo] = list(poly.terms.items())
+                    m = images[expo] = [(pack(e, bits), c)
+                                        for e, c in poly.terms.items()]
                 row = {}
-                for bits, fterms in base:
-                    for e1, c1 in fterms:
-                        for e2, c2 in m:
-                            key = bits, tuple(map(add, e1, e2))
-                            x = row.get(key, 0) + c1 * c2
-                            if x:
-                                row[key] = x
-                            elif key in row:
-                                del row[key]
+                for x1, c1 in base:
+                    for x2, c2 in m:
+                        x = x1 + x2
+                        v = row.get(x, 0) + c1 * c2
+                        if v:
+                            row[x] = v
+                        elif x in row:
+                            del row[x]
                 rows.append((mu, row))
     return out
 
@@ -639,12 +675,13 @@ def dominant_rows(ring, part, ell, degrees):
     dominant invariant family at level ell, in family order: the rows
     that the direct route and the spectral pages eliminate.  The rows
     come from invariant_family, grouped by the weight each is built with;
-    each image is row_diff of its row, computed as the pair is read."""
+    each image is row_diff of its row at their width, made as it is read."""
     n, k = ring.n, ring.k
+    bits = row_bits(max(degrees, default=0))
 
     def read(rows):
         for row in rows:
-            yield row, row_diff(n, k, row)
+            yield row, row_diff(n, k, row, bits)
 
     blocks = {}
     for d, rows in invariant_family(ring, part, ell, degrees,

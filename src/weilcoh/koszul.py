@@ -48,16 +48,13 @@ a non-dominant one.  Ring.weight is linear in the exponents and constant
 on each class of variables of equal degree and weight (the n z's of a
 column, each w_j), so dominant_monomials reads the weight off the
 vector of class degrees and expands only the dominant vectors.  The
-column labels of the rows are packed ints: with B the bit length of the
-window, pack(e) is e in base 2^B, variable 0 the most significant digit.
-Every exponent of a row of degree t <= window is at most t < 2^B, so
-pack is injective, orders the labels as the tuples (lex), and is
-additive with no carry, pack(e) + pack(m) = pack(e + m).  The row m f
-is then f's packed terms each plus pack(m), and a packed monomial is
-the sum of its packed class parts, so no exponent tuple of a row is
-made.  As pack keeps the order and adds with no carry, the least label
-of m f is pack(m) + lead(f), lead(f) the least packed label of f, and
-the shift of a primitive f is primitive (each f is divided by its
+column labels of the rows are packed ints, polyring.pack(e, B) with
+B = label_bits(window), as every exponent of a row is below 2^B.  The
+row m f is then f's packed terms each plus pack(m), and a packed
+monomial is the sum of its packed class parts, so no exponent tuple of
+a row is made.  As pack keeps the order and adds with no carry, the
+least label of m f is pack(m) + lead(f), lead(f) the least packed label
+of f, and the shift of a primitive f is primitive (each f is divided by its
 content once, and the content of q, c and what is 1).  So when that
 label is no pivot, the first pass of Eliminator.reduce would return the
 row unchanged, and Eliminator.add_shifted stores it with no reduce;
@@ -101,8 +98,8 @@ from itertools import islice
 from math import gcd
 
 from .linalg import Eliminator
-from .polyring import FockRing, SkRing, dominant_monomials, \
-    monomials_of_degree, orbit_size, q_gen, sk_c_sequence
+from .polyring import FockRing, SkRing, dominant_monomials, label_bits, \
+    monomials_of_degree, orbit_size, pack, q_gen, sk_c_sequence
 
 __all__ = [
     "KoszulSpec",
@@ -216,11 +213,10 @@ def ideal_quotient_dims(spec, window):
     ring = spec.ring
     blocks = dominant_monomials if all(map(_symmetric, spec.sequence)) \
         else _one_block
-    bits = _label_bits(window)
-    pack = partial(_pack, bits=bits)
+    pack_at = partial(pack, bits=label_bits(window))
     packed = []  # (f packed and divided by its content, its least label)
     for f in spec.sequence:
-        pf = {pack(e): c for e, c in f.terms.items()}
+        pf = {pack_at(e): c for e, c in f.terms.items()}
         g = gcd(*pf.values())
         packed.append(({y: c // g for y, c in pf.items()}, min(pf)))
     # H_0(t) = dim R_t, the coefficients of 1 / prod(1 - t^w_v)
@@ -238,7 +234,7 @@ def ideal_quotient_dims(spec, window):
             s = t - f.degree()
             if s not in by_degree:
                 by_degree[s] = [(orbit_size(mu), labels) for mu, labels
-                                in blocks(ring, s, pack=pack).items()]
+                                in blocks(ring, s, pack=pack_at).items()]
             earlier = signatures.get(s, {})
             for mult, labels in by_degree[s]:
                 for x in labels:
@@ -269,17 +265,3 @@ def _one_block(ring, d, pack):
     counted once."""
     return {(): list(map(pack, monomials_of_degree(ring, d)))}
 
-
-def _label_bits(window):
-    """The digit width B of the packed labels: every exponent of a row of
-    degree <= window is < 2^B."""
-    return max(window, 1).bit_length()
-
-
-def _pack(expo, bits):
-    """The exponent tuple as one int, in base 2^bits with variable 0 the
-    most significant digit; each exponent must be < 2^bits."""
-    x = 0
-    for v in expo:
-        x = x << bits | v
-    return x

@@ -10,9 +10,9 @@ row is reduced against the stored pivot rows by integer cross-multiplication
 survives becomes a new pivot row.  No floating point, no modular shortcuts.
 Input rows hold ints only; a row with any other entry type is a TypeError.
 
-Column labels may be any mutually comparable hashable values -- integers for
-plain matrices, or structured keys such as (form-index, monomial) tuples
-when a matrix is assembled directly over an ambient basis.
+Column labels may be any mutually comparable hashable values: the routes
+label a monomial basis with packed ints (polyring.pack, and the Fock rows
+of fock), and span_intersect_window tags each label as a (0 or 1, label).
 
 Kernels are read off columns, as the callers hold their maps: one
 {row label: int} column per family vector or basis member, the list of

@@ -41,6 +41,9 @@ __all__ = [
     "Polynomial",
     "monomials_of_degree",
     "dominant_monomials",
+    "label_bits",
+    "pack",
+    "unpack",
     "shifted_terms",
     "ideal_piece",
     "is_dominant",
@@ -375,6 +378,29 @@ def dominant_monomials(ring, d, varset=None, pack=None):
     for mons in out.values():
         mons.sort(reverse=True)
     return out
+
+
+def label_bits(bound):
+    """The digit width B of packed labels whose digits are at most bound:
+    the least B with bound < 2^B."""
+    return max(bound, 1).bit_length()
+
+
+def pack(expo, bits):
+    """The exponent tuple as one int, in base 2^bits with variable 0 the
+    most significant digit: with every exponent < 2^bits it is injective,
+    keeps the tuple order (lex) and adds with no carry, and with the
+    degree < 2^bits - 1 too, the degree is the int mod 2^bits - 1."""
+    x = 0
+    for v in expo:
+        x = x << bits | v
+    return x
+
+
+def unpack(label, bits, nvars):
+    """The exponent tuple of nvars variables that pack maps to label."""
+    digit = (1 << bits) - 1
+    return tuple(label >> bits * v & digit for v in range(nvars - 1, -1, -1))
 
 
 def shifted_terms(f, m):

@@ -77,8 +77,8 @@ same store, so each family and its image are built once per call.
 
 from __future__ import annotations
 
-from .fock import Cochain, diff, direct_cohomology_dims, dominant_rows, \
-    invariant_family
+from .fock import Cochain, degree_reader, diff, direct_cohomology_dims, \
+    dominant_rows, invariant_family, unpack_row
 from .koszul import ideal_quotient_dims, named_sequence, \
     regular_sequence_check
 from .linalg import MAX_ENTRIES, Eliminator, ResourceCapError, \
@@ -113,21 +113,18 @@ def regrade(ell, polydeg):
     return 2 * ell - polydeg, polydeg - ell
 
 
-def _row_degree(key):
-    bits, e = key
-    return sum(e)
-
-
 class SpectralComputer:
     """The store of one pages call: blocks[ell][weight][degree], the
     (row, image row) pairs of the dominant invariant families through
     degree max_degree, each level one fock.dominant_rows call with its
-    pairs read into lists.  It serves page dimensions for any r, and the
-    direct route of the same call takes blocks as its store."""
+    pairs read into lists, their label degrees read by fock.degree_reader.
+    It serves page dimensions for any r, and the direct route of the same
+    call takes blocks as its store."""
 
     def __init__(self, ring, part, max_degree):
         self.ring = ring
         self.D = max_degree
+        self.degree = degree_reader(ring, max_degree)
         # the stored rows alone can exhaust memory long before any single
         # elimination does, so they share the entry cap (charged per list)
         cap = MAX_ENTRIES.get()
@@ -159,7 +156,7 @@ class SpectralComputer:
         if not pairs:
             return []
         m = SparseRationalMatrix([
-            {key: v for key, v in img.items() if _row_degree(key) > dx_bound}
+            {x: v for x, v in img.items() if self.degree(x) > dx_bound}
             for _, img in pairs])
         rows = [row for row, _ in pairs]
         return [x for x in (combination(c, rows) for c in kernel_basis(m))
@@ -170,7 +167,7 @@ class SpectralComputer:
         cap {deg <= t}."""
         return span_intersect_window(
             [img for _, img in self._pairs_upto(ell - 1, mu, dom_bound)],
-            lambda k: _row_degree(k) <= t)
+            lambda x: self.degree(x) <= t)
 
     def cell_dim(self, ell, t, r):
         """dim E_r of the cell (ell, t) by the Z/B formula, summed over the
@@ -256,9 +253,9 @@ def _e1_fock(ring, part, max_degree):
     ranks of the rows of the dominant families and of their d2 images,
     one Eliminator each per cell, fed the (weight, row) pairs of
     invariant_family in family order (see e1_dims); each row is read as a
-    cochain (Cochain.from_terms) for its diff.  One level is built at a
-    time; the cell (ell, t) loses the image of the cell (ell - 1, t - 2)
-    below it, which is kept."""
+    cochain (unpack_row, then Cochain.from_terms) for its diff.  One level
+    is built at a time; the cell (ell, t) loses the image of the cell
+    (ell - 1, t - 2) below it, which is kept."""
     img_rank = {}  # (ell, t) -> orbit-weighted rank of the d2-image
     data = {}
     for ell in range(ring.n + 1):
@@ -271,7 +268,8 @@ def _e1_fock(ring, part, max_degree):
                 mult = orbit_size(mu)
                 if ev.add_row(row):
                     rv += mult
-                v = Cochain.from_terms(ring, ell, row.items())
+                v = Cochain.from_terms(ring, ell,
+                                       unpack_row(ring, row, max_degree))
                 if ei.add_row(diff(v, "d2").to_row()):
                     ri += mult
             img_rank[ell, t] = ri

@@ -31,6 +31,7 @@ from .fock import (
     phi1,
     pm_basis_vectors,
     son_act_cochain,
+    unpack_row,
 )
 from .koszul import (
     ci_hilbert,
@@ -64,14 +65,15 @@ def _random_cochain(ring, rng, ell):
 def _random_invariant_cochain(ring, rng, ell, rows):
     """A random combination of the invariant families of degree <= 3;
     rows keeps each level's family rows (invariant_family), built on its
-    first draw."""
+    first draw and read as cochain terms once (unpack_row)."""
     if ell not in rows:
-        rows[ell] = [row for pairs in invariant_family(
-            ring, "full", ell, range(4)).values() for _, row in pairs]
+        rows[ell] = [unpack_row(ring, row, 3) for pairs in
+                     invariant_family(ring, "full", ell, range(4)).values()
+                     for _, row in pairs]
     terms = []
     for row in rows[ell]:
         x = rng.randint(-3, 3)
-        terms += [(key, x * c) for key, c in row.items()]
+        terms += [(key, x * c) for key, c in row]
     return Cochain.from_terms(ring, ell, terms)
 
 

@@ -25,6 +25,7 @@ from weilcoh.fock import (
     outer_product,
     phi1,
     pm_basis_vectors,
+    row_bits,
     row_diff,
     sk_model_pairs,
     son_act_cochain,
@@ -44,6 +45,7 @@ from weilcoh.polyring import (
     minor,
     monomials_of_degree,
     orbit_size,
+    pack,
     q_gen,
     r_gen,
     sk_evaluate,
@@ -79,10 +81,36 @@ def mul_poly(c, p):
     return Cochain(c.ring, c.ell, {b: f * p for b, f in c.parts.items()})
 
 
-def cochain_of_row(ring, ell, row):
-    """A {(bits, exponent): int} family row read as a cochain of level
-    ell."""
-    return Cochain.from_terms(ring, ell, row.items())
+def unpacked(ring, row, max_degree):
+    """A row on the labels of a call of top degree max_degree read back as
+    {(bits, exponent tuple): int}, in its order: digit by digit, the low
+    ring.nvars digits of width fock.row_bits(max_degree) are the
+    exponents, the last one first, and what is left is the index set."""
+    radix = 1 << row_bits(max_degree)
+    out = {}
+    for x, c in row.items():
+        e = []
+        for _ in range(ring.nvars):
+            x, digit = divmod(x, radix)
+            e.append(digit)
+        out[x, tuple(reversed(e))] = c
+    return out
+
+
+def packed(ring, row, max_degree):
+    """A {(bits, exponent tuple): int} row on the labels of a call of top
+    degree max_degree: bits * 2^(B N) + polyring.pack(e, B), B =
+    fock.row_bits(max_degree) and N = ring.nvars, in its order."""
+    b = row_bits(max_degree)
+    return {bits << b * ring.nvars | pack(e, b): c
+            for (bits, e), c in row.items()}
+
+
+def cochain_of_row(ring, ell, row, max_degree):
+    """A family row of a call of top degree max_degree read as a cochain
+    of level ell."""
+    return Cochain.from_terms(ring, ell,
+                              unpacked(ring, row, max_degree).items())
 
 
 def random_cochain(ring, rng, ell, nterms=3, max_deg=3):
@@ -209,7 +237,7 @@ def random_invariant_cochain(ring, rng, ell, max_deg=3):
         for _, row in fam[d]:
             x = rng.randint(-3, 3)
             if x:
-                c = c + cochain_of_row(ring, ell, row).scale(x)
+                c = c + cochain_of_row(ring, ell, row, max_deg).scale(x)
     return c
 
 
@@ -383,11 +411,11 @@ def test_pm_basis_vectors_edges():
     R = FockRing(3, 2)
     k = R.k
     fam = pm_basis_vectors(R, "plus", k, k)
-    assert len(fam) == 1 and cochain_of_row(R, k, fam[0]) == phik(R)
+    assert len(fam) == 1 and cochain_of_row(R, k, fam[0], k) == phik(R)
     assert pm_basis_vectors(R, "plus", k + 1, k + 1) == []
     vol_fam = pm_basis_vectors(R, "minus", 3, 0)
     assert len(vol_fam) == 1
-    assert cochain_of_row(R, 3, vol_fam[0]) == \
+    assert cochain_of_row(R, 3, vol_fam[0], 0) == \
         Cochain(R, 3, {bits_of((1, 2, 3)): R.one()})
 
 
@@ -424,10 +452,10 @@ def test_families_span_the_invariants(n, k):
             plus = pm_basis_vectors(R, "plus", ell, d)
             minus = pm_basis_vectors(R, "minus", ell, d)
             assert rank_of_rows(plus) + rank_of_rows(minus) == dim, (ell, d)
-            for c in (cochain_of_row(R, ell, row) for row in plus):
+            for c in (cochain_of_row(R, ell, row, d) for row in plus):
                 p, m = split_pm(c)
                 assert p == c.scale(2) and not m
-            for c in (cochain_of_row(R, ell, row) for row in minus):
+            for c in (cochain_of_row(R, ell, row, d) for row in minus):
                 p, m = split_pm(c)
                 assert m == c.scale(2) and not p
 
@@ -581,9 +609,9 @@ def test_cohom_reads_the_domain_through_D_minus_2(monkeypatch):
     dom = invariant_family(R, "minus", ell - 1, range(D - 1), dominant=True)
     levels = []
 
-    def recorded(n, k, row):
-        levels.append(next(iter(row))[0].bit_count())
-        return row_diff(n, k, row)
+    def recorded(n, k, row, bits):
+        levels.append((next(iter(row)) >> bits * R.nvars).bit_count())
+        return row_diff(n, k, row, bits)
 
     monkeypatch.setattr(fock, "row_diff", recorded)
     direct_cohomology_dims(R, "minus", ell, D)
@@ -672,14 +700,14 @@ def slice_direct_cohomology_dims(ring, part, ell, max_degree, buffer=4):
     coc_s = {}
     for d in range(D + 1):
         for _, row in coc[d]:
-            v = cochain_of_row(ring, ell, row)
+            v = cochain_of_row(ring, ell, row, D)
             s = skey(v)
             if s is not None:
                 coc_s.setdefault(s, {}).setdefault(d, []).append(v)
     dom_s = {}
     for d in range(maxdom + 1):
         for _, row in dom[d]:
-            v = cochain_of_row(ring, ell - 1, row)
+            v = cochain_of_row(ring, ell - 1, row, maxdom)
             s = skey(v)
             if s is not None:
                 dom_s.setdefault(s, {}).setdefault(d, []).append(v)
@@ -754,14 +782,17 @@ def weights_of(ring, row):
 
 
 def row_pair_blocks(ring, ell, families):
-    """The (weight, row) pairs of invariant_family at level ell grouped by
-    weight, {weight: {degree: [(row, full-d image row)]}}, in family
-    order; each image is diff of the row read as a cochain."""
+    """The (weight, row) pairs of one invariant_family call at level ell
+    grouped by weight, {weight: {degree: [(row, full-d image row)]}}, in
+    family order; each image is diff of the row read as a cochain, on
+    (bits, exponent tuple) labels."""
+    top = max(families, default=0)
     out = {}
     for d, pairs in families.items():
         for mu, row in pairs:
+            v = cochain_of_row(ring, ell, row, top)
             out.setdefault(mu, {}).setdefault(d, []).append(
-                (row, diff(cochain_of_row(ring, ell, row), "full").to_row()))
+                (row, diff(v, "full").to_row()))
     return out
 
 
@@ -840,8 +871,11 @@ def test_dominant_rows_are_the_pages_store(n, k, part):
         assert ordered(comp.blocks[ell]) == rows, ell
         blocks = row_pair_blocks(R, ell,
                                  invariant_family(R, part, ell, range(D + 1)))
-        assert rows == ordered({mu: block for mu, block in blocks.items()
-                                if is_dominant(mu)}), ell
+        # the images read back onto the labels of diff's rows
+        assert [(mu, [(d, [(row, unpacked(R, img, D)) for row, img in pairs])
+                      for d, pairs in block]) for mu, block in rows] == \
+            ordered({mu: block for mu, block in blocks.items()
+                     if is_dominant(mu)}), ell
 
 
 def test_orbit_size():
@@ -883,7 +917,7 @@ def test_family_weights_from_construction(n, k):
                                                     jsize(ell)):
                         predicted.append(tuple(
                             mw[a] + (a + 1 in J) for a in range(k)))
-                assert [weights_of(R, row) for row in fam] == \
+                assert [weights_of(R, unpacked(R, row, d)) for row in fam] == \
                     [{mu} for mu in predicted], (part, ell, d)
 
 
@@ -987,22 +1021,23 @@ def test_builders_match_the_previous_builders(n, k):
                            old_pm_basis_vectors(R, part, ell, d, dominant)]
                     # the same rows, key for key and in order
                     pairs = invariant_family(R, part, ell, [d], dominant)[d]
-                    assert [list(row.items()) for _, row in pairs] == old, \
+                    assert [list(unpacked(R, row, d).items())
+                            for _, row in pairs] == old, \
                         (part, ell, d, dominant)
                     if not dominant:
-                        assert [list(row.items()) for row in
+                        assert [list(unpacked(R, row, d).items()) for row in
                                 pm_basis_vectors(R, part, ell, d)] == old
                     # each paired with the weight of its every monomial
                     for mu, row in pairs:
-                        assert {R.weight(e) for _, e in row} == {mu}, \
-                            (part, ell, d)
+                        assert {R.weight(e) for _, e in unpacked(R, row, d)} \
+                            == {mu}, (part, ell, d)
     # one call across degrees and both parts: degree, then plus before
     # minus, then family order
     for ell in range(n + 1):
         for dominant in (False, True):
             rows = invariant_family(R, "full", ell, range(5), dominant)
             assert list(rows) == list(range(5))
-            assert {d: [row for _, row in pairs]
+            assert {d: [unpacked(R, row, 4) for _, row in pairs]
                     for d, pairs in rows.items()} == \
                 {d: [v.to_row() for part in ("plus", "minus")
                      for v in old_pm_basis_vectors(R, part, ell, d,
@@ -1079,7 +1114,8 @@ def test_sk_model_basis_is_the_dominant_family(n, k):
                 fam = {}
                 for mu, row in invariant_family(R, part, ell, [d],
                                                 dominant=True)[d]:
-                    fam.setdefault(mu, []).append(cochain_of_row(R, ell, row))
+                    fam.setdefault(mu, []).append(
+                        cochain_of_row(R, ell, row, d))
                 model = sk_model_basis(sk, n, part, ell, d)
                 assert {mu: [model_vector(R, sk, part, J, m)
                              for J, m in pairs]
@@ -1211,7 +1247,7 @@ def old_random_invariant_cochain(ring, rng, ell):
         for _, row in pairs:
             x = rng.randint(-3, 3)
             if x:
-                c = c + cochain_of_row(ring, ell, row).scale(x)
+                c = c + cochain_of_row(ring, ell, row, 3).scale(x)
     return c
 
 
@@ -1254,8 +1290,8 @@ def test_row_diff_is_diff_on_the_family_rows(n, k):
     for ell in range(n + 1):
         fam = invariant_family(R, "full", ell, range(6))
         for row in (row for pairs in fam.values() for _, row in pairs):
-            v = cochain_of_row(R, ell, row)
-            got = row_diff(n, k, row)
+            v = cochain_of_row(R, ell, row, 5)
+            got = unpacked(R, row_diff(n, k, row, row_bits(5)), 5)
             assert list(got.items()) == \
                 list(diff(v, "full").to_row().items()), v
             assert got == old_diff(v).to_row(), v
@@ -1264,16 +1300,18 @@ def test_row_diff_is_diff_on_the_family_rows(n, k):
 @pytest.mark.parametrize("n,k", MERGE_SHAPES)
 def test_row_diff_is_diff_on_any_row(n, k):
     # arbitrary rows, their index sets interleaved: row_diff groups the
-    # terms by index set in order of first appearance, as from_terms does
+    # terms by index set in order of first appearance, as from_terms does;
+    # the rows have degree <= 5 and are packed for that top degree
     rng = random.Random(500 * n + k)
     R = FockRing(n, k)
     for c in merge_inputs(R, rng):
         terms = list(c.to_row().items())
         rng.shuffle(terms)
-        row = dict(terms)
+        row = packed(R, dict(terms), 5)
         want = diff(Cochain.from_terms(R, c.ell, terms), "full").to_row()
-        assert list(row_diff(n, k, row).items()) == list(want.items()), c
-    assert row_diff(n, k, {}) == {}
+        got = unpacked(R, row_diff(n, k, row, row_bits(5)), 5)
+        assert list(got.items()) == list(want.items()), c
+    assert row_diff(n, k, {}, row_bits(0)) == {}
 
 
 def test_dominant_rows_multiply_only_in_minors_and_images(monkeypatch):

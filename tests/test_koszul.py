@@ -38,9 +38,11 @@ from weilcoh.polyring import (
     dominant_monomials,
     ideal_piece,
     is_dominant,
+    label_bits,
     minor,
     monomials_of_degree,
     orbit_size,
+    pack,
     q_gen,
     r_gen,
     shifted_terms,
@@ -777,10 +779,10 @@ def test_packed_labels_give_the_same_elimination(build, window,
     # those reduced to zero on the old route and stored nothing
     seq = build()
     spec = KoszulSpec(seq[0].ring, seq)
-    bits = koszul._label_bits(window)
+    bits = label_bits(window)
     log = recording_eliminations(monkeypatch)
     want = tuple_key_ideal_quotient_dims(spec, window)
-    tuple_log = [[([(koszul._pack(e, bits), c) for e, c in row], raised,
+    tuple_log = [[([(pack(e, bits), c) for e, c in row], raised,
                    entries) for row, raised, entries in rows]
                  for rows in log]
     log.clear()
@@ -799,12 +801,11 @@ def test_packed_dominant_monomials_are_the_packed_tuples(n, k):
     # packing each class part once and summing the ints gives the packed
     # tuples, block by block and in the same order
     ring = FockRing(n, k)
-    bits = koszul._label_bits(6)
+    bits = label_bits(6)
     for d in range(-1, 7):
-        got = dominant_monomials(ring, d,
-                                 pack=partial(koszul._pack, bits=bits))
+        got = dominant_monomials(ring, d, pack=partial(pack, bits=bits))
         assert list(got.items()) == [
-            (mu, [koszul._pack(m, bits) for m in mons])
+            (mu, [pack(m, bits) for m in mons])
             for mu, mons in dominant_monomials(ring, d).items()]
 
 
@@ -813,12 +814,12 @@ def test_packing_keeps_order_and_adds_without_carry(n, k, window):
     # pack is injective, orders as the tuples, and is additive on every
     # pair of monomials whose product stays inside the window
     R = FockRing(n, k)
-    bits = koszul._label_bits(window)
+    bits = label_bits(window)
     mons = [m for t in range(window + 1) for m in monomials_of_degree(R, t)]
-    pack = {m: koszul._pack(m, bits) for m in mons}
-    assert sorted(mons, key=pack.get) == sorted(mons)
-    assert len(set(pack.values())) == len(mons)
+    packed = {m: pack(m, bits) for m in mons}
+    assert sorted(mons, key=packed.get) == sorted(mons)
+    assert len(set(packed.values())) == len(mons)
     for a in mons:
         for b in mons:
             if sum(a) + sum(b) <= window:
-                assert pack[a] + pack[b] == pack[tuple(map(add, a, b))]
+                assert packed[a] + packed[b] == packed[tuple(map(add, a, b))]

@@ -10,7 +10,6 @@ import pytest
 from test_fock import monomial_weight
 
 import weilcoh.fock as fock
-import weilcoh.koszul as koszul
 from weilcoh.exterior import bits_of, tuple_of
 from weilcoh.fock import Cochain, son_act_cochain
 from weilcoh.polyring import (
@@ -24,6 +23,7 @@ from weilcoh.polyring import (
     laplacian,
     minor,
     monomials_of_degree,
+    pack,
     q_gen,
     r_gen,
     sk_evaluate,
@@ -137,12 +137,12 @@ def test_monomials_of_degree():
     R = FockRing(1, 1)
     assert len(monomials_of_degree(R, 1)) == 2
     # a negative degree has no monomial, packed or not
-    pack = partial(koszul._pack, bits=3)
+    pack_at = partial(pack, bits=3)
     for ring in (R, SkRing(2), Ring(["x", "y"], [2, 3])):
         for d in (-1, -2, -5):
             assert monomials_of_degree(ring, d) == []
             assert dominant_monomials(ring, d) == {}
-            assert dominant_monomials(ring, d, pack=pack) == {}
+            assert dominant_monomials(ring, d, pack=pack_at) == {}
 
     R2 = FockRing(2, 1)
     zvars = range(2)

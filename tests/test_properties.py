@@ -1,11 +1,12 @@
 """Property-based checks of the algebraic substrate."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weilcoh.exterior import wedge_bits
-from weilcoh.fock import Cochain, diff
-from weilcoh.polyring import FockRing, Polynomial
+from weilcoh.fock import Cochain, degree_reader, diff, row_bits, unpack_row
+from weilcoh.polyring import FockRing, Polynomial, pack, unpack
 
 from test_fock import monomial_weight
 
@@ -84,3 +85,38 @@ def test_diff_preserves_torus_weight(c, mode):
     (mu,) = {monomial_weight(ring, e) for e in p.terms}
     for q in diff(c, mode).parts.values():
         assert {monomial_weight(ring, e) for e in q.terms} == {mu}
+
+
+@pytest.mark.parametrize("D", range(15))
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_row_labels_keep_order_add_and_read_the_degree(D, data):
+    # a call of top degree D: every exponent tuple of degree <= D + 2 (a
+    # row or its image) under any index set of the ring's forms
+    n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    ring = FockRing(n, k)
+    B, N = row_bits(D), ring.nvars
+
+    def pair(top):
+        e = [0] * N
+        for v in data.draw(st.lists(st.integers(0, N - 1), max_size=top)):
+            e[v] += 1
+        return data.draw(st.integers(0, (1 << n) - 1)), tuple(e)
+
+    def label(bits, e):
+        return bits << B * N | pack(e, B)
+
+    a, b = pair(D + 2), pair(D + 2)
+    x, y = label(*a), label(*b)
+    # the labels order as the pairs (bits, e), and the bits sit on top
+    assert (x < y) == (a < b) and (x == y) == (a == b)
+    # unpacking inverts packing, label and row alike
+    assert unpack(pack(a[1], B), B, N) == unpack(x, B, N) == a[1]
+    assert unpack_row(ring, {x: 3}, D) == [(a, 3)]
+    # the degree reading is sum(e) up to D + 2
+    read = degree_reader(ring, D)
+    assert read(x) == sum(a[1]) and read(y) == sum(b[1])
+    # a label plus a packed exponent tuple adds with no carry while the
+    # degree stays <= D + 2
+    _, m = pair(D + 2 - sum(a[1]))
+    assert x + pack(m, B) == label(a[0], tuple(map(sum, zip(a[1], m))))

@@ -6,12 +6,15 @@ import pytest
 
 import weilcoh.fock as fock
 import weilcoh.spectral as spectral
+from weilcoh import cli
 from weilcoh.fock import (
+    degree_reader,
     direct_cohomology_dims,
     invariant_family,
     invariant_quotient_dims,
     orbit_size,
     pm_basis_vectors,
+    row_bits,
 )
 from weilcoh.fock import sk_model_pairs
 from weilcoh.koszul import regular_sequence_check
@@ -20,6 +23,7 @@ from weilcoh.polyring import (
     FockRing,
     Polynomial,
     SkRing,
+    pack,
     q_gen,
     sk_c_sequence,
 )
@@ -34,11 +38,15 @@ from weilcoh.spectral import (
 def z_dim(comp, ell, mu, t, dx_bound):
     """dim { x in span(weight-mu family at ell, deg <= t) : deg(dx) <=
     dx_bound } as rank(family) - rank(out-of-bound parts of the images),
-    with no kernel rows."""
+    with no kernel rows; the degrees are read off the images unpacked
+    digit by digit."""
+    from test_fock import unpacked  # test_fock imports this module
+
     ev, eout = Eliminator(), Eliminator()
     for row, img in comp._pairs_upto(ell, mu, t):
         ev.add_row(row)
-        eout.add_row({key: v for key, v in img.items()
+        eout.add_row({key: v for key, v in
+                      unpacked(comp.ring, img, comp.D).items()
                       if sum(key[1]) > dx_bound})
     return ev.rank - eout.rank
 
@@ -427,6 +435,32 @@ def count_family_builds(monkeypatch):
     return built
 
 
+def test_cohom_and_pages_rows_have_int_labels(monkeypatch, capsys):
+    # every row and image that the direct route and the pages eliminate,
+    # each pair logged as dominant_rows yields it, is on int labels
+    seen, rows = [], fock.dominant_rows
+
+    def logged(pairs):
+        for pair in pairs:
+            seen.append(pair)
+            yield pair
+
+    def checked(ring, part, ell, degrees):
+        return {mu: {d: logged(pairs) for d, pairs in block.items()}
+                for mu, block in rows(ring, part, ell, degrees).items()}
+
+    monkeypatch.setattr(fock, "dominant_rows", checked)
+    monkeypatch.setattr(spectral, "dominant_rows", checked)
+    for argv in ("cohom --n 2 --k 3 --part full --ell 0..2 --max-degree 3",
+                 "cohom --n 3 --k 2 --part minus --ell 3 --max-degree 3",
+                 "pages --n 2 --k 2 --max-degree 3"):
+        seen.clear()
+        assert cli.main(argv.split()) == 0, argv
+        assert seen and all(type(x) is int for row, img in seen
+                            for x in (*row, *img)), argv
+    capsys.readouterr()
+
+
 def test_pages_build_each_family_once(monkeypatch):
     # the direct route reads the store of the pages, so a pages call
     # builds and differentiates exactly what its SpectralComputer alone
@@ -436,9 +470,9 @@ def test_pages_build_each_family_once(monkeypatch):
     calls, levels, minors = [], [], []
     rows, row_diff, minor = fock.dominant_rows, fock.row_diff, fock.minor
 
-    def counted(n, k, row):
+    def counted(n, k, row, bits):
         calls.append(row)
-        return row_diff(n, k, row)
+        return row_diff(n, k, row, bits)
 
     def counted_rows(ring, part, ell, degrees):
         levels.append(ell)
@@ -534,8 +568,11 @@ def test_nonzero_d4_dies_at_e5():
     comp = object.__new__(SpectralComputer)
     comp.ring = FockRing(1, 1)
     comp.D = 4
-    x = {(0, (4, 0)): 1}
-    y = {(1, (2, 0)): 1}
+    comp.degree = degree_reader(comp.ring, comp.D)
+    # the labels bits * 2^(2B) + pack(e, B) of the pages' width rule
+    b = row_bits(comp.D)
+    x = {0 << 2 * b | pack((4, 0), b): 1}
+    y = {1 << 2 * b | pack((2, 0), b): 1}
     comp.blocks = {0: {(0,): {4: [(x, y)]}}, 1: {(0,): {2: [(y, {})]}}}
     for r in range(1, 5):
         assert comp.page(r) == {(0, 4): 1, (1, 2): 1}, r
