@@ -32,7 +32,7 @@ exponents, zero when either is zero), and omega_alpha wedged onto
 omega_I is one index set with a sign, or zero.  row_diff is this
 formula on the labels, d on the rows of the direct route and the pages;
 diff stays on cochains, with its pieces d2 and dm2, for the Fock route
-of E_1 and the checks, which read the rows as cochains (unpack_row).
+of E_1 and the checks, which cross over by Cochain.from_row and to_row.
 
 Invariant families.  By Weyl's first fundamental theorem for SO(n), the
 invariants of vectors are generated by inner products and n x n
@@ -173,7 +173,6 @@ __all__ = [
     "invariant_family",
     "row_bits",
     "degree_reader",
-    "unpack_row",
     "row_diff",
     "sk_model_pairs",
     "dominant_rows",
@@ -227,19 +226,35 @@ class Cochain:
         return Cochain(self.ring, self.ell,
                        {b: p.scale(c) for b, p in self.parts.items()})
 
-    def to_row(self):
-        """Flatten to a sparse vector keyed by (bits, exponent tuple)."""
+    def to_row(self, max_degree):
+        """The row on the labels of a call of top degree max_degree (module
+        docstring), part by part; a term of degree above max_degree + 2,
+        whose digits could carry, raises ValueError."""
+        bits = row_bits(max_degree)
+        shift = bits * self.ring.nvars
         row = {}
-        for bits, p in self.parts.items():
+        for fb, p in self.parts.items():
             for e, c in p.terms.items():
-                row[(bits, e)] = c
+                if sum(e) > max_degree + 2:
+                    raise ValueError("degree %d above a row of top degree %d"
+                                     % (sum(e), max_degree))
+                row[fb << shift | pack(e, bits)] = c
         return row
 
     @classmethod
+    def from_row(cls, ring, ell, row, max_degree):
+        """The inverse of to_row: each label decoded to (bits, exponent
+        tuple), and the terms read by from_terms."""
+        bits, nvars = row_bits(max_degree), ring.nvars
+        return cls.from_terms(ring, ell, [
+            ((x >> bits * nvars, unpack(x, bits, nvars)), c)
+            for x, c in row.items()])
+
+    @classmethod
     def from_terms(cls, ring, ell, terms):
-        """The inverse of to_row: the ((bits, exponent tuple), coef) terms
-        grouped by index set (first appearance first), each group merged
-        once by Polynomial._merge, so repeated keys add and zeros drop."""
+        """The ((bits, exponent tuple), coef) terms as a cochain, grouped by
+        index set (first appearance first), each group merged once by
+        Polynomial._merge, so repeated keys add and zeros drop."""
         groups = {}
         for (bits, e), c in terms:
             groups.setdefault(bits, []).append((e, c))
@@ -296,20 +311,12 @@ def degree_reader(ring, max_degree):
     return lambda x: (x & low) % radix
 
 
-def unpack_row(ring, row, max_degree):
-    """The ((bits, exponent tuple), coef) terms of a row of a call of top
-    degree max_degree, in its order: the terms Cochain.from_terms reads."""
-    bits, nvars = row_bits(max_degree), ring.nvars
-    return [((x >> bits * nvars, unpack(x, bits, nvars)), c)
-            for x, c in row.items()]
-
-
 def row_diff(n, k, row, bits):
     """d = d2 + dm2 of a row of FockRing(n, k) on labels of width bits, in
     closed form (module docstring): per (alpha, j), d2 moves the form
     bits and adds 2^(B pos z) + 2^(B pos w), and dm2 subtracts it, times
     the product of those two digits.  Its terms are emitted and merged in
-    the order of diff's, so it is diff(...).to_row() key for key."""
+    the order of diff's, so it is diff(...).to_row(D) key for key."""
     nz, nvars, digit = n * k, n * k + k, (1 << bits) - 1
     groups = {}
     for x, c in row.items():
@@ -401,9 +408,9 @@ def Phi_J(ring, J):
 def involution(c, which):
     """iota flips e_1: omega_1 and the variables z(1,i) change sign.
     iota_prime flips e_{n+1}: every omega_alpha and the variables w(i)
-    change sign, so an ell-form picks up (-1)^ell.  A row term's sign is
-    the parity of its flipped degrees plus the form bit of omega_1 (iota)
-    or ell (iota_prime); the terms are merged by Cochain.from_terms."""
+    change sign, so an ell-form picks up (-1)^ell.  A term's sign is the
+    parity of its flipped degrees plus the form bit of omega_1 (iota) or
+    ell (iota_prime); the terms are merged by Cochain.from_terms."""
     ring = c.ring
     cols = range(1, ring.k + 1)
     if which == "iota":
@@ -413,10 +420,11 @@ def involution(c, which):
     else:
         raise ValueError("unknown involution %r" % which)
     terms = []
-    for (bits, e), v in c.to_row().items():
-        odd = (bits & 1 if which == "iota" else c.ell) + \
-            sum(e[i] for i in flipped)
-        terms.append(((bits, e), -v if odd % 2 else v))
+    for bits, f in c.parts.items():
+        for e, v in f.terms.items():
+            odd = (bits & 1 if which == "iota" else c.ell) + \
+                sum(e[i] for i in flipped)
+            terms.append(((bits, e), -v if odd % 2 else v))
     return Cochain.from_terms(ring, c.ell, terms)
 
 
@@ -424,13 +432,13 @@ def son_act_cochain(a, b, c):
     """The generator X_ab acting as a derivation: the rotation of the form
     indices (X.omega_a = omega_b, X.omega_b = -omega_a) plus the polyring
     action on coefficients.  Normalized so that X.phi_1 = 0.  The merge of
-    _gen_act_basis over the row terms of c (Cochain.from_terms)."""
+    _gen_act_basis over the terms of c (Cochain.from_terms)."""
     if not a < b:
         raise ValueError("need a < b")
     ring = c.ring
     return Cochain.from_terms(ring, c.ell, [
-        (key, v * x) for (bits, e), v in c.to_row().items()
-        for key, x in _gen_act_basis(ring.n, ring.k, a, b, bits, e).items()])
+        (key, v * x) for fb, f in c.parts.items() for e, v in f.terms.items()
+        for key, x in _gen_act_basis(ring.n, ring.k, a, b, fb, e).items()])
 
 
 def _rotate_forms(a, b, bits):

@@ -65,7 +65,7 @@ are computed, each counted orbit_size(mu) times.  The same holds for
 E_1 and d2; there the rows of a cell's blocks have disjoint columns, so
 the Fock route of e1_dims eliminates all the blocks of a cell in one
 Eliminator and counts each row that raises the rank with its block's
-orbit size.
+orbit size, its rows and d2 images on the packed labels of fock too.
 
 A pages call (einf_and_converge) keeps one store of rows, its
 SpectralComputer: the (row, image row) pairs of every dominant family
@@ -78,7 +78,7 @@ same store, so each family and its image are built once per call.
 from __future__ import annotations
 
 from .fock import Cochain, degree_reader, diff, direct_cohomology_dims, \
-    dominant_rows, invariant_family, unpack_row
+    dominant_rows, invariant_family
 from .koszul import ideal_quotient_dims, named_sequence, \
     regular_sequence_check
 from .linalg import MAX_ENTRIES, Eliminator, ResourceCapError, \
@@ -253,9 +253,9 @@ def _e1_fock(ring, part, max_degree):
     ranks of the rows of the dominant families and of their d2 images,
     one Eliminator each per cell, fed the (weight, row) pairs of
     invariant_family in family order (see e1_dims); each row is read as a
-    cochain (unpack_row, then Cochain.from_terms) for its diff.  One level
-    is built at a time; the cell (ell, t) loses the image of the cell
-    (ell - 1, t - 2) below it, which is kept."""
+    cochain for its diff (Cochain.from_row), its d2 image flattened back
+    (to_row).  One level is built at a time; the cell (ell, t) loses the
+    image of the cell (ell - 1, t - 2) below it, which is kept."""
     img_rank = {}  # (ell, t) -> orbit-weighted rank of the d2-image
     data = {}
     for ell in range(ring.n + 1):
@@ -268,9 +268,8 @@ def _e1_fock(ring, part, max_degree):
                 mult = orbit_size(mu)
                 if ev.add_row(row):
                     rv += mult
-                v = Cochain.from_terms(ring, ell,
-                                       unpack_row(ring, row, max_degree))
-                if ei.add_row(diff(v, "d2").to_row()):
+                v = Cochain.from_row(ring, ell, row, max_degree)
+                if ei.add_row(diff(v, "d2").to_row(max_degree)):
                     ri += mult
             img_rank[ell, t] = ri
             dim = rv - ri - img_rank.get((ell - 1, t - 2), 0)

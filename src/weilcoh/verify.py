@@ -31,7 +31,6 @@ from .fock import (
     phi1,
     pm_basis_vectors,
     son_act_cochain,
-    unpack_row,
 )
 from .koszul import (
     ci_hilbert,
@@ -39,7 +38,7 @@ from .koszul import (
     named_sequence,
     regular_sequence_check,
 )
-from .linalg import rank_of_rows
+from .linalg import combination, rank_of_rows
 from .polyring import FockRing, laplacian, minor
 from .spectral import e1_dims, einf_and_converge
 
@@ -65,16 +64,13 @@ def _random_cochain(ring, rng, ell):
 def _random_invariant_cochain(ring, rng, ell, rows):
     """A random combination of the invariant families of degree <= 3;
     rows keeps each level's family rows (invariant_family), built on its
-    first draw and read as cochain terms once (unpack_row)."""
+    first draw; one draw per row, combined, read once (Cochain.from_row)."""
     if ell not in rows:
-        rows[ell] = [unpack_row(ring, row, 3) for pairs in
+        rows[ell] = [row for pairs in
                      invariant_family(ring, "full", ell, range(4)).values()
                      for _, row in pairs]
-    terms = []
-    for row in rows[ell]:
-        x = rng.randint(-3, 3)
-        terms += [(key, x * c) for key, c in row]
-    return Cochain.from_terms(ring, ell, terms)
+    coefs = {j: rng.randint(-3, 3) for j in range(len(rows[ell]))}
+    return Cochain.from_row(ring, ell, combination(coefs, rows[ell]), 3)
 
 
 def _verdict(results, name, ok, detail=""):

@@ -224,12 +224,27 @@ def test_failed_e1_certificate_exits_one_with_a_document(capsys,
         }]
 
 
+# an out-of-range value of cohom -> its error
+RANGE_ERRORS = {
+    ("--k", "0"): "--k must be in 1..8",
+    ("--k", "9"): "--k must be in 1..8",
+    ("--max-degree", "-1"): "--max-degree must be nonnegative",
+    ("--max-entries", "0"): "--max-entries must be positive",
+}
+
+
 def test_invalid_arguments_exit_two(capsys):
     assert run_cli(capsys, "cohom", "--n", "99")[0] == 2
     assert run_cli(capsys, "cohom", "--n", "2", "--ell", "5")[0] == 2
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    for (flag, value), message in RANGE_ERRORS.items():
+        code = main(["cohom", "--n", "2", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", flag
+        assert captured.err == "error: %s\n" % message
 
 
 @pytest.mark.parametrize("ell", ["x", "1..y", "2..", "1..2..3"])

@@ -378,7 +378,7 @@ def brute_invariant_dim(ring, ell, d):
         for a in range(1, ring.n + 1):
             for b in range(a + 1, ring.n + 1):
                 img = son_act_cochain(a, b, c)
-                for key, v in img.to_row().items():
+                for key, v in img.to_row(d).items():
                     rows.setdefault((a, b, key), {})[t] = v
     return len(basis) - rank_of_rows(rows.values())
 
@@ -723,10 +723,10 @@ def slice_direct_cohomology_dims(ring, part, ell, max_degree, buffer=4):
         edv = Eliminator()
         for t in range(D + 1):
             for v in coc_s.get(s, {}).get(t, []):
-                ev.add_row(v.to_row())
+                ev.add_row(v.to_row(maxdom))
                 dv = diff(v, "full")
                 if dv:
-                    edv.add_row(dv.to_row())
+                    edv.add_row(dv.to_row(maxdom))
             rank_v[t] = ev.rank
             rank_dv[t] = edv.rank
         # coboundary windows: one elimination, pivot order by degree
@@ -742,7 +742,8 @@ def slice_direct_cohomology_dims(ring, part, ell, max_degree, buffer=4):
                     if du:
                         eb.add_row({
                             (-(sum(e)), bits, e): c
-                            for (bits, e), c in du.to_row().items()
+                            for (bits, e), c in
+                            unpacked(ring, du.to_row(maxdom), maxdom).items()
                         })
             prev = D + b + 1
             counts = [0] * (D + 1)
@@ -784,15 +785,15 @@ def weights_of(ring, row):
 def row_pair_blocks(ring, ell, families):
     """The (weight, row) pairs of one invariant_family call at level ell
     grouped by weight, {weight: {degree: [(row, full-d image row)]}}, in
-    family order; each image is diff of the row read as a cochain, on
-    (bits, exponent tuple) labels."""
+    family order; each image is diff of the row read as a cochain,
+    flattened onto the rows' labels by Cochain.to_row."""
     top = max(families, default=0)
     out = {}
     for d, pairs in families.items():
         for mu, row in pairs:
             v = cochain_of_row(ring, ell, row, top)
             out.setdefault(mu, {}).setdefault(d, []).append(
-                (row, diff(v, "full").to_row()))
+                (row, diff(v, "full").to_row(top)))
     return out
 
 
@@ -871,11 +872,13 @@ def test_dominant_rows_are_the_pages_store(n, k, part):
         assert ordered(comp.blocks[ell]) == rows, ell
         blocks = row_pair_blocks(R, ell,
                                  invariant_family(R, part, ell, range(D + 1)))
-        # the images read back onto the labels of diff's rows
-        assert [(mu, [(d, [(row, unpacked(R, img, D)) for row, img in pairs])
+        # the images are diff's rows, key for key and in order
+        want = ordered({mu: block for mu, block in blocks.items()
+                        if is_dominant(mu)})
+        assert [(mu, [(d, [(row, list(img.items())) for row, img in pairs])
                       for d, pairs in block]) for mu, block in rows] == \
-            ordered({mu: block for mu, block in blocks.items()
-                     if is_dominant(mu)}), ell
+            [(mu, [(d, [(row, list(img.items())) for row, img in pairs])
+                   for d, pairs in block]) for mu, block in want], ell
 
 
 def test_orbit_size():
@@ -1017,15 +1020,19 @@ def test_builders_match_the_previous_builders(n, k):
                     assert not list(sk_model_pairs(SkRing(k), n, part, ell,
                                                    d, False)), (part, ell, d)
                 for dominant in (False, True):
-                    old = [list(v.to_row().items()) for v in
-                           old_pm_basis_vectors(R, part, ell, d, dominant)]
-                    # the same rows, key for key and in order
+                    olds = old_pm_basis_vectors(R, part, ell, d, dominant)
+                    old = [list(v.to_row(d).items()) for v in olds]
+                    # the same rows, key for key and in order, and read
+                    # back digit by digit, the terms of the old vectors
                     pairs = invariant_family(R, part, ell, [d], dominant)[d]
-                    assert [list(unpacked(R, row, d).items())
-                            for _, row in pairs] == old, \
+                    assert [list(row.items()) for _, row in pairs] == old, \
                         (part, ell, d, dominant)
+                    assert [list(unpacked(R, row, d).items())
+                            for _, row in pairs] == \
+                        [[((bits, e), c) for bits, f in v.parts.items()
+                          for e, c in f.terms.items()] for v in olds]
                     if not dominant:
-                        assert [list(unpacked(R, row, d).items()) for row in
+                        assert [list(row.items()) for row in
                                 pm_basis_vectors(R, part, ell, d)] == old
                     # each paired with the weight of its every monomial
                     for mu, row in pairs:
@@ -1037,9 +1044,9 @@ def test_builders_match_the_previous_builders(n, k):
         for dominant in (False, True):
             rows = invariant_family(R, "full", ell, range(5), dominant)
             assert list(rows) == list(range(5))
-            assert {d: [unpacked(R, row, 4) for _, row in pairs]
+            assert {d: [list(row.items()) for _, row in pairs]
                     for d, pairs in rows.items()} == \
-                {d: [v.to_row() for part in ("plus", "minus")
+                {d: [list(v.to_row(4).items()) for part in ("plus", "minus")
                      for v in old_pm_basis_vectors(R, part, ell, d,
                                                    dominant)]
                  for d in range(5)}, (ell, dominant)
@@ -1099,8 +1106,8 @@ def test_sk_model_d2_rows_match_diff(n, k):
                                 sk, part, J, expo).items():
                             got = got + model_vector(R, sk, part, J2,
                                                      e2).scale(c)
-                        assert got.to_row() == diff(v, "d2").to_row(), \
-                            (part, J, expo)
+                        assert got.to_row(d + k) == \
+                            diff(v, "d2").to_row(d + k), (part, J, expo)
 
 
 @pytest.mark.parametrize("n,k", MODEL_SHAPES)
@@ -1252,6 +1259,7 @@ def old_random_invariant_cochain(ring, rng, ell):
 
 
 MERGE_SHAPES = [(1, 1), (2, 2), (3, 2), (2, 3)]
+MERGE_TOP = 5  # merge_inputs have degree <= 5, their d, d2 and dm2 <= 7
 
 
 def merge_inputs(R, rng):
@@ -1274,8 +1282,8 @@ def test_diff_matches_the_previous_merge(n, k):
         for mode in ("full", "d2", "dm2"):
             got, want = diff(c, mode), old_diff(c, mode)
             assert got == want, (c, mode)
-            assert list(got.to_row().items()) == \
-                list(want.to_row().items()), (c, mode)
+            assert list(got.to_row(MERGE_TOP).items()) == \
+                list(want.to_row(MERGE_TOP).items()), (c, mode)
 
 
 ROW_DIFF_SHAPES = [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2)]
@@ -1291,10 +1299,10 @@ def test_row_diff_is_diff_on_the_family_rows(n, k):
         fam = invariant_family(R, "full", ell, range(6))
         for row in (row for pairs in fam.values() for _, row in pairs):
             v = cochain_of_row(R, ell, row, 5)
-            got = unpacked(R, row_diff(n, k, row, row_bits(5)), 5)
+            got = row_diff(n, k, row, row_bits(5))
             assert list(got.items()) == \
-                list(diff(v, "full").to_row().items()), v
-            assert got == old_diff(v).to_row(), v
+                list(diff(v, "full").to_row(5).items()), v
+            assert got == old_diff(v).to_row(5), v
 
 
 @pytest.mark.parametrize("n,k", MERGE_SHAPES)
@@ -1305,11 +1313,12 @@ def test_row_diff_is_diff_on_any_row(n, k):
     rng = random.Random(500 * n + k)
     R = FockRing(n, k)
     for c in merge_inputs(R, rng):
-        terms = list(c.to_row().items())
+        terms = list(c.to_row(MERGE_TOP).items())
         rng.shuffle(terms)
-        row = packed(R, dict(terms), 5)
-        want = diff(Cochain.from_terms(R, c.ell, terms), "full").to_row()
-        got = unpacked(R, row_diff(n, k, row, row_bits(5)), 5)
+        row = dict(terms)
+        want = diff(Cochain.from_row(R, c.ell, row, MERGE_TOP),
+                    "full").to_row(MERGE_TOP)
+        got = row_diff(n, k, row, row_bits(MERGE_TOP))
         assert list(got.items()) == list(want.items()), c
     assert row_diff(n, k, {}, row_bits(0)) == {}
 
@@ -1348,8 +1357,8 @@ def test_son_act_cochain_matches_the_previous_merge(n, k):
         for a, b in itertools.combinations(range(1, n + 1), 2):
             got, want = son_act_cochain(a, b, c), old_son_act_cochain(a, b, c)
             assert got == want, (c, a, b)
-            assert list(got.to_row().items()) == \
-                list(want.to_row().items()), (c, a, b)
+            assert list(got.to_row(MERGE_TOP).items()) == \
+                list(want.to_row(MERGE_TOP).items()), (c, a, b)
 
 
 @pytest.mark.parametrize("n,k", MERGE_SHAPES)
@@ -1359,8 +1368,8 @@ def test_involution_matches_the_previous_sign_flip(n, k):
         for which in ("iota", "iota_prime"):
             got, want = involution(c, which), old_involution(c, which)
             assert got == want, (c, which)
-            assert list(got.to_row().items()) == \
-                list(want.to_row().items()), (c, which)
+            assert list(got.to_row(MERGE_TOP).items()) == \
+                list(want.to_row(MERGE_TOP).items()), (c, which)
         with pytest.raises(ValueError, match="unknown involution"):
             involution(c, "iota_second")
 
@@ -1413,12 +1422,27 @@ def test_closedness_builds_each_level_once(monkeypatch):
 
 
 def test_from_terms_inverts_to_row():
+    # from_row, and from_terms of the terms read back digit by digit
     rng = random.Random(7)
     for n, k in MERGE_SHAPES:
         R = FockRing(n, k)
         for c in merge_inputs(R, rng):
-            assert Cochain.from_terms(R, c.ell, c.to_row().items()) == c
+            row = c.to_row(MERGE_TOP)
+            assert Cochain.from_row(R, c.ell, row, MERGE_TOP) == c
+            assert Cochain.from_terms(
+                R, c.ell, unpacked(R, row, MERGE_TOP).items()) == c
         assert Cochain.from_terms(R, 1, []) == Cochain(R, 1)
+
+
+def test_cochain_operations_refuse_mismatched_inputs():
+    R = FockRing(2, 1)
+    c = phi1(R)
+    with pytest.raises(ValueError, match="need a < b"):
+        son_act_cochain(2, 1, c)
+    with pytest.raises(ValueError, match="mismatched n"):
+        outer_product(c, phi1(FockRing(3, 1)))
+    with pytest.raises(ValueError, match="cochain mismatch"):
+        c + Cochain(R, 2, {0b11: R.one()})
 
 
 def test_from_terms_merges_repeated_and_cancelling_keys():

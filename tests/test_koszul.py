@@ -167,6 +167,10 @@ def test_spec_validation():
         KoszulSpec(R, [R.zero()])
     with pytest.raises(ValueError):
         KoszulSpec(R, [x + x * x])  # inhomogeneous
+    with pytest.raises(ValueError, match="from the wrong ring"):
+        KoszulSpec(R, [x, SkRing(1).what_var(1)])
+    with pytest.raises(ValueError, match="unknown koszul model 'x'"):
+        koszul.named_sequence("x", 2, 2)
     spec = KoszulSpec(R, [x])
     assert spec.degrees == (1,)
 

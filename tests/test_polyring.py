@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from test_fock import monomial_weight
+from test_fock import monomial_weight, packed
 
 import weilcoh.fock as fock
 from weilcoh.exterior import bits_of, tuple_of
@@ -360,10 +360,11 @@ def rotate_oracle(a, b, bits):
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 1)])
 def test_gen_act_basis_matches_son_act_cochain(n, k):
     # on every basis cochain omega_I (x) z^e (w's included, degree <= 3),
-    # the row of fock._gen_act_basis equals son_act_cochain(...).to_row()
-    # and the product form of the action plus the in-place rotation of
-    # the form indices; a key collision in _gen_act_basis would lose a
-    # term that the merged forms keep
+    # the row of fock._gen_act_basis, packed, equals
+    # son_act_cochain(...).to_row(3), and it is the product form of the
+    # action plus the in-place rotation of the form indices; a key
+    # collision in _gen_act_basis would lose a term that the merged forms
+    # keep
     R = FockRing(n, k)
     mons = [e for d in range(4) for e in monomials_of_degree(R, d)]
     for ell in range(n + 1):
@@ -380,7 +381,8 @@ def test_gen_act_basis_matches_son_act_cochain(n, k):
                             want[nb, e] = sign
                         row = fock._gen_act_basis(n, k, a, b, bits, e)
                         assert row == want, (I, e, a, b)
-                        assert son_act_cochain(a, b, c).to_row() == want
+                        assert son_act_cochain(a, b, c).to_row(3) == \
+                            packed(R, want, 3)
 
 
 def test_gen_act_basis_emission_order():
@@ -449,6 +451,8 @@ def test_minor_index_validation():
         minor(R, (1,), (1, 2))
     with pytest.raises(ValueError):
         minor(R, (1, 3), (1, 2))
+    with pytest.raises(ValueError, match="column indices out of range"):
+        minor(R, (1, 2), (1, 3))
 
 
 def test_scale_rejects_non_int_scalars():

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weilcoh.exterior import wedge_bits
-from weilcoh.fock import Cochain, degree_reader, diff, row_bits, unpack_row
+from weilcoh.fock import Cochain, degree_reader, diff, row_bits
 from weilcoh.polyring import FockRing, Polynomial, pack, unpack
 
-from test_fock import monomial_weight
+from test_fock import monomial_weight, packed, unpacked
 
 RING = FockRing(2, 2)
 
@@ -110,9 +110,8 @@ def test_row_labels_keep_order_add_and_read_the_degree(D, data):
     x, y = label(*a), label(*b)
     # the labels order as the pairs (bits, e), and the bits sit on top
     assert (x < y) == (a < b) and (x == y) == (a == b)
-    # unpacking inverts packing, label and row alike
+    # unpacking inverts packing
     assert unpack(pack(a[1], B), B, N) == unpack(x, B, N) == a[1]
-    assert unpack_row(ring, {x: 3}, D) == [(a, 3)]
     # the degree reading is sum(e) up to D + 2
     read = degree_reader(ring, D)
     assert read(x) == sum(a[1]) and read(y) == sum(b[1])
@@ -120,3 +119,45 @@ def test_row_labels_keep_order_add_and_read_the_degree(D, data):
     # degree stays <= D + 2
     _, m = pair(D + 2 - sum(a[1]))
     assert x + pack(m, B) == label(a[0], tuple(map(sum, zip(a[1], m))))
+
+
+@pytest.mark.parametrize("D", range(15))
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_cochain_rows_round_trip_in_pair_order(D, data):
+    # a cochain of a call of top degree D, every term of degree <= D + 2:
+    # to_row is the test-side packing of its terms in their order, reads
+    # back digit by digit to them, and from_row inverts it; the labels
+    # order as the pairs (bits, e); a term of degree D + 3 is refused
+    n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    ring = FockRing(n, k)
+    N = ring.nvars
+    ell = data.draw(st.integers(0, n))
+    forms = [b for b in range(1 << n) if b.bit_count() == ell]
+
+    def expo(degree):
+        e = [0] * N
+        for v in data.draw(st.lists(st.integers(0, N - 1),
+                                    min_size=degree, max_size=degree)):
+            e[v] += 1
+        return tuple(e)
+
+    terms = [((data.draw(st.sampled_from(forms)),
+               expo(data.draw(st.integers(0, D + 2)))),
+              data.draw(st.integers(-3, 3)))
+             for _ in range(data.draw(st.integers(0, 6)))]
+    c = Cochain.from_terms(ring, ell, terms)
+    pairs = {(bits, e): v for bits, f in c.parts.items()
+             for e, v in f.terms.items()}
+    row = c.to_row(D)
+    assert list(row.items()) == list(packed(ring, pairs, D).items())
+    assert list(unpacked(ring, row, D).items()) == list(pairs.items())
+    assert Cochain.from_row(ring, ell, row, D) == c
+    assert sorted(row, key=lambda x: unpacked(ring, {x: 1}, D).popitem()) \
+        == sorted(row)
+    # the top degree D + 2 is taken, D + 3 refused
+    top = Cochain(ring, ell, {forms[0]: Polynomial(ring, {expo(D + 2): 1})})
+    assert Cochain.from_row(ring, ell, top.to_row(D), D) == top
+    with pytest.raises(ValueError, match="above a row of top degree"):
+        (c + Cochain(ring, ell, {forms[-1]: Polynomial(
+            ring, {expo(D + 3): 1})})).to_row(D)

@@ -1,6 +1,7 @@
 """Tests for the polynomial-degree spectral sequence."""
 
 import itertools
+import json
 
 import pytest
 
@@ -421,6 +422,33 @@ def test_converge_n2_k2_small_window():
     assert rep.gr_dims == {(2, t): d for t, d in enumerate([1, 2, 7])}
 
 
+def test_a_page_that_disagrees_is_a_mismatch(monkeypatch, capsys):
+    # one cell added to the E_infinity page, zero on both routes: the
+    # report lists it as its one mismatch, with one agreement less, and
+    # pages exits 1 with it in the verdict's detail
+    R, D, cell = FockRing(2, 2), 2, (0, 1)
+    clean = einf_and_converge(R, "full", D)
+    assert clean.ok and cell not in clean.einf and cell not in clean.gr_dims
+    page = SpectralComputer.page
+
+    def bumped(self, r):
+        out = page(self, r)
+        out[cell] = out.get(cell, 0) + 1
+        return out
+
+    monkeypatch.setattr(SpectralComputer, "page", bumped)
+    rep = einf_and_converge(R, "full", D)
+    assert not rep.ok
+    assert rep.mismatches == [(cell, 1, 0)]
+    assert rep.agreements == clean.agreements - 1
+    assert cli.main("pages --n 2 --k 2 --max-degree 2".split()) == 1
+    (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdict == {
+        "name": "Einf matches graded cohomology", "pass": False,
+        "detail": "agreements %d, mismatches [((0, 1), 1, 0)]"
+        % rep.agreements}
+
+
 def count_family_builds(monkeypatch):
     """[(level, vectors)] of every fock.invariant_family call, the name
     under which the cohom and pages routes build their families."""
@@ -458,6 +486,27 @@ def test_cohom_and_pages_rows_have_int_labels(monkeypatch, capsys):
         assert cli.main(argv.split()) == 0, argv
         assert seen and all(type(x) is int for row, img in seen
                             for x in (*row, *img)), argv
+    capsys.readouterr()
+
+
+def test_e1_fock_rows_have_int_labels(monkeypatch, capsys):
+    # every row that the Fock route of E_1 eliminates, family row and d2
+    # image alike, is on int labels: each add_row argument of its
+    # Eliminators is logged, at k > n and at k = n
+    seen = []
+
+    class Logged(Eliminator):
+        def add_row(self, row):
+            seen.append(row)
+            return super().add_row(row)
+
+    monkeypatch.setattr(spectral, "Eliminator", Logged)
+    for argv in ("e1 --n 2 --k 3 --max-degree 4",
+                 "e1 --part minus --n 2 --k 2 --max-degree 6"):
+        seen.clear()
+        assert cli.main(argv.split()) == 0, argv
+        assert seen and all(type(x) is int for row in seen for x in row), \
+            argv
     capsys.readouterr()
 
 
